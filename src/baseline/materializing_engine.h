@@ -42,8 +42,8 @@ class MaterializingEngine {
     JoinKind kind = JoinKind::kInner;
     std::vector<ResidualCondition> residuals;
     double load_factor = 0.75;
-    /// Kernel selection + batching knobs bound to the build and probe
-    /// operators; tests A/B the scalar and batched kernels through this.
+    /// Batching knobs bound to the build and probe operators; tests A/B
+    /// batch 1 without prefetch against batched settings through this.
     JoinKernelConfig join;
   };
   std::unique_ptr<Table> HashJoin(const Table& probe, const Table& build,

@@ -1,66 +1,38 @@
 #include "expr/predicate.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 namespace uot {
 namespace {
 
-std::atomic<uint8_t> g_compare_kernel{
-    static_cast<uint8_t>(CompareKernel::kBranchFree)};
-
 /// One comparison over the selection, column-vs-column or
-/// column-vs-hoisted-constant (`rhs_const` non-null), under the active
-/// kernel. Both kernels compact in place preserving row order; the
-/// branch-free variant stores unconditionally and advances `kept` by the
-/// comparison result, which keeps the loop free of data-dependent branches
-/// so the compiler can vectorize it.
+/// column-vs-hoisted-constant (`rhs_const` non-null), compacting in place
+/// and preserving row order. Stores unconditionally and advances `kept` by
+/// the comparison result, which keeps the loop free of data-dependent
+/// branches so the compiler can vectorize it.
 template <typename Op>
 void RunCompare(const double* lhs, const double* rhs,
                 const double* rhs_const, Op op, std::vector<uint32_t>* sel) {
   const uint32_t n = static_cast<uint32_t>(sel->size());
   uint32_t* s = sel->data();
   uint32_t kept = 0;
-  if (GetCompareKernel() == CompareKernel::kBranchFree) {
-    if (rhs_const != nullptr) {
-      const double c = *rhs_const;
-      for (uint32_t i = 0; i < n; ++i) {
-        s[kept] = s[i];
-        kept += static_cast<uint32_t>(op(lhs[i], c));
-      }
-    } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        s[kept] = s[i];
-        kept += static_cast<uint32_t>(op(lhs[i], rhs[i]));
-      }
+  if (rhs_const != nullptr) {
+    const double c = *rhs_const;
+    for (uint32_t i = 0; i < n; ++i) {
+      s[kept] = s[i];
+      kept += static_cast<uint32_t>(op(lhs[i], c));
     }
   } else {
-    if (rhs_const != nullptr) {
-      const double c = *rhs_const;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (op(lhs[i], c)) s[kept++] = s[i];
-      }
-    } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        if (op(lhs[i], rhs[i])) s[kept++] = s[i];
-      }
+    for (uint32_t i = 0; i < n; ++i) {
+      s[kept] = s[i];
+      kept += static_cast<uint32_t>(op(lhs[i], rhs[i]));
     }
   }
   sel->resize(kept);
 }
 
 }  // namespace
-
-void SetCompareKernel(CompareKernel kernel) {
-  g_compare_kernel.store(static_cast<uint8_t>(kernel),
-                         std::memory_order_relaxed);
-}
-
-CompareKernel GetCompareKernel() {
-  return static_cast<CompareKernel>(
-      g_compare_kernel.load(std::memory_order_relaxed));
-}
 
 std::vector<uint32_t> Predicate::FilterAll(const Block& block) const {
   std::vector<uint32_t> sel(block.num_rows());

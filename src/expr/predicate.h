@@ -30,27 +30,13 @@ class Predicate {
 
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// Numeric comparison kernel selection (a process-wide A/B switch, like
-/// JoinKernelConfig for the join kernels):
-///  - kScalar: the historical branchy compaction loop
-///    (`if (cmp) sel[kept++] = sel[i]`) — one hard-to-predict branch per
-///    row at moderate selectivities.
-///  - kBranchFree: unconditional-store compaction
-///    (`sel[kept] = sel[i]; kept += cmp`) — no data-dependent branches, so
-///    the compiler can auto-vectorize the compare and the loop never
-///    mispredicts. With a literal operand the constant is hoisted out of
-///    the loop instead of materialized per row.
-/// Both kernels keep rows in identical order, so flipping the switch is a
-/// pure A/B comparison (asserted by expr_test).
-enum class CompareKernel : uint8_t { kScalar = 0, kBranchFree = 1 };
-
-/// Sets/reads the process-wide comparison kernel (atomic; safe to flip
-/// between queries, takes effect on the next Filter call).
-void SetCompareKernel(CompareKernel kernel);
-CompareKernel GetCompareKernel();
-
 /// `left op right`. Numeric operands are compared as doubles; CHAR operands
 /// are compared bytewise (both sides must have equal widths).
+///
+/// The numeric kernel compacts the selection branch-free
+/// (`sel[kept] = sel[i]; kept += cmp`): no data-dependent branches, so the
+/// compiler can auto-vectorize the compare and the loop never mispredicts
+/// at moderate selectivities. Row order is preserved.
 class Comparison final : public Predicate {
  public:
   Comparison(CompareOp op, std::unique_ptr<Scalar> left,
@@ -64,7 +50,7 @@ class Comparison final : public Predicate {
   const std::unique_ptr<Scalar> left_;
   const std::unique_ptr<Scalar> right_;
   const bool is_char_;
-  /// Right operand is a numeric literal: the kernels hoist the constant
+  /// Right operand is a numeric literal: the kernel hoists the constant
   /// out of the row loop instead of materializing it per row.
   const bool rhs_is_literal_;
 };

@@ -1,10 +1,7 @@
 #include "fused/fused_pipeline.h"
 
-#include <cstring>
-
-#include "join/hash_table.h"
-#include "operators/key_util.h"
-#include "operators/numeric_util.h"
+#include <algorithm>
+#include <numeric>
 
 namespace uot {
 namespace fused {
@@ -82,9 +79,29 @@ const char* FusedChain::StageKindName(StageKind kind) {
   return "?";
 }
 
+/// Appends stage `s`'s output rows to its scratch granule, pushing the
+/// granule through the downstream stages whenever it fills.
+class FusedChainWorkOrder::GranuleSink final : public RowSink {
+ public:
+  GranuleSink(FusedChainWorkOrder* wo, size_t s)
+      : wo_(wo), s_(s), out_(wo->scratch_[s].get()) {}
+
+  void AppendRow(const std::byte* packed_row) override {
+    if (out_->AppendRow(packed_row)) return;
+    wo_->FlushScratch(s_);
+    UOT_CHECK(out_->AppendRow(packed_row));
+  }
+
+ private:
+  FusedChainWorkOrder* const wo_;
+  const size_t s_;
+  Block* const out_;
+};
+
 void FusedChainWorkOrder::Execute() {
   const size_t num_stages = chain_->stages_.size();
   sels_.resize(num_stages);
+  probe_scratch_.resize(num_stages);
   scratch_.resize(num_stages);
   for (size_t s = 0; s + 1 < num_stages; ++s) {
     // Interior stages stream into a work-order-local granule sized to the
@@ -103,13 +120,10 @@ void FusedChainWorkOrder::Execute() {
   }
 
   const uint32_t num_rows = block_->num_rows();
-  std::vector<uint32_t>& head_sel = sels_[0];
   for (uint32_t base = 0; base < num_rows;
        base += FusedChain::kRowGroupRows) {
-    const uint32_t m = std::min(FusedChain::kRowGroupRows, num_rows - base);
-    head_sel.resize(m);
-    for (uint32_t i = 0; i < m; ++i) head_sel[i] = base + i;
-    ExecStage(0, *block_, &head_sel);
+    ExecStage(0, *block_, base,
+              std::min(FusedChain::kRowGroupRows, num_rows - base));
   }
 
   if (tail.kind == FusedChain::StageKind::kAggregate) {
@@ -119,188 +133,53 @@ void FusedChainWorkOrder::Execute() {
 }
 
 void FusedChainWorkOrder::ExecStage(size_t s, const Block& block,
-                                    std::vector<uint32_t>* sel) {
-  switch (chain_->stages_[s]->kind) {
-    case FusedChain::StageKind::kSelect:
-      ExecSelect(s, block, sel);
-      return;
-    case FusedChain::StageKind::kProbe:
-      ExecProbe(s, block, sel);
-      return;
-    case FusedChain::StageKind::kAggregate:
-      ExecAggregate(s, block, sel);
-      return;
+                                    uint32_t row_begin, uint32_t n) {
+  FusedChain::Stage& st = *chain_->stages_[s];
+  st.rows_in.fetch_add(n, std::memory_order_relaxed);
+  const bool tail = s + 1 == chain_->stages_.size();
+
+  if (st.kind == FusedChain::StageKind::kProbe) {
+    const JoinHashTable* table = st.probe->build()->hash_table();
+    UOT_CHECK(table != nullptr);  // blocking edge: build done
+    GranuleSink granule(this, s);
+    RowSink* sink = tail ? static_cast<RowSink*>(writer_.get()) : &granule;
+    const uint64_t emitted =
+        st.probe->ProbeRows(block, row_begin, n, *table, &probe_scratch_[s],
+                            sink, st.op_index, worker_id);
+    st.rows_out.fetch_add(emitted, std::memory_order_relaxed);
+    if (!tail) FlushScratch(s);
+    return;
   }
+
+  // Select and aggregate stages filter a selection vector over the range.
+  std::vector<uint32_t>& sel = sels_[s];
+  sel.resize(n);
+  std::iota(sel.begin(), sel.end(), row_begin);
+  if (st.kind == FusedChain::StageKind::kAggregate) {
+    // One partial spans the whole fused work order (merged in Execute).
+    st.agg->Accumulate(block, &sel, &partial_);
+    st.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
+    return;
+  }
+  st.select->FilterRows(block, &sel);
+  st.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
+  if (sel.empty()) return;
+  if (tail) {
+    st.select->projection().MaterializeInto(block, sel, writer_.get());
+    return;
+  }
+  // Interior: the granule holds kRowGroupRows rows and every stage input
+  // is bounded by that, so the surviving rows always fit in one flush.
+  st.select->projection().MaterializeIntoBlock(
+      block, sel.data(), static_cast<uint32_t>(sel.size()), scratch_[s].get());
+  FlushScratch(s);
 }
 
 void FusedChainWorkOrder::FlushScratch(size_t s) {
   Block* out = scratch_[s].get();
   if (out->Empty()) return;
-  std::vector<uint32_t>& next_sel = sels_[s + 1];
-  next_sel.resize(out->num_rows());
-  for (uint32_t i = 0; i < out->num_rows(); ++i) next_sel[i] = i;
-  ExecStage(s + 1, *out, &next_sel);
+  ExecStage(s + 1, *out, 0, out->num_rows());
   out->Clear();
-}
-
-void FusedChainWorkOrder::ExecSelect(size_t s, const Block& block,
-                                     std::vector<uint32_t>* sel) {
-  FusedChain::Stage& st = *chain_->stages_[s];
-  st.rows_in.fetch_add(sel->size(), std::memory_order_relaxed);
-
-  // Same predicate → LIP → project sequence as SelectWorkOrder::Execute,
-  // over the incoming selection instead of the whole block.
-  st.select->predicate().Filter(block, sel);
-  for (const LipAttachment& lip : st.select->lip_filters()) {
-    if (sel->empty()) break;
-    const LipFilter* filter = lip.source->lip_filter();
-    UOT_CHECK(filter != nullptr);  // blocking edge + EnableLipFilter
-    const Type& type = block.schema().column(lip.key_col).type;
-    const ColumnAccess access = block.Column(lip.key_col);
-    uint32_t kept = 0;
-    for (uint32_t i = 0; i < sel->size(); ++i) {
-      const uint64_t key[1] = {WidenKeyValue(type, access.at((*sel)[i]))};
-      if (filter->MightContain(HashJoinKey(key, 1))) (*sel)[kept++] = (*sel)[i];
-    }
-    sel->resize(kept);
-  }
-  st.rows_out.fetch_add(sel->size(), std::memory_order_relaxed);
-  if (sel->empty()) return;
-
-  const bool tail = s + 1 == chain_->stages_.size();
-  if (tail) {
-    st.select->projection().MaterializeInto(block, *sel, writer_.get());
-    return;
-  }
-  // Interior: materialize the surviving rows into this stage's granule and
-  // push them straight through the rest of the chain. The granule holds at
-  // most kRowGroupRows rows and every upstream source is bounded by that,
-  // so a single flush always fits.
-  Block* out = scratch_[s].get();
-  st.select->projection().MaterializeIntoBlock(
-      block, sel->data(), static_cast<uint32_t>(sel->size()), out);
-  FlushScratch(s);
-}
-
-void FusedChainWorkOrder::ExecProbe(size_t s, const Block& block,
-                                    std::vector<uint32_t>* sel) {
-  FusedChain::Stage& st = *chain_->stages_[s];
-  st.rows_in.fetch_add(sel->size(), std::memory_order_relaxed);
-
-  const JoinHashTable* hash_table = st.probe->build()->hash_table();
-  UOT_CHECK(hash_table != nullptr);  // blocking edge: build done
-  const Schema& payload_schema = hash_table->payload_schema();
-  const std::vector<int>& key_cols = st.probe->probe_key_cols();
-  const std::vector<int>& output_cols = st.probe->probe_output_cols();
-  const std::vector<ResidualCondition>& residuals = st.probe->residuals();
-  const JoinKind kind = st.probe->kind();
-  const Schema probe_part = SubSchema(block.schema(), output_cols);
-  const uint32_t probe_width = probe_part.row_width();
-
-  const bool tail = s + 1 == chain_->stages_.size();
-  Block* out = tail ? nullptr : scratch_[s].get();
-  std::vector<std::byte> row(st.out_schema->row_width());
-  uint64_t key[2] = {0, 0};
-  uint64_t emitted = 0;
-
-  // Emission content and per-row order match ProbeHashWorkOrder's scalar
-  // loop exactly; only the row source (the incoming selection) differs.
-  const auto emit = [&](const std::byte* packed_row) {
-    ++emitted;
-    if (tail) {
-      writer_->AppendRow(packed_row);
-      return;
-    }
-    if (!out->AppendRow(packed_row)) {
-      FlushScratch(s);
-      UOT_CHECK(out->AppendRow(packed_row));
-    }
-  };
-
-  for (const uint32_t r : *sel) {
-    ExtractKey(block, key_cols, r, key);
-    double probe_residuals[4];
-    for (size_t i = 0; i < residuals.size(); ++i) {
-      const ResidualCondition& rc = residuals[i];
-      probe_residuals[i] = LoadNumeric(block.schema().column(rc.probe_col).type,
-                                       block.Column(rc.probe_col).at(r));
-    }
-    bool probe_part_ready = false;
-    bool any_match = false;
-    hash_table->Probe(key, [&](const std::byte* payload) {
-      for (size_t i = 0; i < residuals.size(); ++i) {
-        const ResidualCondition& rc = residuals[i];
-        const double build_val =
-            rc.scale *
-            LoadNumeric(payload_schema.column(rc.payload_col).type,
-                        payload + payload_schema.offset(rc.payload_col));
-        if (!CompareValues(rc.op, probe_residuals[i], build_val)) return;
-      }
-      any_match = true;
-      if (kind != JoinKind::kInner) return;
-      if (!probe_part_ready) {
-        ExtractColumns(block, output_cols, probe_part, r, row.data());
-        probe_part_ready = true;
-      }
-      if (payload_schema.row_width() > 0) {
-        std::memcpy(row.data() + probe_width, payload,
-                    payload_schema.row_width());
-      }
-      emit(row.data());
-    });
-    const bool emit_probe_row = (kind == JoinKind::kLeftSemi && any_match) ||
-                                (kind == JoinKind::kLeftAnti && !any_match);
-    if (emit_probe_row) {
-      ExtractColumns(block, output_cols, probe_part, r, row.data());
-      emit(row.data());
-    }
-  }
-  st.rows_out.fetch_add(emitted, std::memory_order_relaxed);
-  if (!tail) FlushScratch(s);
-}
-
-void FusedChainWorkOrder::ExecAggregate(size_t s, const Block& block,
-                                        std::vector<uint32_t>* sel) {
-  FusedChain::Stage& st = *chain_->stages_[s];
-  st.rows_in.fetch_add(sel->size(), std::memory_order_relaxed);
-  if (st.agg->predicate() != nullptr) {
-    st.agg->predicate()->Filter(block, sel);
-  }
-  st.rows_out.fetch_add(sel->size(), std::memory_order_relaxed);
-  const uint32_t n = static_cast<uint32_t>(sel->size());
-  if (n == 0) return;
-
-  // Same accumulation as AggregateWorkOrder::Execute, into a partial map
-  // spanning the whole fused work order (merged once in Execute).
-  const std::vector<AggSpec>& aggs = st.agg->aggs();
-  const std::vector<int>& group_cols = st.agg->group_cols();
-  std::vector<std::vector<double>> inputs(aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].expr != nullptr) {
-      inputs[a].resize(n);
-      EvalAsDouble(*aggs[a].expr, block, sel->data(), n, inputs[a].data());
-    }
-  }
-  AggregateOperator::GroupKey key = {0, 0, 0};
-  for (uint32_t i = 0; i < n; ++i) {
-    for (size_t g = 0; g < group_cols.size(); ++g) {
-      const int col = group_cols[g];
-      key[g] = WidenKeyValue(block.schema().column(col).type,
-                             block.Column(col).at((*sel)[i]));
-    }
-    auto [it, inserted] = partial_.try_emplace(key, aggs.size(), AggState{});
-    std::vector<AggState>& states = it->second;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& agg_state = states[a];
-      ++agg_state.count;
-      if (aggs[a].expr != nullptr) {
-        const double v = inputs[a][i];
-        agg_state.Add(v);
-        if (v < agg_state.min) agg_state.min = v;
-        if (v > agg_state.max) agg_state.max = v;
-      }
-    }
-  }
 }
 
 }  // namespace fused

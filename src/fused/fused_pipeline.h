@@ -18,22 +18,25 @@ namespace uot {
 namespace fused {
 
 /// A fused pipeline: a select→probe(×N)→aggregate/project chain executed
-/// tuple-at-a-time — the third point on the UoT spectrum (ROADMAP item 3),
-/// beyond block-at-a-time toward "as small as a single tuple".
+/// row group by row group — the third point on the UoT spectrum, beyond
+/// block-at-a-time toward "as small as a single tuple".
 ///
 /// Where the vectorized path materializes every interior operator's output
 /// into blocks and transfers them under the UoT policy, a fused chain binds
-/// all stages at construction time into one interpreter: each work order
-/// takes one head input block and walks it in small row groups through the
-/// whole chain, carrying only a selection vector plus (after a projection
-/// or join widens rows) one cache-resident scratch granule per interior
-/// stage. Interior streaming edges transfer zero blocks; pipeline breakers
-/// (hash-table builds, exchanges, sorts) keep their vectorized edges.
+/// all stages at construction time: each work order takes one head input
+/// block and walks it in small row groups through the whole chain, carrying
+/// only a selection vector plus (after a projection or join widens rows)
+/// one cache-resident scratch granule per interior stage. Interior
+/// streaming edges transfer zero blocks; pipeline breakers (hash-table
+/// builds, exchanges, sorts) keep their vectorized edges.
 ///
-/// Stage semantics replicate the operators' scalar work orders exactly
-/// (same predicate/LIP/residual/emission logic in the same row order), so
-/// fused output is byte-identical to vectorized output per stage; only the
-/// granule boundaries differ.
+/// Every stage calls its operator's own kernel — SelectOperator::FilterRows,
+/// ProbeHashOperator::ProbeRows (batched and prefetched under the probe's
+/// bound context), AggregateOperator::Accumulate — the same code the
+/// vectorized work orders run, only over a row group into a granule instead
+/// of a whole block into a block writer. Fused output is therefore
+/// byte-identical to vectorized output per stage; only the granule
+/// boundaries differ.
 class FusedChain {
  public:
   /// Rows per head row group — and the row capacity of every interior
@@ -112,15 +115,13 @@ class FusedChainWorkOrder final : public WorkOrder {
   void Execute() override;
 
  private:
-  /// Runs stage `s` over `sel` rows of `block`, recursing into downstream
-  /// stages as output granules fill. `sel` is stage-local scratch and is
-  /// clobbered.
-  void ExecStage(size_t s, const Block& block, std::vector<uint32_t>* sel);
+  class GranuleSink;
 
-  void ExecSelect(size_t s, const Block& block, std::vector<uint32_t>* sel);
-  void ExecProbe(size_t s, const Block& block, std::vector<uint32_t>* sel);
-  void ExecAggregate(size_t s, const Block& block,
-                     std::vector<uint32_t>* sel);
+  /// Runs stage `s` over rows [row_begin, row_begin + n) of `block` — the
+  /// head row group or a whole flushed granule, so always a contiguous
+  /// range — recursing into downstream stages as output granules fill.
+  void ExecStage(size_t s, const Block& block, uint32_t row_begin,
+                 uint32_t n);
 
   /// Pushes the rows buffered in stage `s`'s scratch granule through the
   /// downstream stages, then clears the granule.
@@ -132,6 +133,7 @@ class FusedChainWorkOrder final : public WorkOrder {
   // Execute-scoped state (the work order is single-use).
   std::vector<std::unique_ptr<Block>> scratch_;   // [stage], interior only
   std::vector<std::vector<uint32_t>> sels_;       // [stage]
+  std::vector<ProbeHashOperator::ProbeScratch> probe_scratch_;  // [stage]
   std::unique_ptr<InsertDestination::Writer> writer_;  // non-aggregate tail
   AggregateOperator::GroupMap partial_;           // aggregate tail
 };

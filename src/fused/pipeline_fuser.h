@@ -10,7 +10,7 @@ namespace fused {
 
 /// Detects the maximal fusable pipelines of a plan: linear
 /// select→probe(×N)→aggregate/project chains whose interior streaming
-/// edges can be collapsed into single fused work orders (ROADMAP item 3).
+/// edges can be collapsed into single fused work orders.
 ///
 /// A streaming edge producer → consumer is fusable when:
 ///  - it is a plain pipeline edge into the consumer's only streaming input

@@ -27,12 +27,6 @@ inline uint32_t PartitionOfHash(uint64_t hash, int radix_bits) {
   return static_cast<uint32_t>(hash >> (64 - radix_bits));
 }
 
-/// Partition id of one widened composite key (`words` = 1 or 2).
-inline uint32_t PartitionOfKey(const uint64_t* key, int words,
-                               int radix_bits) {
-  return PartitionOfHash(HashJoinKey(key, words), radix_bits);
-}
-
 /// Batched partition stage of the exchange kernel: hashes `n` widened keys
 /// (packed at stride `words`, as produced by ExtractKeys) and writes each
 /// row's partition id to `out[i]`. The hash mix is the same one the
@@ -50,14 +44,6 @@ inline void PartitionBatch(const uint64_t* keys, uint32_t n, int words,
     out[i] = PartitionOfHash(
         HashJoinKey(&keys[static_cast<size_t>(i) * 2], 2), radix_bits);
   }
-}
-
-/// Histogram stage: counts the rows of one partitioned batch per partition
-/// (`counts` has NumPartitions(radix_bits) entries; not cleared here so
-/// callers can accumulate across batches).
-inline void PartitionHistogram(const uint32_t* partitions, uint32_t n,
-                               uint64_t* counts) {
-  for (uint32_t i = 0; i < n; ++i) ++counts[partitions[i]];
 }
 
 }  // namespace uot

@@ -10,17 +10,17 @@
 namespace uot {
 
 /// The partitioned variant of the join hash table: `2^radix_bits` disjoint
-/// JoinHashTable sub-tables, one per hash partition (ROADMAP item 2, the
-/// morsel-style alternative to the paper's single shared table).
+/// JoinHashTable sub-tables, one per hash partition (the morsel-style
+/// alternative to the paper's single shared table).
 ///
 /// Each sub-table is built and probed only with keys whose mixed hash falls
-/// in its partition (PartitionOfKey), so build work orders of different
+/// in its partition (PartitionBatch), so build work orders of different
 /// partitions share no cache lines and take no CAS contention, and a
 /// sub-table sized to fit L3 keeps its probes cache-resident even when the
 /// combined table would not.
 ///
-/// The sub-tables are plain JoinHashTables — the scalar and batched
-/// build/probe kernels run unmodified against them, which is what makes the
+/// The sub-tables are plain JoinHashTables — the batched build/probe
+/// kernels run unmodified against them, which is what makes the
 /// partitioned path byte-parity equivalent to the unpartitioned one.
 class PartitionedJoinHashTable {
  public:

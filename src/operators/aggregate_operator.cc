@@ -1,6 +1,7 @@
 #include "operators/aggregate_operator.h"
 
 #include <cstring>
+#include <numeric>
 
 #include "operators/key_util.h"
 
@@ -41,8 +42,7 @@ void AggregateOperator::InputDone(int input_index) {
 bool AggregateOperator::GenerateWorkOrders(
     std::vector<std::unique_ptr<WorkOrder>>* out) {
   for (Block* block : input_.TakePending()) {
-    auto wo = std::make_unique<AggregateWorkOrder>(
-        block, this, &group_cols_, &aggs_, predicate_.get());
+    auto wo = std::make_unique<AggregateWorkOrder>(block, this);
     if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
     out->push_back(std::move(wo));
   }
@@ -122,42 +122,35 @@ Schema AggregateOperator::OutputSchema(const Schema& input_schema,
   return Schema(std::move(columns));
 }
 
-void AggregateWorkOrder::Execute() {
-  std::vector<uint32_t> sel;
-  if (predicate_ != nullptr) {
-    sel = predicate_->FilterAll(*block_);
-  } else {
-    sel.resize(block_->num_rows());
-    for (uint32_t i = 0; i < block_->num_rows(); ++i) sel[i] = i;
-  }
-  const uint32_t n = static_cast<uint32_t>(sel.size());
+void AggregateOperator::Accumulate(const Block& block,
+                                   std::vector<uint32_t>* sel,
+                                   GroupMap* partial) const {
+  if (predicate_ != nullptr) predicate_->Filter(block, sel);
+  const uint32_t n = static_cast<uint32_t>(sel->size());
   if (n == 0) return;
 
   // Evaluate aggregate inputs column-at-a-time.
-  std::vector<std::vector<double>> inputs(aggs_->size());
-  for (size_t a = 0; a < aggs_->size(); ++a) {
-    if ((*aggs_)[a].expr != nullptr) {
+  std::vector<std::vector<double>> inputs(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    if (aggs_[a].expr != nullptr) {
       inputs[a].resize(n);
-      EvalAsDouble(*(*aggs_)[a].expr, *block_, sel.data(), n,
-                   inputs[a].data());
+      EvalAsDouble(*aggs_[a].expr, block, sel->data(), n, inputs[a].data());
     }
   }
 
-  AggregateOperator::GroupMap partial;
-  AggregateOperator::GroupKey key = {0, 0, 0};
+  GroupKey key = {0, 0, 0};
   for (uint32_t i = 0; i < n; ++i) {
-    for (size_t g = 0; g < group_cols_->size(); ++g) {
-      const int col = (*group_cols_)[g];
-      key[g] = WidenKeyValue(block_->schema().column(col).type,
-                             block_->Column(col).at(sel[i]));
+    for (size_t g = 0; g < group_cols_.size(); ++g) {
+      const int col = group_cols_[g];
+      key[g] = WidenKeyValue(block.schema().column(col).type,
+                             block.Column(col).at((*sel)[i]));
     }
-    auto [it, inserted] =
-        partial.try_emplace(key, aggs_->size(), AggState{});
+    auto [it, inserted] = partial->try_emplace(key, aggs_.size(), AggState{});
     std::vector<AggState>& states = it->second;
-    for (size_t a = 0; a < aggs_->size(); ++a) {
+    for (size_t a = 0; a < aggs_.size(); ++a) {
       AggState& s = states[a];
       ++s.count;
-      if ((*aggs_)[a].expr != nullptr) {
+      if (aggs_[a].expr != nullptr) {
         const double v = inputs[a][i];
         s.Add(v);
         if (v < s.min) s.min = v;
@@ -165,7 +158,14 @@ void AggregateWorkOrder::Execute() {
       }
     }
   }
-  op_->MergePartial(std::move(partial));
+}
+
+void AggregateWorkOrder::Execute() {
+  std::vector<uint32_t> sel(block_->num_rows());
+  std::iota(sel.begin(), sel.end(), 0u);
+  AggregateOperator::GroupMap partial;
+  op_->Accumulate(*block_, &sel, &partial);
+  if (!partial.empty()) op_->MergePartial(std::move(partial));
 }
 
 }  // namespace uot

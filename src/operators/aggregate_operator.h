@@ -60,7 +60,9 @@ struct AggState {
 ///
 /// Each work order aggregates one input block into a thread-local partial
 /// table and merges it into the shared result under a mutex; Finish()
-/// materializes the final groups into the output destination.
+/// materializes the final groups into the output destination. A fused
+/// pipeline runs the same accumulation (Accumulate) into one partial per
+/// fused work order.
 class AggregateOperator final : public Operator {
  public:
   /// `group_cols` (0-3 columns, integral or CHAR<=8) may be empty for
@@ -98,13 +100,14 @@ class AggregateOperator final : public Operator {
   };
   using GroupMap = std::unordered_map<GroupKey, std::vector<AggState>, KeyHash>;
 
+  /// The aggregation kernel: removes the rows of `sel` (sorted row indices
+  /// of `block`) that fail the optional predicate, then accumulates the
+  /// survivors into `partial`.
+  void Accumulate(const Block& block, std::vector<uint32_t>* sel,
+                  GroupMap* partial) const;
+
   /// Merges a work order's partial result (called from worker threads).
   void MergePartial(GroupMap&& partial);
-
-  const Schema& input_schema() const { return input_schema_; }
-  const std::vector<int>& group_cols() const { return group_cols_; }
-  const std::vector<AggSpec>& aggs() const { return aggs_; }
-  const Predicate* predicate() const { return predicate_.get(); }
 
  private:
   const Schema input_schema_;
@@ -122,24 +125,14 @@ class AggregateOperator final : public Operator {
 /// Aggregates one input block into a partial group table.
 class AggregateWorkOrder final : public WorkOrder {
  public:
-  AggregateWorkOrder(const Block* block, AggregateOperator* op,
-                     const std::vector<int>* group_cols,
-                     const std::vector<AggSpec>* aggs,
-                     const Predicate* predicate)
-      : block_(block),
-        op_(op),
-        group_cols_(group_cols),
-        aggs_(aggs),
-        predicate_(predicate) {}
+  AggregateWorkOrder(const Block* block, AggregateOperator* op)
+      : block_(block), op_(op) {}
 
   void Execute() override;
 
  private:
   const Block* const block_;
   AggregateOperator* const op_;
-  const std::vector<int>* const group_cols_;
-  const std::vector<AggSpec>* const aggs_;
-  const Predicate* const predicate_;
 };
 
 }  // namespace uot

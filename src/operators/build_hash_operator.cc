@@ -5,23 +5,8 @@
 #include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
-#include "util/timer.h"
 
 namespace uot {
-namespace {
-
-/// Emits one kJoinBatchStage span when tracing is on. `start_ns` is read
-/// only when `trace` is non-null, so untraced runs never call NowNanos.
-inline void TraceStage(obs::TraceSession* trace, uint32_t tid, int op,
-                       obs::JoinBatchStage stage, int64_t start_ns,
-                       uint32_t rows) {
-  if (trace == nullptr) return;
-  trace->EmitComplete(obs::TraceEventType::kJoinBatchStage, tid, start_ns,
-                      NowNanos(), op, static_cast<int32_t>(stage),
-                      static_cast<int64_t>(rows));
-}
-
-}  // namespace
 
 BuildHashOperator::BuildHashOperator(std::string name,
                                      std::vector<int> key_cols,
@@ -125,38 +110,11 @@ bool BuildHashOperator::GenerateWorkOrders(
 }
 
 void BuildHashWorkOrder::Execute() {
-  if (ctx_ != nullptr && ctx_->join.kernel == JoinKernel::kBatched) {
-    ExecuteBatched();
-  } else {
-    ExecuteScalar();
-  }
-}
-
-void BuildHashWorkOrder::ExecuteScalar() {
-  const Schema& payload_schema = hash_table_->payload_schema();
-  std::vector<std::byte> payload(payload_schema.row_width());
-  uint64_t key[2] = {0, 0};
-  for (uint32_t row = 0; row < block_->num_rows(); ++row) {
-    ExtractKey(*block_, *key_cols_, row, key);
-    ExtractColumns(*block_, *payload_cols_, payload_schema, row,
-                   payload.data());
-    hash_table_->Insert(key, payload.data());
-    if (lip_filter_ != nullptr) {
-      lip_filter_->Insert(HashJoinKey(key,
-                                      static_cast<int>(key_cols_->size())));
-    }
-  }
-}
-
-void BuildHashWorkOrder::ExecuteBatched() {
   const Schema& payload_schema = hash_table_->payload_schema();
   const size_t payload_width = payload_schema.row_width();
   const uint32_t batch = ctx_->join.clamped_batch_size();
   const int dist = ctx_->join.prefetch_distance;
   const size_t words = key_cols_->size();
-  obs::TraceSession* trace = ctx_->trace;
-  const uint32_t tid = 1 + static_cast<uint32_t>(worker_id);
-  const int32_t op = operator_index;
 
   // Per-work-order scratch, sized once and reused by every batch.
   std::vector<uint64_t> keys(static_cast<size_t>(batch) * words);
@@ -171,17 +129,18 @@ void BuildHashWorkOrder::ExecuteBatched() {
     ++num_batches;
 
     // Stage: columnar extraction of keys and packed payload rows.
-    int64_t t0 = trace != nullptr ? NowNanos() : 0;
+    int64_t t0 = ctx_->StageStart();
     ExtractKeys(*block_, *key_cols_, base, m, keys.data());
     if (payload_width > 0) {
       ExtractRows(*block_, *payload_cols_, payload_schema, base, m,
                   payloads.data());
     }
-    TraceStage(trace, tid, op, obs::JoinBatchStage::kExtract, t0, m);
+    ctx_->TraceStage(worker_id, operator_index, obs::JoinBatchStage::kExtract,
+                     t0, m);
 
     // Stage: hash the batch, prefetch home slots ahead of the inserting
     // key, claim slots in batch order.
-    t0 = trace != nullptr ? NowNanos() : 0;
+    t0 = ctx_->StageStart();
     prefetches +=
         hash_table_->InsertBatch(keys.data(), payloads.data(), m, dist,
                                  &hashes);
@@ -190,7 +149,8 @@ void BuildHashWorkOrder::ExecuteBatched() {
       // mixes the same join-key hash, so reuse instead of rehashing.
       for (uint32_t i = 0; i < m; ++i) lip_filter_->Insert(hashes[i]);
     }
-    TraceStage(trace, tid, op, obs::JoinBatchStage::kInsert, t0, m);
+    ctx_->TraceStage(worker_id, operator_index, obs::JoinBatchStage::kInsert,
+                     t0, m);
   }
 
   if (ctx_->join_build_batches != nullptr) {

@@ -100,9 +100,8 @@ class BuildHashOperator final : public Operator {
   OperatorExecContext exec_ctx_;  // defaults until the scheduler binds one
 };
 
-/// Inserts one block's rows into its hash (sub-)table, either row at a
-/// time (scalar kernel) or via the batched extract -> hash+prefetch ->
-/// insert pipeline; both build identical tables.
+/// Inserts one block's rows into its hash (sub-)table via the batched
+/// extract -> hash+prefetch -> insert pipeline.
 class BuildHashWorkOrder final : public WorkOrder {
  public:
   BuildHashWorkOrder(const Block* block, const std::vector<int>* key_cols,
@@ -119,9 +118,6 @@ class BuildHashWorkOrder final : public WorkOrder {
   void Execute() override;
 
  private:
-  void ExecuteScalar();
-  void ExecuteBatched();
-
   const Block* const block_;
   const std::vector<int>* const key_cols_;
   const std::vector<int>* const payload_cols_;

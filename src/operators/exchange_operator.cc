@@ -5,23 +5,8 @@
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
 #include "util/scratch_arena.h"
-#include "util/timer.h"
 
 namespace uot {
-namespace {
-
-/// Emits one kJoinBatchStage span when tracing is on (same shape the
-/// build/probe kernels emit, so exchange stages land on the same track).
-inline void TraceStage(obs::TraceSession* trace, uint32_t tid, int op,
-                       obs::JoinBatchStage stage, int64_t start_ns,
-                       uint32_t rows) {
-  if (trace == nullptr) return;
-  trace->EmitComplete(obs::TraceEventType::kJoinBatchStage, tid, start_ns,
-                      NowNanos(), op, static_cast<int32_t>(stage),
-                      static_cast<int64_t>(rows));
-}
-
-}  // namespace
 
 ExchangeOperator::ExchangeOperator(std::string name, std::vector<int> key_cols,
                                    int radix_bits,
@@ -78,56 +63,13 @@ void ExchangeOperator::Finish() {
 }
 
 void ExchangeWorkOrder::Execute() {
-  if (op_->exec_ctx_.join.kernel == JoinKernel::kBatched) {
-    ExecuteBatched();
-  } else {
-    ExecuteScalar();
-  }
-}
-
-void ExchangeWorkOrder::ExecuteScalar() {
-  const uint32_t parts = op_->num_partitions();
-  const int radix_bits = op_->radix_bits_;
-  const int words = static_cast<int>(op_->key_cols_.size());
-  const Schema& schema = block_->schema();
-
-  ScratchArena& arena = ScratchArena::ForThread();
-  ScratchArena::Scope scope(&arena);
-  std::byte* row = arena.Alloc(schema.row_width());
-  uint64_t* counts = arena.AllocArray<uint64_t>(parts);
-  std::fill(counts, counts + parts, uint64_t{0});
-
-  // Writers are created lazily so empty partitions never check out a block.
-  std::vector<std::unique_ptr<InsertDestination::Writer>> writers(parts);
-  uint64_t key[2] = {0, 0};
-  for (uint32_t r = 0; r < block_->num_rows(); ++r) {
-    ExtractKey(*block_, op_->key_cols_, r, key);
-    const uint32_t p = PartitionOfKey(key, words, radix_bits);
-    if (writers[p] == nullptr) {
-      writers[p] =
-          std::make_unique<InsertDestination::Writer>(op_->destinations_[p]);
-    }
-    block_->GetRow(r, row);
-    writers[p]->AppendRow(row);
-    ++counts[p];
-  }
-  for (uint32_t p = 0; p < parts; ++p) {
-    if (counts[p] != 0) {
-      op_->partition_rows_[p].fetch_add(counts[p], std::memory_order_relaxed);
-    }
-  }
-}
-
-void ExchangeWorkOrder::ExecuteBatched() {
   const uint32_t parts = op_->num_partitions();
   const int radix_bits = op_->radix_bits_;
   const int words = static_cast<int>(op_->key_cols_.size());
   const Schema& schema = block_->schema();
   const size_t row_width = schema.row_width();
-  const uint32_t batch = op_->exec_ctx_.join.clamped_batch_size();
-  obs::TraceSession* trace = op_->exec_ctx_.trace;
-  const uint32_t tid = 1 + static_cast<uint32_t>(worker_id);
-  const int32_t op_index = operator_index;
+  const OperatorExecContext& ctx = op_->exec_ctx_;
+  const uint32_t batch = ctx.join.clamped_batch_size();
 
   // All columns, in order: the exchange forwards rows unchanged.
   std::vector<int> all_cols(static_cast<size_t>(schema.num_columns()));
@@ -151,14 +93,15 @@ void ExchangeWorkOrder::ExecuteBatched() {
     const uint32_t m = std::min(batch, num_rows - base);
 
     // Stage: columnar key extraction + hash + radix partition ids.
-    int64_t t0 = trace != nullptr ? NowNanos() : 0;
+    int64_t t0 = ctx.StageStart();
     ExtractKeys(*block_, op_->key_cols_, base, m, keys);
     PartitionBatch(keys, m, words, radix_bits, partitions);
-    TraceStage(trace, tid, op_index, obs::JoinBatchStage::kPartition, t0, m);
+    ctx.TraceStage(worker_id, operator_index, obs::JoinBatchStage::kPartition,
+                   t0, m);
 
     // Stage: pack the batch's rows once, then scatter each to its
     // partition's writer.
-    t0 = trace != nullptr ? NowNanos() : 0;
+    t0 = ctx.StageStart();
     ExtractRows(*block_, all_cols, schema, base, m, rows);
     for (uint32_t i = 0; i < m; ++i) {
       const uint32_t p = partitions[i];
@@ -169,7 +112,8 @@ void ExchangeWorkOrder::ExecuteBatched() {
       writers[p]->AppendRow(rows + static_cast<size_t>(i) * row_width);
       ++counts[p];
     }
-    TraceStage(trace, tid, op_index, obs::JoinBatchStage::kScatter, t0, m);
+    ctx.TraceStage(worker_id, operator_index, obs::JoinBatchStage::kScatter,
+                   t0, m);
   }
 
   for (uint32_t p = 0; p < parts; ++p) {

@@ -78,9 +78,8 @@ class ExchangeOperator final : public Operator {
   std::unique_ptr<std::atomic<uint64_t>[]> partition_rows_;
 };
 
-/// Routes one input block's rows to the per-partition destinations, via the
-/// scalar per-row loop or the batched extract -> hash/partition -> scatter
-/// pipeline; both route every row to the same partition and preserve input
+/// Routes one input block's rows to the per-partition destinations via the
+/// batched extract -> hash/partition -> scatter pipeline, preserving input
 /// row order within each partition.
 class ExchangeWorkOrder final : public WorkOrder {
  public:
@@ -90,9 +89,6 @@ class ExchangeWorkOrder final : public WorkOrder {
   void Execute() override;
 
  private:
-  void ExecuteScalar();
-  void ExecuteBatched();
-
   const Block* const block_;
   ExchangeOperator* const op_;
 };

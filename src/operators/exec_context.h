@@ -9,24 +9,16 @@ namespace uot {
 namespace obs {
 class Counter;
 class TraceSession;
+enum class JoinBatchStage : uint8_t;
 }  // namespace obs
 
-/// Which hash-join kernel the build/probe work orders run.
-enum class JoinKernel : uint8_t {
-  /// Tuple-at-a-time: extract one key, hash, walk the table, emit. Each
-  /// probe takes a dependent cache miss on the home slot (the paper's
-  /// Table VI baseline). Kept for A/B comparison and byte-parity testing.
-  kScalar = 0,
-  /// Batch-at-a-time: extract a batch of keys columnar, hash them all,
-  /// software-prefetch the home slots ahead of resolution (group
-  /// prefetching, cf. the paper's Table VI experiment), then resolve
-  /// matches through selection vectors. The default.
-  kBatched = 1,
-};
-
-/// Knobs of the batched join kernels, wired through ExecConfig::join.
+/// Knobs of the batched join kernels, wired through ExecConfig::join. The
+/// kernels extract a batch of keys columnar, hash them all, software-
+/// prefetch the home slots ahead of resolution (group prefetching, cf. the
+/// paper's Table VI experiment), then resolve matches through selection
+/// vectors. `batch_size = 1, prefetch_distance = 0` degenerates to
+/// tuple-at-a-time probing — the in-engine A/B baseline.
 struct JoinKernelConfig {
-  JoinKernel kernel = JoinKernel::kBatched;
   /// Rows per probe/build batch (clamped to [1, 65536]).
   int batch_size = 256;
   /// How many keys ahead of the resolving key home-slot prefetches are
@@ -43,9 +35,8 @@ struct JoinKernelConfig {
     return static_cast<uint32_t>(batch_size);
   }
 
-  /// "scalar" or "batched(batch=256,prefetch=16)", for config summaries.
+  /// "batched(batch=256,prefetch=16)", for config summaries.
   std::string ToString() const {
-    if (kernel == JoinKernel::kScalar) return "scalar";
     return "batched(batch=" + std::to_string(clamped_batch_size()) +
            ",prefetch=" + std::to_string(prefetch_distance) + ")";
   }
@@ -63,6 +54,14 @@ struct OperatorExecContext {
   obs::Counter* join_probe_prefetch_issued = nullptr;
   obs::Counter* join_build_batches = nullptr;
   obs::Counter* join_build_prefetch_issued = nullptr;
+
+  /// Start timestamp of a kernel stage: 0 when untraced, so untraced runs
+  /// never read the clock.
+  int64_t StageStart() const;
+  /// Emits one kJoinBatchStage span for operator `op` on worker
+  /// `worker_id`'s track when tracing is on.
+  void TraceStage(int worker_id, int op, obs::JoinBatchStage stage,
+                  int64_t start_ns, uint32_t rows) const;
 };
 
 }  // namespace uot

@@ -10,9 +10,8 @@
 
 namespace uot {
 
-/// Applies `op` to already-widened numeric operands. Shared by the
-/// residual-condition filters of the vectorized probe work orders and the
-/// fused pipeline's probe stage, so both paths compare byte-identically.
+/// Applies `op` to one pair of already-widened numeric operands (the probe
+/// kernel's residual-condition filter).
 template <typename T>
 inline bool CompareValues(CompareOp op, T a, T b) {
   switch (op) {

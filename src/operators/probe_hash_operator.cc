@@ -7,23 +7,8 @@
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
 #include "operators/numeric_util.h"
-#include "util/timer.h"
 
 namespace uot {
-namespace {
-
-/// Emits one kJoinBatchStage span when tracing is on. `start_ns` is read
-/// only when `trace` is non-null, so untraced runs never call NowNanos.
-inline void TraceStage(obs::TraceSession* trace, uint32_t tid, int op,
-                       obs::JoinBatchStage stage, int64_t start_ns,
-                       uint32_t rows) {
-  if (trace == nullptr) return;
-  trace->EmitComplete(obs::TraceEventType::kJoinBatchStage, tid, start_ns,
-                      NowNanos(), op, static_cast<int32_t>(stage),
-                      static_cast<int64_t>(rows));
-}
-
-}  // namespace
 
 ProbeHashOperator::ProbeHashOperator(
     std::string name, const BuildHashOperator* build,
@@ -63,9 +48,7 @@ bool ProbeHashOperator::GenerateWorkOrders(
     // keyed like the build, so each block's matches are all in one
     // sub-table). The probe kernel itself is partition-oblivious.
     const JoinHashTable* table = build_->table_for_block(block);
-    auto wo = std::make_unique<ProbeHashWorkOrder>(
-        block, table, &probe_key_cols_, &probe_output_cols_, kind_,
-        &residuals_, destination_, &exec_ctx_);
+    auto wo = std::make_unique<ProbeHashWorkOrder>(block, table, this);
     if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
     out->push_back(std::move(wo));
   }
@@ -87,134 +70,69 @@ Schema ProbeHashOperator::OutputSchema(const Schema& probe_schema,
   return Schema(std::move(columns));
 }
 
-void ProbeHashWorkOrder::Execute() {
-  if (ctx_ != nullptr && ctx_->join.kernel == JoinKernel::kBatched) {
-    ExecuteBatched();
-  } else {
-    ExecuteScalar();
-  }
-}
-
-void ProbeHashWorkOrder::ExecuteScalar() {
-  const Schema& out_schema = destination_->schema();
-  const Schema& payload_schema = hash_table_->payload_schema();
-  const Schema probe_part = SubSchema(block_->schema(), *probe_output_cols_);
-  const uint32_t probe_width = probe_part.row_width();
-  UOT_DCHECK(kind_ != JoinKind::kInner ||
-             probe_width + payload_schema.row_width() ==
-                 out_schema.row_width());
-  (void)out_schema;
-
-  std::vector<std::byte> row(destination_->schema().row_width());
-  uint64_t key[2] = {0, 0};
-  InsertDestination::Writer writer(destination_);
-
-  for (uint32_t r = 0; r < block_->num_rows(); ++r) {
-    ExtractKey(*block_, *probe_key_cols_, r, key);
-    // Residual probe-side values are loaded once per row.
-    double probe_residuals[4];
-    for (size_t i = 0; i < residuals_->size(); ++i) {
-      const ResidualCondition& rc = (*residuals_)[i];
-      probe_residuals[i] =
-          LoadNumeric(block_->schema().column(rc.probe_col).type,
-                      block_->Column(rc.probe_col).at(r));
-    }
-    bool probe_part_ready = false;
-    bool any_match = false;
-    hash_table_->Probe(key, [&](const std::byte* payload) {
-      for (size_t i = 0; i < residuals_->size(); ++i) {
-        const ResidualCondition& rc = (*residuals_)[i];
-        const double build_val =
-            rc.scale *
-            LoadNumeric(payload_schema.column(rc.payload_col).type,
-                        payload + payload_schema.offset(rc.payload_col));
-        if (!CompareValues(rc.op, probe_residuals[i], build_val)) return;
-      }
-      any_match = true;
-      if (kind_ != JoinKind::kInner) return;
-      if (!probe_part_ready) {
-        ExtractColumns(*block_, *probe_output_cols_, probe_part, r,
-                       row.data());
-        probe_part_ready = true;
-      }
-      if (payload_schema.row_width() > 0) {
-        std::memcpy(row.data() + probe_width, payload,
-                    payload_schema.row_width());
-      }
-      writer.AppendRow(row.data());
-    });
-    const bool emit_probe_row =
-        (kind_ == JoinKind::kLeftSemi && any_match) ||
-        (kind_ == JoinKind::kLeftAnti && !any_match);
-    if (emit_probe_row) {
-      ExtractColumns(*block_, *probe_output_cols_, probe_part, r, row.data());
-      writer.AppendRow(row.data());
-    }
-  }
-}
-
-void ProbeHashWorkOrder::ExecuteBatched() {
-  const Schema& payload_schema = hash_table_->payload_schema();
-  const Schema probe_part = SubSchema(block_->schema(), *probe_output_cols_);
+uint64_t ProbeHashOperator::ProbeRows(const Block& block, uint32_t row_begin,
+                                      uint32_t n, const JoinHashTable& table,
+                                      ProbeScratch* scratch, RowSink* sink,
+                                      int op_index, int worker_id) const {
+  const Schema& payload_schema = table.payload_schema();
+  const Schema probe_part = SubSchema(block.schema(), probe_output_cols_);
   const uint32_t probe_width = probe_part.row_width();
   const size_t payload_width = payload_schema.row_width();
   UOT_DCHECK(kind_ != JoinKind::kInner ||
-             probe_width + payload_width ==
-                 destination_->schema().row_width());
+             probe_width + payload_width == destination_->schema().row_width());
 
-  const uint32_t batch = ctx_->join.clamped_batch_size();
-  const int dist = ctx_->join.prefetch_distance;
-  const size_t words = probe_key_cols_->size();
-  const size_t num_res = residuals_->size();
-  obs::TraceSession* trace = ctx_->trace;
-  const uint32_t tid = 1 + static_cast<uint32_t>(worker_id);
-  const int32_t op = operator_index;
+  const OperatorExecContext& ctx = exec_ctx_;
+  const uint32_t batch = ctx.join.clamped_batch_size();
+  const int dist = ctx.join.prefetch_distance;
+  const size_t words = probe_key_cols_.size();
+  const size_t num_res = residuals_.size();
 
-  // Per-work-order scratch, sized once and reused by every batch — the
-  // steady-state loop performs no heap allocation (`matches` and `hashes`
-  // grow to their high-water marks and stay there).
-  std::vector<uint64_t> keys(static_cast<size_t>(batch) * words);
-  std::vector<uint64_t> hashes;
-  std::vector<JoinMatch> matches;
-  std::vector<double> residual_vals(num_res * batch);  // [rc * batch + row]
-  std::vector<uint8_t> row_has_match(kind_ == JoinKind::kInner ? 0 : batch);
-  std::vector<std::byte> row(destination_->schema().row_width());
-  InsertDestination::Writer writer(destination_);
+  // No-ops once the caller's scratch reached this operator's sizes.
+  std::vector<uint64_t>& keys = scratch->keys;
+  std::vector<JoinMatch>& matches = scratch->matches;
+  std::vector<double>& residual_vals = scratch->residual_vals;
+  std::vector<uint8_t>& row_has_match = scratch->row_has_match;
+  std::vector<std::byte>& row = scratch->row;
+  keys.resize(static_cast<size_t>(batch) * words);
+  residual_vals.resize(num_res * batch);
+  row_has_match.resize(kind_ == JoinKind::kInner ? 0 : batch);
+  row.resize(destination_->schema().row_width());
 
   uint64_t num_batches = 0;
   uint64_t prefetches = 0;
-  const uint32_t num_rows = block_->num_rows();
-  for (uint32_t base = 0; base < num_rows; base += batch) {
-    const uint32_t m = std::min(batch, num_rows - base);
+  uint64_t emitted = 0;
+  const uint32_t row_end = row_begin + n;
+  for (uint32_t base = row_begin; base < row_end; base += batch) {
+    const uint32_t m = std::min(batch, row_end - base);
     ++num_batches;
 
     // Stage: columnar extraction of keys and probe-side residual values.
-    int64_t t0 = trace != nullptr ? NowNanos() : 0;
-    ExtractKeys(*block_, *probe_key_cols_, base, m, keys.data());
+    int64_t t0 = ctx.StageStart();
+    ExtractKeys(block, probe_key_cols_, base, m, keys.data());
     for (size_t rc = 0; rc < num_res; ++rc) {
-      const ResidualCondition& cond = (*residuals_)[rc];
-      LoadNumericColumn(block_->schema().column(cond.probe_col).type,
-                        block_->Column(cond.probe_col), base, m,
+      const ResidualCondition& cond = residuals_[rc];
+      LoadNumericColumn(block.schema().column(cond.probe_col).type,
+                        block.Column(cond.probe_col), base, m,
                         residual_vals.data() + rc * batch);
     }
-    TraceStage(trace, tid, op, obs::JoinBatchStage::kExtract, t0, m);
+    ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kExtract, t0, m);
 
     // Stage: hash the whole batch, prefetch home slots ahead of the
     // resolving key, collect candidate matches.
-    t0 = trace != nullptr ? NowNanos() : 0;
+    t0 = ctx.StageStart();
     prefetches +=
-        hash_table_->ProbeBatch(keys.data(), m, dist, &hashes, &matches);
-    TraceStage(trace, tid, op, obs::JoinBatchStage::kProbe, t0, m);
+        table.ProbeBatch(keys.data(), m, dist, &scratch->hashes, &matches);
+    ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kProbe, t0, m);
 
     // Stage: residual filter — compact `matches` in place, preserving
-    // order so emission matches the scalar path byte for byte.
+    // order so emission is independent of the batch size.
     if (num_res > 0 && !matches.empty()) {
-      t0 = trace != nullptr ? NowNanos() : 0;
+      t0 = ctx.StageStart();
       size_t kept = 0;
       for (const JoinMatch& match : matches) {
         bool ok = true;
         for (size_t rc = 0; rc < num_res; ++rc) {
-          const ResidualCondition& cond = (*residuals_)[rc];
+          const ResidualCondition& cond = residuals_[rc];
           const double build_val =
               cond.scale *
               LoadNumeric(
@@ -229,45 +147,56 @@ void ProbeHashWorkOrder::ExecuteBatched() {
         if (ok) matches[kept++] = match;
       }
       matches.resize(kept);
-      TraceStage(trace, tid, op, obs::JoinBatchStage::kResidual, t0, m);
+      ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kResidual, t0,
+                     m);
     }
 
     // Stage: emit. Matches arrive grouped by probe row ascending, so the
     // probe part is packed once per distinct matching row.
-    t0 = trace != nullptr ? NowNanos() : 0;
+    t0 = ctx.StageStart();
     if (kind_ == JoinKind::kInner) {
       uint32_t ready_row = UINT32_MAX;  // no probe part packed yet
       for (const JoinMatch& match : matches) {
         if (match.row != ready_row) {
-          ExtractColumns(*block_, *probe_output_cols_, probe_part,
+          ExtractColumns(block, probe_output_cols_, probe_part,
                          base + match.row, row.data());
           ready_row = match.row;
         }
         if (payload_width > 0) {
           std::memcpy(row.data() + probe_width, match.payload, payload_width);
         }
-        writer.AppendRow(row.data());
+        sink->AppendRow(row.data());
       }
+      emitted += matches.size();
     } else {
       std::fill(row_has_match.begin(), row_has_match.begin() + m, uint8_t{0});
       for (const JoinMatch& match : matches) row_has_match[match.row] = 1;
       const uint8_t want = kind_ == JoinKind::kLeftSemi ? 1 : 0;
       for (uint32_t i = 0; i < m; ++i) {
         if (row_has_match[i] != want) continue;
-        ExtractColumns(*block_, *probe_output_cols_, probe_part, base + i,
+        ExtractColumns(block, probe_output_cols_, probe_part, base + i,
                        row.data());
-        writer.AppendRow(row.data());
+        sink->AppendRow(row.data());
+        ++emitted;
       }
     }
-    TraceStage(trace, tid, op, obs::JoinBatchStage::kEmit, t0, m);
+    ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kEmit, t0, m);
   }
 
-  if (ctx_->join_probe_batches != nullptr) {
-    ctx_->join_probe_batches->Add(num_batches);
+  if (ctx.join_probe_batches != nullptr) {
+    ctx.join_probe_batches->Add(num_batches);
   }
-  if (ctx_->join_probe_prefetch_issued != nullptr && prefetches > 0) {
-    ctx_->join_probe_prefetch_issued->Add(prefetches);
+  if (ctx.join_probe_prefetch_issued != nullptr && prefetches > 0) {
+    ctx.join_probe_prefetch_issued->Add(prefetches);
   }
+  return emitted;
+}
+
+void ProbeHashWorkOrder::Execute() {
+  ProbeHashOperator::ProbeScratch scratch;
+  InsertDestination::Writer writer(op_->destination());
+  op_->ProbeRows(*block_, 0, block_->num_rows(), *hash_table_, &scratch,
+                 &writer, operator_index, worker_id);
 }
 
 }  // namespace uot

@@ -36,9 +36,22 @@ struct ResidualCondition {
 /// Probes the join hash table with each input block: the consumer operator
 /// of the paper's select -> probe pipeline (paper Sections III/V). One work
 /// order per probe input block; work orders only become eligible after the
-/// build operator finished (a blocking DAG dependency).
+/// build operator finished (a blocking DAG dependency). A fused pipeline
+/// runs the same kernel (ProbeRows) over its row groups.
 class ProbeHashOperator final : public Operator {
  public:
+  /// Caller-owned scratch of ProbeRows, sized on first use and reused by
+  /// every later call, so the steady-state loop performs no heap
+  /// allocation. One set per caller: a work order, or one fused stage.
+  struct ProbeScratch {
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> hashes;
+    std::vector<JoinMatch> matches;
+    std::vector<double> residual_vals;  // [residual * batch + row]
+    std::vector<uint8_t> row_has_match;
+    std::vector<std::byte> row;
+  };
+
   /// `build` owns the hash table this operator probes; the plan must add a
   /// blocking edge build -> this.
   ProbeHashOperator(std::string name, const BuildHashOperator* build,
@@ -61,6 +74,16 @@ class ProbeHashOperator final : public Operator {
       std::vector<std::unique_ptr<WorkOrder>>* out) override;
   void Finish() override;
 
+  /// The probe kernel: probes rows [row_begin, row_begin + n) of `block`
+  /// against `table` batch by batch (columnar extract -> hash + prefetch +
+  /// match -> residual filter -> emit) under the bound context's batch
+  /// size and prefetch distance, appending output rows to `sink` in probe
+  /// row order. Join-stage trace spans are attributed to operator
+  /// `op_index` on worker `worker_id`'s track. Returns the rows emitted.
+  uint64_t ProbeRows(const Block& block, uint32_t row_begin, uint32_t n,
+                     const JoinHashTable& table, ProbeScratch* scratch,
+                     RowSink* sink, int op_index, int worker_id) const;
+
   /// Output schema: probe output columns, then (for inner joins) the build
   /// payload columns.
   static Schema OutputSchema(const Schema& probe_schema,
@@ -70,14 +93,6 @@ class ProbeHashOperator final : public Operator {
                              JoinKind kind);
 
   const BuildHashOperator* build() const { return build_; }
-  const std::vector<int>& probe_key_cols() const { return probe_key_cols_; }
-  const std::vector<int>& probe_output_cols() const {
-    return probe_output_cols_;
-  }
-  JoinKind kind() const { return kind_; }
-  const std::vector<ResidualCondition>& residuals() const {
-    return residuals_;
-  }
   InsertDestination* destination() const { return destination_; }
   /// The streaming/base input, exposed so a fused pipeline driver can pull
   /// this operator's pending blocks when it acts as a chain head.
@@ -95,41 +110,20 @@ class ProbeHashOperator final : public Operator {
   StreamingInput input_;
 };
 
-/// Probes one block against the shared hash table. Runs either the scalar
-/// tuple-at-a-time loop or the batched extract -> hash+prefetch -> match ->
-/// residual-filter -> emit pipeline, per the bound execution context; both
-/// produce byte-identical output.
+/// Probes one block against its hash (sub-)table into the operator's
+/// destination.
 class ProbeHashWorkOrder final : public WorkOrder {
  public:
   ProbeHashWorkOrder(const Block* block, const JoinHashTable* hash_table,
-                     const std::vector<int>* probe_key_cols,
-                     const std::vector<int>* probe_output_cols, JoinKind kind,
-                     const std::vector<ResidualCondition>* residuals,
-                     InsertDestination* destination,
-                     const OperatorExecContext* ctx)
-      : block_(block),
-        hash_table_(hash_table),
-        probe_key_cols_(probe_key_cols),
-        probe_output_cols_(probe_output_cols),
-        kind_(kind),
-        residuals_(residuals),
-        destination_(destination),
-        ctx_(ctx) {}
+                     const ProbeHashOperator* op)
+      : block_(block), hash_table_(hash_table), op_(op) {}
 
   void Execute() override;
 
  private:
-  void ExecuteScalar();
-  void ExecuteBatched();
-
   const Block* const block_;
   const JoinHashTable* const hash_table_;
-  const std::vector<int>* const probe_key_cols_;
-  const std::vector<int>* const probe_output_cols_;
-  const JoinKind kind_;
-  const std::vector<ResidualCondition>* const residuals_;
-  InsertDestination* const destination_;
-  const OperatorExecContext* const ctx_;
+  const ProbeHashOperator* const op_;
 };
 
 }  // namespace uot

@@ -1,5 +1,7 @@
 #include "operators/select_operator.h"
 
+#include <numeric>
+
 #include "operators/key_util.h"
 
 namespace uot {
@@ -32,8 +34,7 @@ void SelectOperator::InputDone(int input_index) {
 bool SelectOperator::GenerateWorkOrders(
     std::vector<std::unique_ptr<WorkOrder>>* out) {
   for (Block* block : input_.TakePending()) {
-    auto wo = std::make_unique<SelectWorkOrder>(
-        block, predicate_.get(), projection_.get(), &lip_, destination_);
+    auto wo = std::make_unique<SelectWorkOrder>(block, this);
     if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
     out->push_back(std::move(wo));
   }
@@ -42,25 +43,32 @@ bool SelectOperator::GenerateWorkOrders(
 
 void SelectOperator::Finish() { destination_->Flush(); }
 
-void SelectWorkOrder::Execute() {
-  std::vector<uint32_t> sel = predicate_->FilterAll(*block_);
+void SelectOperator::FilterRows(const Block& block,
+                                std::vector<uint32_t>* sel) const {
+  predicate_->Filter(block, sel);
   // LIP pruning: drop rows whose join key cannot match any build row.
-  for (const LipAttachment& lip : *lip_) {
-    if (sel.empty()) break;
+  for (const LipAttachment& lip : lip_) {
+    if (sel->empty()) return;
     const LipFilter* filter = lip.source->lip_filter();
     UOT_CHECK(filter != nullptr);  // blocking edge + EnableLipFilter
-    const Type& type = block_->schema().column(lip.key_col).type;
-    const ColumnAccess access = block_->Column(lip.key_col);
+    const Type& type = block.schema().column(lip.key_col).type;
+    const ColumnAccess access = block.Column(lip.key_col);
     uint32_t kept = 0;
-    for (uint32_t i = 0; i < sel.size(); ++i) {
-      const uint64_t key[1] = {WidenKeyValue(type, access.at(sel[i]))};
-      if (filter->MightContain(HashJoinKey(key, 1))) sel[kept++] = sel[i];
+    for (const uint32_t r : *sel) {
+      const uint64_t key[1] = {WidenKeyValue(type, access.at(r))};
+      if (filter->MightContain(HashJoinKey(key, 1))) (*sel)[kept++] = r;
     }
-    sel.resize(kept);
+    sel->resize(kept);
   }
+}
+
+void SelectWorkOrder::Execute() {
+  std::vector<uint32_t> sel(block_->num_rows());
+  std::iota(sel.begin(), sel.end(), 0u);
+  op_->FilterRows(*block_, &sel);
   if (sel.empty()) return;
-  InsertDestination::Writer writer(destination_);
-  projection_->MaterializeInto(*block_, sel, &writer);
+  InsertDestination::Writer writer(op_->destination());
+  op_->projection().MaterializeInto(*block_, sel, &writer);
 }
 
 }  // namespace uot

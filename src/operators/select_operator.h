@@ -21,7 +21,8 @@ struct LipAttachment {
 /// Filter + project, one work order per input block (paper Section III).
 /// The canonical producer of the paper's select -> probe pipeline when
 /// attached to a base table; with a streamed input it acts as a filter over
-/// a join intermediate (e.g. TPC-H Q19's cross-table OR predicate).
+/// a join intermediate (e.g. TPC-H Q19's cross-table OR predicate). A fused
+/// pipeline runs the same filter (FilterRows) over its row groups.
 class SelectOperator final : public Operator {
  public:
   SelectOperator(std::string name, std::unique_ptr<Predicate> predicate,
@@ -48,9 +49,12 @@ class SelectOperator final : public Operator {
       std::vector<std::unique_ptr<WorkOrder>>* out) override;
   void Finish() override;
 
+  /// The filter kernel: removes the rows of `sel` (sorted row indices of
+  /// `block`) that fail the predicate or miss an attached LIP filter,
+  /// keeping order.
+  void FilterRows(const Block& block, std::vector<uint32_t>* sel) const;
+
   const Projection& projection() const { return *projection_; }
-  const Predicate& predicate() const { return *predicate_; }
-  const std::vector<LipAttachment>& lip_filters() const { return lip_; }
   InsertDestination* destination() const { return destination_; }
   /// The streaming/base input, exposed so a fused pipeline driver can pull
   /// this operator's pending blocks when it acts as a chain head.
@@ -67,24 +71,14 @@ class SelectOperator final : public Operator {
 /// Executes the select logic on one input block.
 class SelectWorkOrder final : public WorkOrder {
  public:
-  SelectWorkOrder(const Block* block, const Predicate* predicate,
-                  const Projection* projection,
-                  const std::vector<LipAttachment>* lip,
-                  InsertDestination* destination)
-      : block_(block),
-        predicate_(predicate),
-        projection_(projection),
-        lip_(lip),
-        destination_(destination) {}
+  SelectWorkOrder(const Block* block, const SelectOperator* op)
+      : block_(block), op_(op) {}
 
   void Execute() override;
 
  private:
   const Block* const block_;
-  const Predicate* const predicate_;
-  const Projection* const projection_;
-  const std::vector<LipAttachment>* const lip_;
-  InsertDestination* const destination_;
+  const SelectOperator* const op_;
 };
 
 }  // namespace uot

@@ -71,10 +71,11 @@ struct ExecConfig {
   /// low-UoT strategy its near-zero intermediate footprint (Table II).
   /// Blocks feeding several consumers are kept.
   bool drop_consumed_blocks = true;
-  /// Hash-join kernel selection and batching knobs (batch size, prefetch
-  /// distance). The session binds these to every operator before work-order
-  /// generation; the batched and scalar kernels produce byte-identical
-  /// output, so flipping `join.kernel` is a pure A/B switch.
+  /// Hash-join kernel batching knobs (batch size, prefetch distance). The
+  /// session binds these to every operator — fused stages included —
+  /// before work-order generation. Output is byte-identical for every
+  /// setting, so `batch_size = 1, prefetch_distance = 0` against the
+  /// defaults is a pure A/B of batching and prefetching.
   JoinKernelConfig join;
   /// Soft memory budget in bytes (0 = unlimited): while total tracked
   /// memory exceeds it, new work orders are deferred — except that one
@@ -110,7 +111,7 @@ struct ExecConfig {
   PipelineMode pipeline_mode = PipelineMode::kVectorized;
 
   /// One-line summary of the resolved execution configuration (worker
-  /// count, effective UoT policy, join kernel, caps and budget) for logs,
+  /// count, effective UoT policy, join knobs, caps and budget) for logs,
   /// traces and test-failure output.
   std::string ToString() const;
 };

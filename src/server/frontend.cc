@@ -421,8 +421,7 @@ void FrontEnd::ReleaseTenant(TenantState* state) {
 }
 
 std::string FrontEnd::KnobFingerprint(PipelineMode pipeline_mode) const {
-  return "|kernel=" + std::to_string(static_cast<int>(config_.join.kernel)) +
-         ";pmode=" + std::to_string(static_cast<int>(pipeline_mode)) +
+  return "|pmode=" + std::to_string(static_cast<int>(pipeline_mode)) +
          ";batch=" + std::to_string(config_.join.batch_size) +
          ";prefetch=" + std::to_string(config_.join.prefetch_distance) +
          ";block=" + std::to_string(config_.plan.block_bytes) +

@@ -109,7 +109,7 @@ class FrontEnd {
     return model_evaluations_counter_->Value();
   }
 
-  /// The knob component of the cache fingerprint (join kernel, block size,
+  /// The knob component of the cache fingerprint (join batching, block size,
   /// radix config, budgets, pipeline mode). Every knob that shapes the
   /// plan or its annotations must be in here — an unfingerprinted knob
   /// silently serves stale plans after the knob changes. Public so tests

@@ -10,6 +10,18 @@
 
 namespace uot {
 
+/// Where an operator kernel appends its packed output rows: an
+/// InsertDestination::Writer in vectorized work orders, a cache-resident
+/// scratch granule in fused pipelines. One kernel serves both.
+class RowSink {
+ public:
+  /// Appends one packed row (the sink schema's row_width() bytes).
+  virtual void AppendRow(const std::byte* packed_row) = 0;
+
+ protected:
+  ~RowSink() = default;
+};
+
 /// The output sink of a producer operator (paper Section III-A/B).
 ///
 /// Each executing work order opens a Writer, which checks a partially
@@ -47,14 +59,14 @@ class InsertDestination {
   }
 
   /// A work-order-scoped writer. Movable-from only by the factory.
-  class Writer {
+  class Writer final : public RowSink {
    public:
     explicit Writer(InsertDestination* dest);
     ~Writer();
     UOT_DISALLOW_COPY_AND_ASSIGN(Writer);
 
     /// Appends one packed row (schema().row_width() bytes).
-    void AppendRow(const std::byte* packed_row);
+    void AppendRow(const std::byte* packed_row) override;
 
    private:
     InsertDestination* const dest_;

@@ -43,22 +43,25 @@ TEST(UotPolicyTest, FixedPolicyReturnsItsValueForAnyEdgeState) {
   EXPECT_EQ(whole.ToString(), "fixed(UoT=whole-table)");
 }
 
-TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKernel) {
+TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKnobs) {
   ExecConfig config;
   config.num_workers = 3;
   config.uot = UotPolicy::LowUot(2);
-  const std::string scalar = config.ToString();
-  EXPECT_NE(scalar.find("workers=3"), std::string::npos);
-  EXPECT_NE(scalar.find("fixed(UoT=2-block(s))"), std::string::npos);
-  EXPECT_NE(scalar.find("join=batched"), std::string::npos);
+  const std::string fixed = config.ToString();
+  EXPECT_NE(fixed.find("workers=3"), std::string::npos);
+  EXPECT_NE(fixed.find("fixed(UoT=2-block(s))"), std::string::npos);
+  EXPECT_NE(fixed.find("join=batched(batch=256,prefetch=16)"),
+            std::string::npos);
 
   config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
   config.memory_budget_bytes = 123456;
-  config.join.kernel = JoinKernel::kScalar;
+  config.join.batch_size = 1;
+  config.join.prefetch_distance = 0;
   const std::string adaptive = config.ToString();
   EXPECT_NE(adaptive.find("adaptive("), std::string::npos);
   EXPECT_NE(adaptive.find("budget=123456B"), std::string::npos);
-  EXPECT_NE(adaptive.find("join=scalar"), std::string::npos);
+  EXPECT_NE(adaptive.find("join=batched(batch=1,prefetch=0)"),
+            std::string::npos);
 }
 
 TEST(UotPolicyTest, WholeTableSentinel) {

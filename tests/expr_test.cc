@@ -5,6 +5,7 @@
 #include "expr/expression.h"
 #include "expr/predicate.h"
 #include "expr/projection.h"
+#include "operators/numeric_util.h"
 #include "storage/insert_destination.h"
 #include "storage/storage_manager.h"
 #include "types/date.h"
@@ -352,42 +353,41 @@ TEST_P(ExprTest, AsColumnRefIdentifiesBareColumns) {
   EXPECT_EQ(arith->as_column_ref(), nullptr);
 }
 
-TEST_P(ExprTest, CompareKernelsAreAPureABSwitch) {
-  // The branch-free (auto-vectorizable) kernel and the historical branchy
-  // kernel must keep exactly the same rows in the same order, for every
+TEST_P(ExprTest, ComparisonsMatchRowByRowReference) {
+  // The branch-free (auto-vectorizable) compare kernel must keep exactly
+  // the rows a plain row-by-row loop keeps, in the same order, for every
   // operator, against both a literal (hoisted-constant path) and a column
   // (vector path) right operand, on full and pre-shrunk selections.
-  const CompareKernel saved = GetCompareKernel();
   const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                             CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
   for (const CompareOp op : kOps) {
     for (const bool literal_rhs : {true, false}) {
-      auto make_pred = [&] {
-        return literal_rhs
-                   ? Cmp(op, Col(1, Type::Double()), LitDouble(95.0))
-                   : Cmp(op, Col(1, Type::Double()),
-                         Mul(Col(0, Type::Int32()), LitDouble(11.0)));
+      // price = 10 * id; the right operand is 95 or id * 11.
+      auto pred = literal_rhs
+                      ? Cmp(op, Col(1, Type::Double()), LitDouble(95.0))
+                      : Cmp(op, Col(1, Type::Double()),
+                            Mul(Col(0, Type::Int32()), LitDouble(11.0)));
+      const auto reference = [&](const std::vector<uint32_t>& rows) {
+        std::vector<uint32_t> kept;
+        for (const uint32_t r : rows) {
+          const double rhs = literal_rhs ? 95.0 : 11.0 * r;
+          if (CompareValues(op, 10.0 * r, rhs)) kept.push_back(r);
+        }
+        return kept;
       };
-      SetCompareKernel(CompareKernel::kScalar);
-      const std::vector<uint32_t> scalar_full =
-          make_pred()->FilterAll(block_);
-      SetCompareKernel(CompareKernel::kBranchFree);
-      const std::vector<uint32_t> branch_free_full =
-          make_pred()->FilterAll(block_);
-      EXPECT_EQ(branch_free_full, scalar_full)
+
+      std::vector<uint32_t> all(block_.num_rows());
+      for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+      EXPECT_EQ(pred->FilterAll(block_), reference(all))
           << "op=" << static_cast<int>(op) << " literal=" << literal_rhs;
 
-      std::vector<uint32_t> subset = {1, 3, 4, 9, 12, 17, 19};
-      std::vector<uint32_t> scalar_subset = subset;
-      SetCompareKernel(CompareKernel::kScalar);
-      make_pred()->Filter(block_, &scalar_subset);
-      SetCompareKernel(CompareKernel::kBranchFree);
-      make_pred()->Filter(block_, &subset);
-      EXPECT_EQ(subset, scalar_subset)
+      const std::vector<uint32_t> subset = {1, 3, 4, 9, 12, 17, 19};
+      std::vector<uint32_t> filtered = subset;
+      pred->Filter(block_, &filtered);
+      EXPECT_EQ(filtered, reference(subset))
           << "op=" << static_cast<int>(op) << " literal=" << literal_rhs;
     }
   }
-  SetCompareKernel(saved);
 }
 
 TEST_P(ExprTest, ToStringRendersTree) {

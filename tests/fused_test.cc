@@ -1,12 +1,12 @@
-// Fused-pipeline tests (ISSUE 9 tentpole): fused tuple-at-a-time execution
-// must be byte-identical to vectorized execution across manual chains, the
-// full TPC-H/SSB suites and the RandomJoinQuery fuzz corpus, while
-// reporting zero intermediate-block transfers on fused interior edges.
+// Fused-pipeline tests: fused row-group execution must be byte-identical to
+// vectorized execution across manual chains, the full TPC-H/SSB suites and
+// the RandomJoinQuery fuzz corpus, while reporting zero intermediate-block
+// transfers on fused interior edges.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +17,8 @@
 #include "expr/predicate.h"
 #include "expr/projection.h"
 #include "fused/pipeline_fuser.h"
+#include "obs/metrics.h"
+#include "obs/trace_session.h"
 #include "plan/plan_builder.h"
 #include "plan/query_plan.h"
 #include "scheduler/execution_stats.h"
@@ -32,16 +34,6 @@ namespace {
 using ::uot::testing::CanonicalRowsNear;
 using ::uot::testing::MakeKvTable;
 using ::uot::testing::RandomJoinQuery;
-
-int NumFuzzSeeds() {
-  // ISSUE 9 acceptance floor is 200 seeds; UOT_FUZZ_SEEDS overrides (e.g.
-  // the TSan CI arm, or quicker local iteration).
-  if (const char* env = std::getenv("UOT_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 200;
-}
 
 ExecConfig ModeConfig(PipelineMode mode) {
   ExecConfig config;
@@ -272,6 +264,50 @@ TEST_F(FusedChainTest, EmptySelectionProducesIdenticalEmptyAggregates) {
   EXPECT_EQ(rows_into_agg, 0u);
 }
 
+TEST(FusedChainTelemetryTest, FusedProbesFeedJoinCountersAndSpans) {
+  // Fused probe stages run the operators' batched probe kernel, so they
+  // count batches and prefetches like vectorized probes, and their
+  // join-stage spans name the probe operator, not the chain head.
+  StorageManager storage;
+  std::unique_ptr<Table> probe = MakeKvTable(&storage, "probe", 5000, 96);
+  std::unique_ptr<Table> dim1 = MakeKvTable(&storage, "dim1", 96, 96);
+  std::unique_ptr<Table> dim2 = MakeKvTable(&storage, "dim2", 96, 96);
+  std::unique_ptr<QueryPlan> plan =
+      MakeChainPlan(&storage, *probe, *dim1, *dim2, 2500.0, false, false);
+  obs::MetricsRegistry metrics;
+  obs::TraceSession trace;
+  ExecConfig config = ModeConfig(PipelineMode::kFused);
+  config.metrics = &metrics;
+  config.trace = &trace;
+  const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
+  ASSERT_EQ(stats.fused_chains.size(), 1u);
+
+  const obs::Counter* batches = metrics.FindCounter("join.probe.batches");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_GT(batches->Value(), 0u);
+  const obs::Counter* prefetches =
+      metrics.FindCounter("join.probe.prefetch_issued");
+  ASSERT_NE(prefetches, nullptr);
+  EXPECT_GT(prefetches->Value(), 0u);
+
+  std::set<int> probe_ops;
+  for (int i = 0; i < plan->num_operators(); ++i) {
+    if (dynamic_cast<const ProbeHashOperator*>(plan->op(i)) != nullptr) {
+      probe_ops.insert(i);
+    }
+  }
+  ASSERT_EQ(probe_ops.size(), 2u);
+  std::set<int> probe_span_ops;
+  for (const obs::TraceEvent& e : trace.SortedEvents()) {
+    if (e.type == obs::TraceEventType::kJoinBatchStage &&
+        e.arg1 == static_cast<int32_t>(obs::JoinBatchStage::kProbe)) {
+      probe_span_ops.insert(e.arg0);
+    }
+  }
+  EXPECT_EQ(probe_span_ops, probe_ops);
+  EXPECT_EQ(probe_span_ops.count(stats.fused_chains[0].ops.front()), 0u);
+}
+
 TEST(FusedTpchTest, AllSupportedQueriesMatchVectorized) {
   StorageManager storage;
   TpchDatabase db(&storage);
@@ -345,7 +381,7 @@ TEST(FusedFuzzTest, SeededRandomPlansAreByteIdenticalToVectorized) {
   // results must be *exactly* equal, not just numerically near. Covers
   // semi/anti joins, residual conditions, LIP filters, two-column keys and
   // block-boundary row groups (probe block_bytes is 2048).
-  const int num_seeds = NumFuzzSeeds();
+  const int num_seeds = ::uot::testing::NumFuzzSeeds();
   size_t seeds_with_chain = 0;
   for (int seed = 0; seed < num_seeds; ++seed) {
     StorageManager storage;

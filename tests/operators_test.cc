@@ -447,8 +447,8 @@ TEST_F(OperatorsTest, ThreeColumnGroupKeys) {
 }
 
 /// Serializes every row of `t` in block/row order as raw packed bytes —
-/// the strict comparator for scalar-vs-batched kernel parity: identical
-/// strings mean byte-identical output in identical order.
+/// the strict comparator for join-knob parity: identical strings mean
+/// byte-identical output in identical order.
 std::string TableBytes(const Table& t) {
   std::string out;
   std::vector<std::byte> row(t.schema().row_width());
@@ -461,20 +461,22 @@ std::string TableBytes(const Table& t) {
   return out;
 }
 
-/// Runs `spec` under both kernels (everything else identical) and asserts
-/// byte-identical output. MaterializingEngine drives single-threaded, so
-/// build insert order — and therefore probe chain order — is deterministic.
+/// Runs `spec` tuple-at-a-time (batch 1, no prefetch) and under its own
+/// join knobs (everything else identical) and asserts byte-identical
+/// output. MaterializingEngine drives single-threaded, so build insert
+/// order — and therefore probe chain order — is deterministic.
 void ExpectKernelParity(StorageManager* storage, const Table& probe,
                         const Table& build,
-                        MaterializingEngine::JoinSpec spec,
+                        const MaterializingEngine::JoinSpec& spec,
                         const char* label) {
   MaterializingEngine engine(storage);
-  spec.join.kernel = JoinKernel::kScalar;
-  auto scalar_out = engine.HashJoin(probe, build, spec);
-  spec.join.kernel = JoinKernel::kBatched;
+  MaterializingEngine::JoinSpec one_row = spec;
+  one_row.join.batch_size = 1;
+  one_row.join.prefetch_distance = 0;
+  auto reference_out = engine.HashJoin(probe, build, one_row);
   auto batched_out = engine.HashJoin(probe, build, spec);
-  ASSERT_EQ(batched_out->NumRows(), scalar_out->NumRows()) << label;
-  EXPECT_EQ(TableBytes(*batched_out), TableBytes(*scalar_out)) << label;
+  ASSERT_EQ(batched_out->NumRows(), reference_out->NumRows()) << label;
+  EXPECT_EQ(TableBytes(*batched_out), TableBytes(*reference_out)) << label;
 }
 
 TEST_F(OperatorsTest, BatchedKernelParityInnerSemiAnti) {
@@ -499,7 +501,7 @@ TEST_F(OperatorsTest, BatchedKernelParityBatchBoundaries) {
   // Probe row counts straddling the batch size, including a final partial
   // batch and tiny blocks (few rows per block), for several batch sizes
   // and prefetch distances (0 disables prefetch, below-threshold batches
-  // take the scalar-resolve path internally).
+  // resolve without prefetching internally).
   auto build = MakeKvTable(&storage_, "build", 60, 30);
   for (const int batch : {1, 8, 256}) {
     for (const uint64_t rows :

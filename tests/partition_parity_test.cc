@@ -1,13 +1,12 @@
-// Differential parity harness for the radix-partitioned hash join (ISSUE 7
-// tentpole anchor): seeded randomized join trees execute through
-// {unpartitioned, radix_bits 1..6} x {scalar, batched kernel} x
+// Differential parity harness for the radix-partitioned hash join: seeded
+// randomized join trees execute through {unpartitioned, radix_bits 1..6} x
+// {batch 1 without prefetch, default batch + prefetch} x
 // {fixed, model-annotated, adaptive UoT} and every configuration must
 // produce byte-identical sorted results, with per-edge transfer-count
 // invariants holding on every run.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,7 +57,7 @@ void AnnotateWithModel(QueryPlan* plan) {
 }
 
 /// Transfer-count invariants that must hold on every run regardless of
-/// partitioning, kernel or UoT policy.
+/// partitioning, join knobs or UoT policy.
 void CheckTransferInvariants(const QueryPlan& plan,
                              const ExecutionStats& stats, int radix_bits,
                              int num_joins, const std::string& label) {
@@ -124,7 +123,7 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
                     int radix_bits, bool batched, PolicyMode policy) {
   const std::string label = query.Description() +
                             " radix=" + std::to_string(radix_bits) +
-                            (batched ? " batched " : " scalar ") +
+                            (batched ? " batched " : " batch1 ") +
                             PolicyName(policy);
   std::unique_ptr<QueryPlan> plan = query.MakePlan(storage, radix_bits);
   if (policy == PolicyMode::kModel) AnnotateWithModel(plan.get());
@@ -132,7 +131,11 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
   ExecConfig config;
   config.num_workers = 2;
   config.uot = UotPolicy::LowUot(2);
-  config.join.kernel = batched ? JoinKernel::kBatched : JoinKernel::kScalar;
+  if (!batched) {
+    // Tuple-at-a-time: the in-engine reference for the batched kernels.
+    config.join.batch_size = 1;
+    config.join.prefetch_distance = 0;
+  }
   if (policy == PolicyMode::kAdaptive) {
     config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
   }
@@ -142,18 +145,8 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
   return CanonicalRows(*plan->result_table());
 }
 
-int NumFuzzSeeds() {
-  // ISSUE 7 acceptance floor is 200 seeds; UOT_FUZZ_SEEDS overrides (e.g.
-  // deeper soak runs, or quicker local iteration).
-  if (const char* env = std::getenv("UOT_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 200;
-}
-
 TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
-  const int num_seeds = NumFuzzSeeds();
+  const int num_seeds = ::uot::testing::NumFuzzSeeds();
   const PolicyMode kPolicies[] = {PolicyMode::kFixed, PolicyMode::kModel,
                                   PolicyMode::kAdaptive};
   for (int seed = 0; seed < num_seeds; ++seed) {
@@ -161,18 +154,18 @@ TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
     RandomJoinQuery query(&storage, static_cast<uint64_t>(seed));
     SCOPED_TRACE(query.Description());
 
-    // Reference: unpartitioned, scalar kernel, fixed UoT.
+    // Reference: unpartitioned, batch 1 without prefetch, fixed UoT.
     const std::string expected =
         RunOnce(&storage, query, 0, false, PolicyMode::kFixed);
 
-    // Unpartitioned with the other kernel and a cycling policy.
+    // Unpartitioned with the default join knobs and a cycling policy.
     EXPECT_EQ(RunOnce(&storage, query, 0, true,
                       kPolicies[static_cast<size_t>(seed) % 3]),
               expected);
 
     // One radix depth per seed (cycling through 1..6), against the full
-    // {kernel} x {policy} matrix: over the seed loop every
-    // (radix, kernel, policy) combination is exercised many times.
+    // {join knobs} x {policy} matrix: over the seed loop every
+    // (radix, knobs, policy) combination is exercised many times.
     const int radix_bits = 1 + seed % 6;
     for (bool batched : {false, true}) {
       for (PolicyMode policy : kPolicies) {

@@ -17,6 +17,7 @@ namespace uot {
 namespace {
 
 using testing::MakeKvTable;
+using testing::TransfersMatchUot;
 
 /// Builds the paper's canonical select -> probe plan over synthetic data:
 ///   sel(probe_table: v >= threshold) -> probe(build(build_table))
@@ -834,7 +835,13 @@ TEST(PerEdgeUotTest, InterfacePolicyMatchesEquivalentAnnotations) {
 
   EXPECT_EQ(CanonicalRows(*via_policy.plan->result_table()),
             CanonicalRows(*annotated.plan->result_table()));
-  EXPECT_EQ(policy_stats.edge_transfers, annotated_stats.edge_transfers);
+  // Edge 0 materializes and edge 1 pipelines block by block in both runs.
+  for (const ExecutionStats* stats : {&annotated_stats, &policy_stats}) {
+    ASSERT_EQ(stats->edges.size(), 2u);
+    EXPECT_TRUE(
+        TransfersMatchUot(stats->edges[0], UotPolicy::kWholeTable));
+    EXPECT_TRUE(TransfersMatchUot(stats->edges[1], 1));
+  }
   EXPECT_NE(policy_stats.config_summary.find("first-edge-whole"),
             std::string::npos);
 }

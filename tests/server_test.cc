@@ -379,10 +379,10 @@ TEST_F(FrontEndTest, KnobChangesProduceDistinctFingerprints) {
   FrontEnd same(SmallConfig(), &catalog_);
   EXPECT_EQ(base.KnobFingerprint(), same.KnobFingerprint());
 
-  FrontEndConfig kernel_config = SmallConfig();
-  kernel_config.join.kernel = JoinKernel::kScalar;
-  FrontEnd kernel_changed(kernel_config, &catalog_);
-  EXPECT_NE(base.KnobFingerprint(), kernel_changed.KnobFingerprint());
+  FrontEndConfig batch_config = SmallConfig();
+  batch_config.join.batch_size = 1;
+  FrontEnd batch_changed(batch_config, &catalog_);
+  EXPECT_NE(base.KnobFingerprint(), batch_changed.KnobFingerprint());
 
   FrontEndConfig radix_config = SmallConfig();
   radix_config.plan.join_radix_bits = 4;

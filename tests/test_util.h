@@ -15,6 +15,7 @@
 #include "expr/expression.h"
 #include "expr/predicate.h"
 #include "plan/plan_builder.h"
+#include "scheduler/execution_stats.h"
 #include "storage/storage_manager.h"
 #include "storage/table.h"
 #include "types/row_builder.h"
@@ -72,6 +73,37 @@ inline ::testing::AssertionResult CanonicalRowsNear(
   }
 }
 
+/// Seeds per differential fuzz suite: the acceptance floor of 200, unless
+/// UOT_FUZZ_SEEDS overrides it (deeper soaks, sanitizer jobs, quicker
+/// local iteration).
+inline int NumFuzzSeeds() {
+  if (const char* env = std::getenv("UOT_FUZZ_SEEDS")) {
+    const int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return 200;
+}
+
+/// The per-run transfer invariant of one streaming edge run at `uot_blocks`
+/// blocks per transfer: ceil(blocks_produced / k) transfers for a fixed k,
+/// one transfer for a whole-table edge (none when it produced nothing).
+/// It holds however the work is scheduled; transfer counts compared across
+/// two runs do not, because the number of blocks produced depends on how
+/// concurrent writers pack rows.
+inline ::testing::AssertionResult TransfersMatchUot(const EdgeStats& edge,
+                                                    uint64_t uot_blocks) {
+  const uint64_t produced = edge.blocks_produced;
+  const uint64_t expected =
+      uot_blocks == UotPolicy::kWholeTable
+          ? (produced > 0 ? 1 : 0)
+          : (produced + uot_blocks - 1) / uot_blocks;
+  if (edge.transfers == expected) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "edge " << edge.producer << "->" << edge.consumer << ": "
+         << edge.transfers << " transfers of " << produced
+         << " blocks, expected " << expected;
+}
+
 /// Builds a two-column (k INT32, v DOUBLE) table with `rows` rows where
 /// k = i % modulo and v = i.
 inline std::unique_ptr<Table> MakeKvTable(StorageManager* storage,
@@ -121,7 +153,7 @@ class FuzzRng {
 /// A seeded random join-tree query for differential (parity) testing: the
 /// same spec can be instantiated as an unpartitioned or radix-partitioned
 /// plan any number of times, over the same generated base tables, so byte
-/// parity of CanonicalRows across {radix_bits, join kernel, UoT policy} is
+/// parity of CanonicalRows across {radix_bits, join knobs, UoT policy} is
 /// a meaningful assertion.
 ///
 /// Shape: a left-deep chain of 1..3 hash joins over one probe table.

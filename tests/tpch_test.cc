@@ -213,10 +213,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_F(TpchTest, FixedPolicyMatchesScalarUotAcrossSuite) {
-  // Tentpole backward-compatibility gate: routing the scalar ExecConfig::uot
-  // through the EdgeUotPolicy interface (the default FixedUotPolicy) must
-  // leave every query byte-identical with identical per-edge transfer
-  // counts, across the whole UoT spectrum.
+  // Backward-compatibility gate: routing the scalar ExecConfig::uot through
+  // the EdgeUotPolicy interface (the default FixedUotPolicy) must leave
+  // every query's result unchanged across the whole UoT spectrum, and both
+  // runs must transfer every edge at exactly that UoT.
   TpchPlanConfig plan_config;
   plan_config.block_bytes = 16 * 1024;
   for (uint64_t blocks : {uint64_t{1}, uint64_t{4},
@@ -241,8 +241,14 @@ TEST_F(TpchTest, FixedPolicyMatchesScalarUotAcrossSuite) {
           CanonicalRows(*policy_plan->result_table()),
           CanonicalRows(*scalar_plan->result_table())))
           << "Q" << query << " " << uot.ToString();
-      EXPECT_EQ(policy_stats.edge_transfers, scalar_stats.edge_transfers)
-          << "Q" << query << " " << uot.ToString();
+      ASSERT_EQ(policy_stats.edges.size(), scalar_stats.edges.size());
+      for (const ExecutionStats* stats : {&scalar_stats, &policy_stats}) {
+        for (const EdgeStats& edge : stats->edges) {
+          EXPECT_TRUE(testing::TransfersMatchUot(edge, blocks))
+              << "Q" << query << " " << uot.ToString() << " "
+              << stats->config_summary;
+        }
+      }
     }
   }
 }
