@@ -112,7 +112,9 @@ void FusedChainWorkOrder::Execute() {
         static_cast<size_t>(FusedChain::kRowGroupRows) * schema->row_width());
   }
   const FusedChain::Stage& tail = *chain_->stages_.back();
-  if (tail.kind != FusedChain::StageKind::kAggregate) {
+  if (tail.kind == FusedChain::StageKind::kAggregate) {
+    partial_ = tail.agg->ThreadPartial();
+  } else {
     InsertDestination* dest = tail.kind == FusedChain::StageKind::kSelect
                                   ? tail.select->destination()
                                   : tail.probe->destination();
@@ -127,7 +129,7 @@ void FusedChainWorkOrder::Execute() {
   }
 
   if (tail.kind == FusedChain::StageKind::kAggregate) {
-    tail.agg->MergePartial(std::move(partial_));
+    tail.agg->MergePartial(*partial_);
   }
   writer_.reset();  // flush the tail writer before the order completes
 }
@@ -157,7 +159,7 @@ void FusedChainWorkOrder::ExecStage(size_t s, const Block& block,
   std::iota(sel.begin(), sel.end(), row_begin);
   if (st.kind == FusedChain::StageKind::kAggregate) {
     // One partial spans the whole fused work order (merged in Execute).
-    st.agg->Accumulate(block, &sel, &partial_);
+    st.agg->Accumulate(block, &sel, partial_);
     st.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
     return;
   }

@@ -135,7 +135,7 @@ class FusedChainWorkOrder final : public WorkOrder {
   std::vector<std::vector<uint32_t>> sels_;       // [stage]
   std::vector<ProbeHashOperator::ProbeScratch> probe_scratch_;  // [stage]
   std::unique_ptr<InsertDestination::Writer> writer_;  // non-aggregate tail
-  AggregateOperator::GroupMap partial_;           // aggregate tail
+  GroupTable* partial_ = nullptr;  // aggregate tail: the thread's partial
 };
 
 }  // namespace fused

@@ -151,6 +151,7 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
     entry.total_task_ns = os.total_task_ns;
     entry.first_start_ns = os.first_start_ns;
     entry.last_end_ns = os.last_end_ns;
+    entry.finish_ns = os.finish_ns;
     entry.avg_dop = stats.AverageDop(static_cast<int>(i));
     entry.latency = SnapshotOfDurations(stats.records, static_cast<int>(i));
     profile.operators_.push_back(std::move(entry));
@@ -224,12 +225,13 @@ std::string QueryProfile::ToString() const {
   for (const OperatorEntry& op : operators_) {
     std::snprintf(buf, sizeof(buf),
                   "  op[%d] %s: %" PRIu64
-                  " work orders, task %.2f ms, span %.2f ms, dop %.2f, "
-                  "p50/p95/p99 %.2f/%.2f/%.2f ms\n",
+                  " work orders, task %.2f ms, span %.2f ms, finish %.2f ms, "
+                  "dop %.2f, p50/p95/p99 %.2f/%.2f/%.2f ms\n",
                   op.op, op.name.c_str(), op.num_work_orders,
                   static_cast<double>(op.total_task_ns) / 1e6,
                   static_cast<double>(op.last_end_ns - op.first_start_ns) /
                       1e6,
+                  static_cast<double>(op.finish_ns) / 1e6,
                   op.avg_dop, static_cast<double>(op.latency.p50) / 1e6,
                   static_cast<double>(op.latency.p95) / 1e6,
                   static_cast<double>(op.latency.p99) / 1e6);
@@ -386,6 +388,11 @@ std::string QueryProfile::ToJson() const {
     AppendField(&out, "total_task_ns", op.total_task_ns, &first);
     AppendField(&out, "first_start_ns", op.first_start_ns, &first);
     AppendField(&out, "last_end_ns", op.last_end_ns, &first);
+    // Optional: absent when zero, so documents of runs without Finish()
+    // timing stay byte-identical; the validator accepts either.
+    if (op.finish_ns != 0) {
+      AppendField(&out, "finish_ns", op.finish_ns, &first);
+    }
     AppendFieldD(&out, "avg_dop", op.avg_dop, &first);
     out += ", \"latency\": ";
     AppendSnapshot(&out, op.latency);
@@ -644,6 +651,10 @@ Status ParseQueryProfileJson(std::string_view json,
     if (!op.is_object()) return ProfileError("operator entry is not an object");
     UOT_RETURN_IF_ERROR(RequireNumber(op, "op", "operator"));
     UOT_RETURN_IF_ERROR(RequireNumber(op, "work_orders", "operator"));
+    const JsonValue* finish_ns = op.Find("finish_ns");
+    if (finish_ns != nullptr && !finish_ns->is_number()) {
+      return ProfileError("operator \"finish_ns\" must be a number");
+    }
     const JsonValue* op_name = op.Find("name");
     if (op_name == nullptr || !op_name->is_string()) {
       return ProfileError("operator entry missing \"name\"");

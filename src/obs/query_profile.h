@@ -85,6 +85,7 @@ class QueryProfile {
     int64_t total_task_ns = 0;
     int64_t first_start_ns = 0;
     int64_t last_end_ns = 0;
+    int64_t finish_ns = 0;  // coordinator time in Operator::Finish()
     double avg_dop = 0.0;
     HistogramSnapshot latency;
   };

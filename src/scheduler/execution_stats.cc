@@ -43,10 +43,11 @@ std::string ExecutionStats::ToString() const {
     const OperatorStats& s = operators[i];
     std::snprintf(line, sizeof(line),
                   "  [%zu] %-24s tasks=%-6llu total=%9.3f ms avg=%8.4f ms "
-                  "span=%9.3f ms\n",
+                  "span=%9.3f ms finish=%8.3f ms\n",
                   i, s.name.c_str(),
                   static_cast<unsigned long long>(s.num_work_orders),
-                  s.total_task_ms(), s.avg_task_ms(), s.span_ms());
+                  s.total_task_ms(), s.avg_task_ms(), s.span_ms(),
+                  s.finish_ms());
     out += line;
   }
   out += "  memory peaks:";

@@ -28,6 +28,7 @@ struct OperatorStats {
   int64_t total_task_ns = 0;   // sum of work-order durations
   int64_t first_start_ns = 0;  // earliest work-order start
   int64_t last_end_ns = 0;     // latest work-order end
+  int64_t finish_ns = 0;       // coordinator time in Operator::Finish()
 
   double total_task_ms() const {
     return static_cast<double>(total_task_ns) / 1e6;
@@ -37,6 +38,7 @@ struct OperatorStats {
                ? 0.0
                : total_task_ms() / static_cast<double>(num_work_orders);
   }
+  double finish_ms() const { return static_cast<double>(finish_ns) / 1e6; }
   /// Wall-clock span from the first work-order start to the last end.
   double span_ms() const {
     return static_cast<double>(last_end_ns - first_start_ns) / 1e6;

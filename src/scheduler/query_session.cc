@@ -557,7 +557,10 @@ void QuerySession::CheckOperatorDone(int op) {
   // flush callbacks enqueue kBlockReady events; the marker event below is
   // processed after them (FIFO), so final UoT transfers see every block.
   state.finishing = true;
+  const int64_t finish_start_ns = NowNanos();
   plan_->op(op)->Finish();
+  stats_.operators[static_cast<size_t>(op)].finish_ns =
+      NowNanos() - finish_start_ns;
   event_queue_.Push(Event{Event::Kind::kOperatorFlushed, op, nullptr, {}, {}});
 }
 

@@ -238,6 +238,23 @@ TEST_F(OperatorsTest, ScalarAggregateOnEmptyInputYieldsZeroRow) {
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 0);
 }
 
+TEST_F(OperatorsTest, ScalarMinMaxOnEmptyInputYieldZero) {
+  // The zero row covers every function: MIN and MAX of nothing are 0 too,
+  // not the +/-1e308 sentinels of an untouched state.
+  auto input = MakeKvTable(&storage_, "in", 100, 10);
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kMin, Col(1, Type::Double()), "min"});
+  aggs.push_back({AggFn::kMax, Col(1, Type::Double()), "max"});
+  aggs.push_back({AggFn::kAvg, Col(1, Type::Double()), "avg"});
+  auto pred = Cmp(CompareOp::kGt, Col(1, Type::Double()), LitDouble(1000.0));
+  auto out =
+      engine_.GroupAggregate(*input, {}, std::move(aggs), std::move(pred));
+  ASSERT_EQ(out->NumRows(), 1u);
+  EXPECT_EQ(out->GetValue(0, 0).AsDouble(), 0.0);
+  EXPECT_EQ(out->GetValue(0, 1).AsDouble(), 0.0);
+  EXPECT_EQ(out->GetValue(0, 2).AsDouble(), 0.0);
+}
+
 TEST_F(OperatorsTest, GroupedAggregateOnEmptyInputYieldsNoRows) {
   auto input = MakeKvTable(&storage_, "in", 0, 10);
   std::vector<AggSpec> aggs;

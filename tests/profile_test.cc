@@ -282,6 +282,43 @@ std::unique_ptr<QueryPlan> MakeFusablePlan(StorageManager* storage,
   return builder.Finish(agg);
 }
 
+TEST(ProfileTest, FinishTimeIsAttributedAndOptionalInJson) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 4000, 20, Layout::kRowStore, 1024);
+  auto plan = MakeSelectAggPlan(&storage, *input);
+  ExecConfig config;
+  config.num_workers = 2;
+  ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
+  // The coordinator timed the aggregate's Finish(), which materialized
+  // its 20 groups.
+  ASSERT_EQ(stats.operators.size(), 2u);
+  EXPECT_GT(stats.operators[1].finish_ns, 0);
+  EXPECT_NE(stats.ToString().find(" finish="), std::string::npos);
+
+  const obs::QueryProfile profile =
+      obs::QueryProfile::FromRun(plan.get(), stats, {"finish"});
+  EXPECT_EQ(profile.operators()[1].finish_ns, stats.operators[1].finish_ns);
+  EXPECT_NE(profile.ToString().find(", finish "), std::string::npos);
+  const std::string json = profile.ToJson();
+  EXPECT_NE(json.find("\"finish_ns\": "), std::string::npos);
+  obs::QueryProfileSummary summary;
+  ASSERT_TRUE(obs::ParseQueryProfileJson(json, &summary).ok());
+
+  // Without Finish() timing the document is the one written before the
+  // key existed, and it still validates.
+  for (OperatorStats& os : stats.operators) os.finish_ns = 0;
+  const std::string untimed =
+      obs::QueryProfile::FromRun(plan.get(), stats, {"finish"}).ToJson();
+  EXPECT_EQ(untimed.find("finish_ns"), std::string::npos);
+  ASSERT_TRUE(obs::ParseQueryProfileJson(untimed, &summary).ok());
+
+  // A present key must be a number.
+  std::string broken = json;
+  const size_t key = broken.find("\"finish_ns\": ") + 13;
+  broken.replace(key, broken.find(',', key) - key, "\"x\"");
+  EXPECT_FALSE(obs::ParseQueryProfileJson(broken, &summary).ok());
+}
+
 TEST(ProfileTest, FusedRunRendersChainsAndVectorizedDocumentsAreUnchanged) {
   StorageManager storage;
   auto input = MakeKvTable(&storage, "in", 4000, 20, Layout::kRowStore, 1024);

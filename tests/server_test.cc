@@ -557,6 +557,24 @@ class TpchServerTest : public ::testing::Test {
 StorageManager* TpchServerTest::storage_ = nullptr;
 TpchDatabase* TpchServerTest::db_ = nullptr;
 
+TEST_F(TpchServerTest, MinMaxOverEmptyInputReturnZeros) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  // No lineitem has a quantity above 50: the scalar aggregate's one row
+  // is all zeros, like SUM, AVG and COUNT of nothing.
+  const Response resp = frontend.Handle(
+      {"select min(l_extendedprice), max(l_extendedprice) from lineitem "
+       "where l_quantity > 1000",
+       "default"});
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.row_count, 1u);
+  EXPECT_EQ(resp.rows_csv, "0,0\n");
+}
+
 TEST_F(TpchServerTest, CachedPlansMatchFreshPlansByteForByte) {
   Catalog catalog(storage_);
   catalog.RegisterTpch(db_);
