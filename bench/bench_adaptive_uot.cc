@@ -49,7 +49,7 @@ struct ArmResult {
 
 uint64_t TotalTransfers(const ExecutionStats& stats) {
   uint64_t total = 0;
-  for (uint64_t t : stats.edge_transfers) total += t;
+  for (const EdgeStats& e : stats.edges) total += e.transfers;
   return total;
 }
 

@@ -131,8 +131,10 @@ inline QueryTiming TimeQuery(int query, const TpchDatabase& db,
 
 /// One query execution with the observability layer attached: the benches
 /// read per-operator/per-edge/memory figures from the metrics registry
-/// (the same exporters users consume) instead of re-deriving them from raw
-/// ExecutionStats, and can dump the trace for Perfetto.
+/// (the same exporters users consume) and can dump the trace for Perfetto.
+/// The per-query counters there are published once, when the query ends,
+/// from its ExecutionStats; the queue-depth, effective-UoT, memory and
+/// join-kernel metrics are the only ones updated while it runs.
 struct ObservedRun {
   ExecutionStats stats;
   std::unique_ptr<QueryPlan> plan;

@@ -95,7 +95,7 @@ int main() {
     std::printf("result rows: %llu, transfers on the select->probe edge: "
                 "%llu\n",
                 static_cast<unsigned long long>(join_out->NumRows()),
-                static_cast<unsigned long long>(stats.edge_transfers[0]));
+                static_cast<unsigned long long>(stats.edges[0].transfers));
     std::printf("%s\n", RenderTable(*join_out, 5).c_str());
   }
   std::printf("Same result either way — the UoT value is purely a "

@@ -55,7 +55,7 @@ int main() {
     std::printf("%-18s %10llu %12.2f %12llu %12.2f\n",
                 exec.uot.ToString().c_str(),
                 static_cast<unsigned long long>(
-                    stats.edge_transfers[static_cast<size_t>(edge_index)]),
+                    stats.edges[static_cast<size_t>(edge_index)].transfers),
                 stats.AverageDop(probe_op),
                 static_cast<unsigned long long>(
                     stats.operators[static_cast<size_t>(probe_op)]

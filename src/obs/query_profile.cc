@@ -143,15 +143,9 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
 
   profile.operators_.reserve(stats.operators.size());
   for (size_t i = 0; i < stats.operators.size(); ++i) {
-    const OperatorStats& os = stats.operators[i];
     OperatorEntry entry;
+    static_cast<OperatorStats&>(entry) = stats.operators[i];
     entry.op = static_cast<int>(i);
-    entry.name = os.name;
-    entry.num_work_orders = os.num_work_orders;
-    entry.total_task_ns = os.total_task_ns;
-    entry.first_start_ns = os.first_start_ns;
-    entry.last_end_ns = os.last_end_ns;
-    entry.finish_ns = os.finish_ns;
     entry.avg_dop = stats.AverageDop(static_cast<int>(i));
     entry.latency = SnapshotOfDurations(stats.records, static_cast<int>(i));
     profile.operators_.push_back(std::move(entry));
@@ -161,9 +155,8 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
   for (size_t i = 0; i < stats.edges.size(); ++i) {
     const EdgeStats& es = stats.edges[i];
     Edge edge;
+    static_cast<EdgeStats&>(edge) = es;
     edge.edge = static_cast<int>(i);
-    edge.producer = es.producer;
-    edge.consumer = es.consumer;
     if (es.producer >= 0 &&
         static_cast<size_t>(es.producer) < stats.operators.size()) {
       edge.producer_name = stats.operators[static_cast<size_t>(es.producer)].name;
@@ -172,16 +165,6 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
         static_cast<size_t>(es.consumer) < stats.operators.size()) {
       edge.consumer_name = stats.operators[static_cast<size_t>(es.consumer)].name;
     }
-    edge.exchange = es.exchange;
-    edge.fused = es.fused;
-    edge.transfers = es.transfers;
-    edge.blocks_produced = es.blocks_produced;
-    edge.blocks_delivered = es.blocks_delivered;
-    edge.bytes_delivered = es.bytes_delivered;
-    edge.max_buffered_bytes = es.max_buffered_bytes;
-    edge.max_buffered_blocks = es.max_buffered_blocks;
-    edge.final_uot_blocks = es.final_uot_blocks;
-
     if (plan != nullptr &&
         static_cast<size_t>(plan->streaming_edges().size()) ==
             stats.edges.size()) {

@@ -25,33 +25,14 @@ namespace obs {
 /// that tells us whether the model that chose each edge's UoT was right.
 class QueryProfile {
  public:
-  /// One streaming edge: measured transfer volume and footprint next to
-  /// the model's expectation, and the residual (actual minus predicted)
-  /// between them.
-  struct Edge {
+  /// One streaming edge: the measured EdgeStats next to the model's
+  /// expectation, and the residual (actual minus predicted) between them.
+  /// Exchange edges get an "xchg" tag and fused edges a "fused" tag, each
+  /// with a "kind" key in JSON that is absent for pipeline edges.
+  struct Edge : EdgeStats {
     int edge = -1;
-    int producer = -1;
-    int consumer = -1;
     std::string producer_name;
     std::string consumer_name;
-    /// True for exchange/repartition edges: rendered with a distinct tag
-    /// and a "kind" key in JSON (absent for pipeline edges, so profiles
-    /// of exchange-free plans are byte-identical to pre-exchange ones).
-    bool exchange = false;
-    /// True when the edge was interior to a fused pipeline this run: no
-    /// blocks crossed it, so its transfer counters are structurally zero.
-    /// Tagged "kind": "fused" in JSON (absent otherwise, keeping
-    /// pre-fusion documents byte-identical).
-    bool fused = false;
-
-    // Measured (EdgeStats).
-    uint64_t transfers = 0;
-    uint64_t blocks_produced = 0;
-    uint64_t blocks_delivered = 0;
-    uint64_t bytes_delivered = 0;
-    uint64_t max_buffered_bytes = 0;
-    uint64_t max_buffered_blocks = 0;
-    uint64_t final_uot_blocks = 0;  // UotPolicy::kWholeTable = materialize
 
     // Predicted (QueryPlan::EdgePrediction); valid iff has_prediction.
     bool has_prediction = false;
@@ -76,16 +57,10 @@ class QueryProfile {
     double WorstRelativeError() const;
   };
 
-  /// One operator: the per-operator aggregate plus a latency digest of
+  /// One operator: the measured OperatorStats plus a latency digest of
   /// its work orders (p50/p95/p99 over the default latency grid).
-  struct OperatorEntry {
+  struct OperatorEntry : OperatorStats {
     int op = -1;
-    std::string name;
-    uint64_t num_work_orders = 0;
-    int64_t total_task_ns = 0;
-    int64_t first_start_ns = 0;
-    int64_t last_end_ns = 0;
-    int64_t finish_ns = 0;  // coordinator time in Operator::Finish()
     double avg_dop = 0.0;
     HistogramSnapshot latency;
   };

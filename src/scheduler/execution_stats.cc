@@ -59,11 +59,11 @@ std::string ExecutionStats::ToString() const {
     out += line;
   }
   out += "\n";
-  if (!edge_transfers.empty()) {
+  if (!edges.empty()) {
     out += "  edge transfers:";
-    for (size_t e = 0; e < edge_transfers.size(); ++e) {
+    for (size_t e = 0; e < edges.size(); ++e) {
       std::snprintf(line, sizeof(line), " [%zu]=%llu", e,
-                    static_cast<unsigned long long>(edge_transfers[e]));
+                    static_cast<unsigned long long>(edges[e].transfers));
       out += line;
     }
     out += "\n";

@@ -52,8 +52,7 @@ struct OperatorStats {
 struct EdgeStats {
   int producer = -1;
   int consumer = -1;
-  /// Transfers delivered (same number as ExecutionStats::edge_transfers,
-  /// kept here so one struct describes the whole edge).
+  /// Transfers delivered (a transfer delivers up to UoT blocks).
   uint64_t transfers = 0;
   uint64_t blocks_produced = 0;
   uint64_t blocks_delivered = 0;
@@ -144,7 +143,9 @@ struct BudgetEventRecord {
 
 /// Everything the benches need from one query execution: per-work-order
 /// timings, per-operator aggregates, per-edge transfer counts and memory
-/// peaks (paper Figs. 3/5/6/7, Table II).
+/// peaks (paper Figs. 3/5/6/7, Table II). This is the one per-query
+/// telemetry record: the session publishes the registry's per-query
+/// counters from it when the query ends, and QueryProfile is built from it.
 struct ExecutionStats {
   /// Engine-assigned id of the session that produced these stats (0 for
   /// runs outside an engine). Tags trace events of concurrent queries.
@@ -156,9 +157,6 @@ struct ExecutionStats {
   int64_t query_end_ns = 0;
   std::vector<WorkOrderRecord> records;
   std::vector<OperatorStats> operators;
-  /// Number of block transfers performed per streaming edge (a transfer
-  /// delivers up to UoT blocks).
-  std::vector<uint64_t> edge_transfers;
   /// Measured per-edge detail (transfers, payload bytes, buffered
   /// high-water marks), one entry per streaming edge.
   std::vector<EdgeStats> edges;
@@ -179,7 +177,7 @@ struct ExecutionStats {
   /// Peak memory during execution, per category.
   int64_t peak_bytes[kNumMemoryCategories] = {};
   /// Producer work orders deferred because tracked memory exceeded the
-  /// budget at dispatch time (mirrors the scheduler.budget.deferrals
+  /// budget at dispatch time (published as the scheduler.budget.deferrals
   /// metric).
   uint64_t budget_deferrals = 0;
   /// Denied release attempts while over budget with deferred work waiting:

@@ -42,23 +42,13 @@ void QuerySession::InitObservability() {
                             "worker " + std::to_string(w));
     }
   }
-  op_task_ns_.clear();
-  op_work_orders_.clear();
-  edge_transfers_metric_.clear();
-  edge_blocks_metric_.clear();
   op_ctx_ = OperatorExecContext{};
   op_ctx_.join = config_.join;
   op_ctx_.trace = trace_;
   edge_uot_gauge_.clear();
-  edge_uot_adaptations_.clear();
   if (metrics_ == nullptr) {
-    work_order_count_ = nullptr;
-    work_order_latency_ns_ = nullptr;
     work_queue_depth_ = nullptr;
     event_queue_depth_ = nullptr;
-    budget_deferrals_ = nullptr;
-    budget_stalls_ = nullptr;
-    uot_adaptations_ = nullptr;
     return;
   }
   op_ctx_.join_probe_batches =
@@ -69,36 +59,58 @@ void QuerySession::InitObservability() {
       metrics_->GetCounter(MetricName("join.build.batches"));
   op_ctx_.join_build_prefetch_issued =
       metrics_->GetCounter(MetricName("join.build.prefetch_issued"));
-  work_order_count_ = metrics_->GetCounter(MetricName("scheduler.work_orders"));
-  work_order_latency_ns_ =
-      metrics_->GetHistogram(MetricName("scheduler.work_order_latency_ns"));
   work_queue_depth_ =
       metrics_->GetGauge(MetricName("scheduler.queue.work_orders.depth"));
   event_queue_depth_ =
       metrics_->GetGauge(MetricName("scheduler.queue.events.depth"));
-  budget_deferrals_ =
-      metrics_->GetCounter(MetricName("scheduler.budget.deferrals"));
-  budget_stalls_ =
-      metrics_->GetCounter(MetricName("scheduler.budget.stalls"));
-  uot_adaptations_ = metrics_->GetCounter(MetricName("uot.adaptations"));
-  for (int i = 0; i < n; ++i) {
+  for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
+    edge_uot_gauge_.push_back(metrics_->GetGauge(
+        MetricName("uot.edge.") + std::to_string(e) + ".effective_blocks"));
+  }
+}
+
+void QuerySession::PublishMetrics() {
+  metrics_->GetCounter(MetricName("scheduler.work_orders"))
+      ->Add(stats_.records.size());
+  obs::Histogram* latency =
+      metrics_->GetHistogram(MetricName("scheduler.work_order_latency_ns"));
+  for (const WorkOrderRecord& r : stats_.records) {
+    latency->Record(r.duration_ns());
+  }
+  for (size_t i = 0; i < stats_.operators.size(); ++i) {
+    const OperatorStats& os = stats_.operators[i];
     const std::string prefix =
         MetricName("scheduler.op.") + std::to_string(i);
-    op_task_ns_.push_back(metrics_->GetCounter(prefix + ".task_ns"));
-    op_work_orders_.push_back(metrics_->GetCounter(prefix + ".work_orders"));
+    metrics_->GetCounter(prefix + ".task_ns")
+        ->Add(static_cast<uint64_t>(os.total_task_ns));
+    metrics_->GetCounter(prefix + ".work_orders")->Add(os.num_work_orders);
   }
-  for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
+  for (size_t e = 0; e < stats_.edges.size(); ++e) {
+    const EdgeStats& es = stats_.edges[e];
     const std::string prefix =
         MetricName("scheduler.edge.") + std::to_string(e);
-    edge_transfers_metric_.push_back(
-        metrics_->GetCounter(prefix + ".transfers"));
-    edge_blocks_metric_.push_back(metrics_->GetCounter(prefix + ".blocks"));
-    const std::string uot_prefix =
-        MetricName("uot.edge.") + std::to_string(e);
-    edge_uot_gauge_.push_back(
-        metrics_->GetGauge(uot_prefix + ".effective_blocks"));
-    edge_uot_adaptations_.push_back(
-        metrics_->GetCounter(uot_prefix + ".adaptations"));
+    metrics_->GetCounter(prefix + ".transfers")->Add(es.transfers);
+    metrics_->GetCounter(prefix + ".blocks")->Add(es.blocks_delivered);
+  }
+  metrics_->GetCounter(MetricName("scheduler.budget.deferrals"))
+      ->Add(stats_.budget_deferrals);
+  metrics_->GetCounter(MetricName("scheduler.budget.stalls"))
+      ->Add(stats_.budget_stalls);
+  metrics_->GetCounter(MetricName("uot.adaptations"))
+      ->Add(stats_.uot_adaptations);
+  // Exchange skew: rows per partition, plus max/mean x100 as a single
+  // imbalance number.
+  for (const ExchangeStats& x : stats_.exchanges) {
+    const std::string prefix =
+        MetricName("exchange.op.") + std::to_string(x.op);
+    for (size_t p = 0; p < x.partition_rows.size(); ++p) {
+      metrics_->GetGauge(prefix + ".partition." + std::to_string(p) + ".rows")
+          ->Set(static_cast<int64_t>(x.partition_rows[p]));
+    }
+    if (x.TotalRows() > 0) {
+      metrics_->GetGauge(prefix + ".skew_x100")
+          ->Set(static_cast<int64_t>(100.0 * x.SkewRatio()));
+    }
   }
 }
 
@@ -138,16 +150,18 @@ ExecutionStats QuerySession::Run() {
   // already tracked (base tables, concurrent queries) when we start.
   baseline_tracked_bytes_ = plan_->storage()->tracker().TotalCurrent();
   edge_pin_.clear();
-  for (const QueryPlan::StreamingEdge& e : plan_->streaming_edges()) {
-    edge_pin_.push_back(e.uot_blocks);
-  }
-  // Cache each edge's payload row width so transfer-volume accounting is
-  // a multiply, not a schema lookup, per block.
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
-    const InsertDestination* dest =
-        plan_->destination_of(plan_->streaming_edges()[e].producer);
+    const QueryPlan::StreamingEdge& edge = plan_->streaming_edges()[e];
+    edge_pin_.push_back(edge.uot_blocks);
+    // Cache each edge's payload row width so transfer-volume accounting
+    // is a multiply, not a schema lookup, per block.
+    const InsertDestination* dest = plan_->destination_of(edge.producer);
     edge_states_[e].row_width =
         dest != nullptr ? dest->output()->schema().row_width() : 0;
+    EdgeStats& measured = stats_.edges.emplace_back();
+    measured.producer = edge.producer;
+    measured.consumer = edge.consumer;
+    measured.exchange = edge.kind == QueryPlan::EdgeKind::kExchange;
   }
   for (int i = 0; i < n; ++i) {
     stats_.operators[static_cast<size_t>(i)].name = plan_->op(i)->name();
@@ -215,7 +229,7 @@ ExecutionStats QuerySession::Run() {
   // them; their gauge/track value is the -1 sentinel (0 already means
   // whole-table) so dashboards show "fused", not a stale UoT.
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
-    if (fused_edge_[e]) {
+    if (stats_.edges[e].fused) {
       if (metrics_ != nullptr) edge_uot_gauge_[e]->Set(-1);
       if (trace_ != nullptr) {
         trace_->EmitCounter(obs::TraceEventType::kUotEffective,
@@ -260,29 +274,7 @@ ExecutionStats QuerySession::Run() {
   for (int c = 0; c < kNumMemoryCategories; ++c) {
     stats_.peak_bytes[c] = tracker.Peak(static_cast<MemoryCategory>(c));
   }
-  stats_.edge_transfers.clear();
-  for (const EdgeState& e : edge_states_) {
-    stats_.edge_transfers.push_back(e.transfers);
-  }
   stats_.profiled = config_.profile;
-  stats_.edges.clear();
-  const auto& plan_edges = plan_->streaming_edges();
-  for (size_t e = 0; e < plan_edges.size(); ++e) {
-    const EdgeState& state = edge_states_[e];
-    EdgeStats edge_stats;
-    edge_stats.producer = plan_edges[e].producer;
-    edge_stats.consumer = plan_edges[e].consumer;
-    edge_stats.transfers = state.transfers;
-    edge_stats.blocks_produced = state.produced;
-    edge_stats.blocks_delivered = state.blocks_delivered;
-    edge_stats.bytes_delivered = state.bytes_delivered;
-    edge_stats.max_buffered_bytes = state.max_buffered_bytes;
-    edge_stats.max_buffered_blocks = state.max_buffered_blocks;
-    edge_stats.final_uot_blocks = state.effective_uot;
-    edge_stats.exchange = plan_edges[e].kind == QueryPlan::EdgeKind::kExchange;
-    edge_stats.fused = fused_edge_[e];
-    stats_.edges.push_back(edge_stats);
-  }
   stats_.fused_chains.clear();
   for (const auto& chain : fused_chains_) {
     FusedChainStats cs;
@@ -313,6 +305,7 @@ ExecutionStats QuerySession::Run() {
     }
     stats_.exchanges.push_back(std::move(xs));
   }
+  if (metrics_ != nullptr) PublishMetrics();
   return std::move(stats_);
 }
 
@@ -363,14 +356,6 @@ void QuerySession::HandleWorkOrderDone(Event* event) {
   if (event->record.end_ns > os.last_end_ns) {
     os.last_end_ns = event->record.end_ns;
   }
-  if (metrics_ != nullptr) {
-    const size_t op_index = static_cast<size_t>(event->op);
-    work_order_count_->Increment();
-    work_order_latency_ns_->Record(event->record.duration_ns());
-    op_task_ns_[op_index]->Add(
-        static_cast<uint64_t>(event->record.duration_ns()));
-    op_work_orders_[op_index]->Increment();
-  }
   // Release held work orders under the concurrency cap.
   while (!state.held.empty() &&
          (config_.max_concurrent_per_op == 0 ||
@@ -389,7 +374,6 @@ void QuerySession::SetupFusedChains() {
   const int n = plan_->num_operators();
   fused_chains_.clear();
   fused_chain_of_op_.assign(static_cast<size_t>(n), -1);
-  fused_edge_.assign(plan_->streaming_edges().size(), false);
   if (config_.pipeline_mode != PipelineMode::kFused) return;
   std::vector<std::vector<int>> chains;
   if (!plan_->fused_pipelines().empty()) {
@@ -414,7 +398,7 @@ void QuerySession::SetupFusedChains() {
     for (size_t i = 0; i + 1 < ops.size(); ++i) {
       const int edge = plan_->FindStreamingEdge(ops[i], ops[i + 1]);
       UOT_CHECK(edge >= 0);  // IsFusableChain verified every link
-      fused_edge_[static_cast<size_t>(edge)] = true;
+      stats_.edges[static_cast<size_t>(edge)].fused = true;
     }
     fused_chains_.push_back(
         std::make_unique<fused::FusedChain>(plan_, std::move(ops)));
@@ -493,7 +477,6 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
           trace_->EmitInstant(obs::TraceEventType::kBudgetDefer, /*tid=*/0,
                               op, -1, tracked);
         }
-        if (budget_deferrals_ != nullptr) budget_deferrals_->Increment();
         ++stats_.budget_deferrals;
         RecordBudgetEvent(op, /*release=*/false, tracked);
       }
@@ -518,7 +501,6 @@ void QuerySession::ReleaseDeferred() {
     // signal of budget pressure (deferral counts alone only record the
     // first admission refusal of each work order).
     if (over_budget && total_running_ > 0) {
-      if (budget_stalls_ != nullptr) budget_stalls_->Increment();
       ++stats_.budget_stalls;
       return;
     }
@@ -566,7 +548,10 @@ void QuerySession::CheckOperatorDone(int op) {
 
 uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
   const size_t e = static_cast<size_t>(edge_index);
-  EdgeState& state = edge_states_[e];
+  const EdgeState& state = edge_states_[e];
+  EdgeStats& measured = stats_.edges[e];
+  // The edge's current UoT; final once the edge has flushed.
+  uint64_t& effective_uot = measured.final_uot_blocks;
   uint64_t blocks;
   UotAdaptCause cause = UotAdaptCause::kNone;
   if (edge_pin_[e] != 0) {
@@ -581,8 +566,8 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
     rt.query_id = query_id_;
     rt.is_exchange = edge.kind == QueryPlan::EdgeKind::kExchange;
     rt.buffered_blocks = state.buffer.size();
-    rt.produced_blocks = state.produced;
-    rt.transfers = state.transfers;
+    rt.produced_blocks = measured.blocks_produced;
+    rt.transfers = measured.transfers;
     const OpState& producer = op_states_[static_cast<size_t>(edge.producer)];
     rt.producer_finished = producer.finished || producer.finishing;
     rt.tracked_bytes = plan_->storage()->tracker().TotalCurrent();
@@ -595,10 +580,10 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
     blocks = uot_policy_->BlocksPerTransfer(rt, &cause);
   }
   UOT_CHECK(blocks != 0);  // a zero UoT is a policy bug, not a request
-  if (blocks != state.effective_uot) {
+  if (blocks != effective_uot) {
     // First resolution of the edge is the seed value unless a pin or the
     // policy itself says otherwise.
-    if (state.effective_uot == 0 && cause == UotAdaptCause::kNone) {
+    if (effective_uot == 0 && cause == UotAdaptCause::kNone) {
       cause = UotAdaptCause::kSeed;
     }
     // Gauge/counter-track value: blocks per transfer, with 0 standing in
@@ -612,17 +597,13 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
       trace_->EmitCounter(obs::TraceEventType::kUotEffective, edge_index,
                           plotted);
     }
-    if (state.effective_uot != 0) {  // a mid-query change: an adaptation
+    if (effective_uot != 0) {  // a mid-query change: an adaptation
       ++stats_.uot_adaptations;
-      if (metrics_ != nullptr) {
-        uot_adaptations_->Increment();
-        edge_uot_adaptations_[e]->Increment();
-      }
       if (trace_ != nullptr) {
         const int64_t previous =
-            state.effective_uot == UotPolicy::kWholeTable
+            effective_uot == UotPolicy::kWholeTable
                 ? 0
-                : static_cast<int64_t>(state.effective_uot);
+                : static_cast<int64_t>(effective_uot);
         trace_->EmitInstant(obs::TraceEventType::kUotAdapt, /*tid=*/0,
                             edge_index,
                             static_cast<int32_t>(std::min<int64_t>(
@@ -640,12 +621,12 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
       UotDecisionRecord decision;
       decision.t_ns = NowNanos();
       decision.edge = edge_index;
-      decision.from_blocks = state.effective_uot;
+      decision.from_blocks = effective_uot;
       decision.to_blocks = blocks;
       decision.cause = cause;
       stats_.uot_decisions.push_back(decision);
     }
-    state.effective_uot = blocks;
+    effective_uot = blocks;
   }
   return blocks;
 }
@@ -666,16 +647,15 @@ void QuerySession::HandleBlockReady(int op, Block* block) {
   for (size_t i = 0; i < edges.size(); ++i) {
     if (edges[i].producer != op) continue;
     EdgeState& edge = edge_states_[i];
+    EdgeStats& measured = stats_.edges[i];
     edge.buffer.push_back(block);
-    ++edge.produced;
+    ++measured.blocks_produced;
     edge.buffered_bytes +=
         static_cast<uint64_t>(block->num_rows()) * edge.row_width;
-    if (edge.buffered_bytes > edge.max_buffered_bytes) {
-      edge.max_buffered_bytes = edge.buffered_bytes;
-    }
-    if (edge.buffer.size() > edge.max_buffered_blocks) {
-      edge.max_buffered_blocks = edge.buffer.size();
-    }
+    measured.max_buffered_bytes =
+        std::max(measured.max_buffered_bytes, edge.buffered_bytes);
+    measured.max_buffered_blocks =
+        std::max<uint64_t>(measured.max_buffered_blocks, edge.buffer.size());
     const uint64_t blocks = ResolveEdgeUot(static_cast<int>(i));
     if (blocks != UotPolicy::kWholeTable && edge.buffer.size() >= blocks) {
       DeliverEdge(static_cast<int>(i), /*final_flush=*/false);
@@ -690,19 +670,15 @@ void QuerySession::DeliverEdge(int edge_index, bool final_flush) {
   if (!state.buffer.empty()) {
     plan_->op(edge.consumer)
         ->ReceiveInputBlocks(edge.consumer_input, state.buffer);
-    ++state.transfers;
-    state.blocks_delivered += state.buffer.size();
-    state.bytes_delivered += state.buffered_bytes;
+    EdgeStats& measured = stats_.edges[static_cast<size_t>(edge_index)];
+    ++measured.transfers;
+    measured.blocks_delivered += state.buffer.size();
+    measured.bytes_delivered += state.buffered_bytes;
     state.buffered_bytes = 0;
     if (trace_ != nullptr) {
       trace_->EmitInstant(obs::TraceEventType::kBlockTransfer, /*tid=*/0,
                           edge_index, -1,
                           static_cast<int64_t>(state.buffer.size()));
-    }
-    if (metrics_ != nullptr) {
-      edge_transfers_metric_[static_cast<size_t>(edge_index)]->Increment();
-      edge_blocks_metric_[static_cast<size_t>(edge_index)]->Add(
-          state.buffer.size());
     }
     state.buffer.clear();
   }
@@ -722,33 +698,6 @@ void QuerySession::HandleOperatorFlushed(int op) {
   state.finishing = false;
   if (trace_ != nullptr) {
     trace_->EmitInstant(obs::TraceEventType::kOperatorFinish, /*tid=*/0, op);
-  }
-  // A finished exchange knows its final per-partition row spread: publish
-  // the skew gauges (rows per partition, plus max/mean x100 as a single
-  // imbalance number) while the session is still hot.
-  if (metrics_ != nullptr) {
-    if (const auto* exchange =
-            dynamic_cast<const ExchangeOperator*>(plan_->op(op))) {
-      const std::string prefix =
-          MetricName("exchange.op.") + std::to_string(op);
-      uint64_t total = 0;
-      uint64_t max_rows = 0;
-      for (uint32_t p = 0; p < exchange->num_partitions(); ++p) {
-        const uint64_t rows = exchange->partition_rows(p);
-        total += rows;
-        max_rows = std::max(max_rows, rows);
-        metrics_
-            ->GetGauge(prefix + ".partition." + std::to_string(p) + ".rows")
-            ->Set(static_cast<int64_t>(rows));
-      }
-      if (total > 0) {
-        const double mean = static_cast<double>(total) /
-                            static_cast<double>(exchange->num_partitions());
-        metrics_->GetGauge(prefix + ".skew_x100")
-            ->Set(static_cast<int64_t>(100.0 *
-                                       static_cast<double>(max_rows) / mean));
-      }
-    }
   }
   const auto& edges = plan_->streaming_edges();
   for (size_t i = 0; i < edges.size(); ++i) {

@@ -16,9 +16,7 @@
 namespace uot {
 
 namespace obs {
-class Counter;
 class Gauge;
-class Histogram;
 }  // namespace obs
 
 class QuerySession;
@@ -104,23 +102,17 @@ class QuerySession {
     std::vector<std::unique_ptr<WorkOrder>> held;  // over the concurrency cap
   };
 
+  // Transfer state of one streaming edge. Its measured counters live in
+  // the edge's `stats_.edges` entry, updated in place; there,
+  // `final_uot_blocks` holds the last UoT the policy resolved (0 = never
+  // consulted; UotPolicy::kWholeTable = materializing) until the edge
+  // flushes.
   struct EdgeState {
     std::vector<Block*> buffer;
-    uint64_t transfers = 0;
-    uint64_t produced = 0;  // total blocks completed by the producer
-    // Last UoT value the policy resolved for this edge (0 = never
-    // consulted; UotPolicy::kWholeTable = materializing). Changes are
-    // counted/traced as adaptations.
-    uint64_t effective_uot = 0;
-    // Measured transfer volume (EdgeStats): payload bytes follow
-    // block rows x the producer schema's row width, cached per edge at
-    // Run() start.
+    // Payload bytes follow block rows x the producer schema's row width,
+    // cached per edge at Run() start.
     uint64_t row_width = 0;
     uint64_t buffered_bytes = 0;  // payload bytes awaiting transfer
-    uint64_t blocks_delivered = 0;
-    uint64_t bytes_delivered = 0;
-    uint64_t max_buffered_bytes = 0;
-    uint64_t max_buffered_blocks = 0;
   };
 
   struct DeferredWorkOrder {
@@ -130,8 +122,13 @@ class QuerySession {
   };
 
   /// Resolves observability sinks from the config and pre-registers the
-  /// session's metric handles so hot-path updates are lock-free.
+  /// live gauges (queue depths, per-edge effective UoT) and the join-kernel
+  /// counters so hot-path updates are lock-free.
   void InitObservability();
+  /// Publishes the per-query registry counters, the work-order latency
+  /// histogram and the exchange skew gauges from the finished `stats_`.
+  /// Counters are added to, so a registry shared across runs accumulates.
+  void PublishMetrics();
   /// The session-tagged metric name (config.metrics_prefix + name).
   std::string MetricName(const char* name) const;
   /// Samples queue-depth gauges/counter tracks (observability only).
@@ -147,7 +144,8 @@ class QuerySession {
   /// Builds the session's fused pipelines (PipelineMode::kFused only):
   /// plan annotations when present (each re-validated and required to be
   /// disjoint; invalid ones fall back to vectorized execution), otherwise
-  /// PipelineFuser auto-detection. Marks interior edges fused.
+  /// PipelineFuser auto-detection. Marks interior edges fused in
+  /// `stats_.edges`, which Run() fills first.
   void SetupFusedChains();
   /// The fused chain whose head is `op`, or nullptr.
   fused::FusedChain* FusedChainHeadedBy(int op);
@@ -191,7 +189,6 @@ class QuerySession {
   // final flush of each interior edge.
   std::vector<std::unique_ptr<fused::FusedChain>> fused_chains_;
   std::vector<int> fused_chain_of_op_;  // per op: chain index or -1
-  std::vector<bool> fused_edge_;        // per streaming edge: chain interior
   // Work orders deferred by the memory budget, FIFO.
   std::deque<DeferredWorkOrder> deferred_;
   int total_running_ = 0;
@@ -206,27 +203,18 @@ class QuerySession {
   int64_t baseline_tracked_bytes_ = 0;  // tracked bytes at session start
   std::vector<uint64_t> edge_pin_;
 
-  // Observability sinks and pre-resolved metric handles, all null when the
-  // corresponding ExecConfig option is unset.
+  // Observability sinks and the pre-resolved live gauges, all null when
+  // the corresponding ExecConfig option is unset. Everything else the
+  // registry shows is published from `stats_` once, by PublishMetrics().
   obs::TraceSession* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* work_order_count_ = nullptr;
-  obs::Histogram* work_order_latency_ns_ = nullptr;
   obs::Gauge* work_queue_depth_ = nullptr;
   obs::Gauge* event_queue_depth_ = nullptr;
-  obs::Counter* budget_deferrals_ = nullptr;
-  obs::Counter* budget_stalls_ = nullptr;
-  obs::Counter* uot_adaptations_ = nullptr;
   std::vector<obs::Gauge*> edge_uot_gauge_;
-  std::vector<obs::Counter*> edge_uot_adaptations_;
   // Execution context bound to every operator before generation: kernel
   // knobs from the config plus the sinks above, pre-resolved so batched
   // join work orders update counters lock-free.
   OperatorExecContext op_ctx_;
-  std::vector<obs::Counter*> op_task_ns_;
-  std::vector<obs::Counter*> op_work_orders_;
-  std::vector<obs::Counter*> edge_transfers_metric_;
-  std::vector<obs::Counter*> edge_blocks_metric_;
 };
 
 }  // namespace uot

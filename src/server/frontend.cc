@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 #include "exec/query_executor.h"
 #include "tpch/tpch_queries.h"
@@ -181,11 +181,17 @@ Response FrontEnd::Handle(const Request& request) {
                        : ErrorResponse(status);
   } else if (verb == "tpch") {
     const std::string num = TakeWord(&rest);
-    const int query = std::atoi(num.c_str());
+    // The whole word must be a number in range: "3abc" and values past
+    // INT_MAX are errors, not query 3.
+    int query = 0;
+    const char* end = num.data() + num.size();
+    const std::from_chars_result parsed =
+        std::from_chars(num.data(), end, query);
+    const bool valid = parsed.ec == std::errc() && parsed.ptr == end;
     if (catalog_->tpch() == nullptr) {
       resp = ErrorResponse(
           Status::FailedPrecondition("no TPC-H data registered"));
-    } else if (!IsTpchQuerySupported(query)) {
+    } else if (!valid || !IsTpchQuerySupported(query)) {
       resp = ErrorResponse(
           Status::InvalidArgument("unsupported TPC-H query '" + num + "'"));
     } else {

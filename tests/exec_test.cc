@@ -141,7 +141,7 @@ TEST(ExecutorTest, PlanWithOnlyLeafOperator) {
   const ExecutionStats stats = QueryExecutor::Execute(&plan, config);
   EXPECT_EQ(out->NumRows(), 100u);
   EXPECT_EQ(stats.operators.size(), 1u);
-  EXPECT_EQ(stats.edge_transfers.size(), 0u);
+  EXPECT_EQ(stats.edges.size(), 0u);
   // Startup logging satellite: stats carry the resolved config so failures
   // show which policy actually ran.
   EXPECT_NE(stats.config_summary.find("fixed(UoT=1-block(s))"),

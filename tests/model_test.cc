@@ -252,11 +252,11 @@ TEST(UotChooserTest, ProfiledPlanRoundTripAnnotates) {
 
   // The annotated plan still executes and the annotation drove the edge.
   ExecutionStats stats = QueryExecutor::Execute(fresh.get(), config);
-  ASSERT_EQ(stats.edge_transfers.size(), 1u);
+  ASSERT_EQ(stats.edges.size(), 1u);
   if (choices[0].uot.IsWholeTable()) {
-    EXPECT_EQ(stats.edge_transfers[0], 1u);
+    EXPECT_EQ(stats.edges[0].transfers, 1u);
   } else {
-    EXPECT_GE(stats.edge_transfers[0], 1u);
+    EXPECT_GE(stats.edges[0].transfers, 1u);
   }
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -357,11 +359,11 @@ TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
     EXPECT_EQ(per_op->Value(), stats.operators[i].num_work_orders);
   }
   // Edge transfer counters match the stats' per-edge transfer counts.
-  for (size_t e = 0; e < stats.edge_transfers.size(); ++e) {
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
     const Counter* transfers = metrics.FindCounter(
         "scheduler.edge." + std::to_string(e) + ".transfers");
     ASSERT_NE(transfers, nullptr);
-    EXPECT_EQ(transfers->Value(), stats.edge_transfers[e]);
+    EXPECT_EQ(transfers->Value(), stats.edges[e].transfers);
   }
   // The memory gauges saw the hash-table high-water mark.
   const Gauge* ht = metrics.FindGauge("memory.hash_table.bytes");
@@ -446,9 +448,9 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   }
   // Every streaming edge announces its starting UoT, then each adaptation
   // re-emits the counter: counter events strictly outnumber adaptations.
-  ASSERT_GT(stats.edge_transfers.size(), 0u);
+  ASSERT_GT(stats.edges.size(), 0u);
   EXPECT_GE(effective_events,
-            stats.edge_transfers.size() + stats.uot_adaptations);
+            stats.edges.size() + stats.uot_adaptations);
   EXPECT_GT(stats.uot_adaptations, 0u);
   EXPECT_EQ(adapt_events, stats.uot_adaptations);
 
@@ -462,7 +464,7 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   EXPECT_NE(json.find("from_blocks"), std::string::npos);
 
   // Metrics mirror the trace: a gauge per edge plus adaptation counters.
-  for (size_t e = 0; e < stats.edge_transfers.size(); ++e) {
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
     const Gauge* gauge = metrics.FindGauge(
         "uot.edge." + std::to_string(e) + ".effective_blocks");
     ASSERT_NE(gauge, nullptr);
@@ -471,6 +473,125 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   const Counter* adaptations = metrics.FindCounter("uot.adaptations");
   ASSERT_NE(adaptations, nullptr);
   EXPECT_EQ(adaptations->Value(), stats.uot_adaptations);
+}
+
+TEST(ObsIntegrationTest, ExchangeGaugesMatchExchangeStats) {
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.002;
+  config.layout = Layout::kColumnStore;
+  config.block_bytes = 16 * 1024;
+  db.Generate(config);
+
+  TpchPlanConfig plan_config;
+  plan_config.block_bytes = 8 * 1024;
+  plan_config.join_radix_bits = 3;
+  auto plan = BuildTpchPlan(3, db, plan_config);
+
+  MetricsRegistry metrics;
+  ExecConfig exec;
+  exec.num_workers = 2;
+  exec.metrics = &metrics;
+  const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
+
+  ASSERT_FALSE(stats.exchanges.empty());
+  size_t exchanges_with_rows = 0;
+  for (const ExchangeStats& x : stats.exchanges) {
+    const std::string prefix = "exchange.op." + std::to_string(x.op);
+    ASSERT_EQ(x.partition_rows.size(), 8u);
+    for (size_t p = 0; p < x.partition_rows.size(); ++p) {
+      const Gauge* rows =
+          metrics.FindGauge(prefix + ".partition." + std::to_string(p) +
+                            ".rows");
+      ASSERT_NE(rows, nullptr) << prefix << " partition " << p;
+      EXPECT_EQ(rows->Value(), static_cast<int64_t>(x.partition_rows[p]));
+    }
+    const Gauge* skew = metrics.FindGauge(prefix + ".skew_x100");
+    if (x.TotalRows() == 0) {
+      EXPECT_EQ(skew, nullptr) << prefix;
+      continue;
+    }
+    ++exchanges_with_rows;
+    ASSERT_NE(skew, nullptr) << prefix;
+    EXPECT_EQ(skew->Value(), static_cast<int64_t>(100 * x.SkewRatio()));
+  }
+  EXPECT_GT(exchanges_with_rows, 0u);
+}
+
+TEST(ObsIntegrationTest, SharedRegistryAccumulatesAcrossQueries) {
+  // Per-query counters are published from ExecutionStats when a session
+  // ends, by adding: two queries into one unprefixed registry leave the
+  // sums of both runs.
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.002;
+  config.layout = Layout::kColumnStore;
+  config.block_bytes = 16 * 1024;
+  db.Generate(config);
+
+  TpchPlanConfig plan_config;
+  plan_config.block_bytes = 8 * 1024;
+  MetricsRegistry metrics;
+  ExecConfig exec;
+  exec.num_workers = 2;
+  exec.uot = UotPolicy::LowUot(1);
+  exec.metrics = &metrics;
+  std::vector<ExecutionStats> runs;
+  for (int query : {3, 7}) {
+    auto plan = BuildTpchPlan(query, db, plan_config);
+    runs.push_back(QueryExecutor::Execute(plan.get(), exec));
+  }
+
+  uint64_t work_orders = 0;
+  for (const ExecutionStats& s : runs) work_orders += s.records.size();
+  const Counter* wo = metrics.FindCounter("scheduler.work_orders");
+  ASSERT_NE(wo, nullptr);
+  EXPECT_EQ(wo->Value(), work_orders);
+  const Histogram* latency =
+      metrics.FindHistogram("scheduler.work_order_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->TotalCount(), work_orders);
+
+  const size_t num_ops =
+      std::max(runs[0].operators.size(), runs[1].operators.size());
+  for (size_t i = 0; i < num_ops; ++i) {
+    uint64_t task_ns = 0;
+    for (const ExecutionStats& s : runs) {
+      if (i < s.operators.size()) {
+        task_ns += static_cast<uint64_t>(s.operators[i].total_task_ns);
+      }
+    }
+    const Counter* c =
+        metrics.FindCounter("scheduler.op." + std::to_string(i) + ".task_ns");
+    ASSERT_NE(c, nullptr) << "op " << i;
+    EXPECT_EQ(c->Value(), task_ns) << "op " << i;
+  }
+  const size_t num_edges =
+      std::max(runs[0].edges.size(), runs[1].edges.size());
+  ASSERT_GT(num_edges, 0u);
+  for (size_t e = 0; e < num_edges; ++e) {
+    uint64_t transfers = 0;
+    for (const ExecutionStats& s : runs) {
+      if (e < s.edges.size()) transfers += s.edges[e].transfers;
+    }
+    const Counter* c = metrics.FindCounter("scheduler.edge." +
+                                           std::to_string(e) + ".transfers");
+    ASSERT_NE(c, nullptr) << "edge " << e;
+    EXPECT_EQ(c->Value(), transfers) << "edge " << e;
+  }
+
+  // Counters that stayed zero are registered all the same.
+  for (const char* name : {"scheduler.budget.deferrals",
+                           "scheduler.budget.stalls", "uot.adaptations"}) {
+    const Counter* c = metrics.FindCounter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->Value(), 0u) << name;
+  }
+  // The per-edge adaptation counter is gone; uot_decisions (with
+  // ExecConfig::profile) holds that history.
+  EXPECT_EQ(metrics.FindCounter("uot.edge.0.adaptations"), nullptr);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(ProfileTest, FromRunJoinsMeasuredEdgesWithOperators) {
   EXPECT_EQ(edge.consumer, 1);
   EXPECT_EQ(edge.producer_name, "select");
   EXPECT_EQ(edge.consumer_name, "agg");
-  EXPECT_EQ(edge.transfers, stats.edge_transfers[0]);
+  EXPECT_EQ(edge.transfers, stats.edges[0].transfers);
   // Payload volume is rows x row width, independent of scheduling.
   const uint64_t row_width = input->schema().row_width();
   EXPECT_EQ(edge.bytes_delivered, 3000u * row_width);

@@ -181,12 +181,12 @@ TEST(SchedulerTest, LowUotTransfersPerBlockHighUotOnce) {
   ExecutionStats high_stats = QueryExecutor::Execute(high.plan.get(),
                                                      high_config);
 
-  ASSERT_EQ(low_stats.edge_transfers.size(), 1u);
-  ASSERT_EQ(high_stats.edge_transfers.size(), 1u);
+  ASSERT_EQ(low_stats.edges.size(), 1u);
+  ASSERT_EQ(high_stats.edges.size(), 1u);
   // With the whole-table UoT there is exactly one transfer; with a
   // one-block UoT there are roughly as many transfers as select outputs.
-  EXPECT_EQ(high_stats.edge_transfers[0], 1u);
-  EXPECT_GT(low_stats.edge_transfers[0], 10u);
+  EXPECT_EQ(high_stats.edges[0].transfers, 1u);
+  EXPECT_GT(low_stats.edges[0].transfers, 10u);
   // Both produce the same number of probe work orders in total.
   EXPECT_EQ(low_stats.operators[static_cast<size_t>(low.probe_op)]
                 .num_work_orders,
@@ -206,13 +206,13 @@ TEST(SchedulerTest, UotGroupsBlocksPerTransfer) {
   config.num_workers = 1;
   config.uot = UotPolicy::LowUot(1);
   const uint64_t transfers_k1 =
-      QueryExecutor::Execute(one.plan.get(), config).edge_transfers[0];
+      QueryExecutor::Execute(one.plan.get(), config).edges[0].transfers;
 
   auto four = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                   1024);
   config.uot = UotPolicy::LowUot(4);
   const uint64_t transfers_k4 =
-      QueryExecutor::Execute(four.plan.get(), config).edge_transfers[0];
+      QueryExecutor::Execute(four.plan.get(), config).edges[0].transfers;
   EXPECT_LT(transfers_k4, transfers_k1);
   EXPECT_GE(transfers_k4, transfers_k1 / 4);
 }
@@ -630,7 +630,7 @@ TEST(PerEdgeUotTest, AnnotationOverridesSessionDefault) {
   const std::string expected =
       CanonicalRows(*reference.plan->result_table());
   ASSERT_FALSE(expected.empty());
-  ASSERT_GT(ref_stats.edge_transfers[0], 1u);  // many 1-block transfers
+  ASSERT_GT(ref_stats.edges[0].transfers, 1u);  // many 1-block transfers
 
   auto pinned = MakeSelectProbePlan(&storage, *probe_table, *build_table,
                                     0.0, 1024);
@@ -642,7 +642,7 @@ TEST(PerEdgeUotTest, AnnotationOverridesSessionDefault) {
   ExecutionStats stats = QueryExecutor::Execute(pinned.plan.get(), config);
   // The pinned edge materialized (one transfer at producer finish) even
   // though the session default is 1-block pipelining.
-  EXPECT_EQ(stats.edge_transfers[0], 1u);
+  EXPECT_EQ(stats.edges[0].transfers, 1u);
   EXPECT_EQ(CanonicalRows(*pinned.plan->result_table()), expected);
 }
 
@@ -684,8 +684,8 @@ TEST(PerEdgeUotTest, MixedPoliciesAreByteIdenticalAcrossChain) {
         << "mix " << UotPolicy(mix.edge0).ToString() << " / "
         << UotPolicy(mix.edge1).ToString() << "\n"
         << stats.ToString();
-    if (mix.edge0 == kWhole) EXPECT_EQ(stats.edge_transfers[0], 1u);
-    if (mix.edge1 == kWhole) EXPECT_EQ(stats.edge_transfers[1], 1u);
+    if (mix.edge0 == kWhole) EXPECT_EQ(stats.edges[0].transfers, 1u);
+    if (mix.edge1 == kWhole) EXPECT_EQ(stats.edges[1].transfers, 1u);
   }
 }
 
@@ -712,8 +712,8 @@ TEST(PerEdgeUotTest, ZeroOutputProducerCompletesUnderEveryMix) {
     ExecutionStats stats = QueryExecutor::Execute(chain.plan.get(), config);
     EXPECT_EQ(chain.plan->result_table()->NumRows(), 0u);
     // An empty stream delivers no transfers, only the final flush.
-    EXPECT_EQ(stats.edge_transfers[0], 0u);
-    EXPECT_EQ(stats.edge_transfers[1], 0u);
+    EXPECT_EQ(stats.edges[0].transfers, 0u);
+    EXPECT_EQ(stats.edges[1].transfers, 0u);
   }
 }
 
@@ -790,8 +790,8 @@ TEST(PerEdgeUotTest, MultiInputConsumerWithMixedEdgeUot) {
     auto mixed = make_plan(mix.left, mix.right);
     ExecutionStats stats = QueryExecutor::Execute(mixed.plan.get(), config);
     EXPECT_EQ(CanonicalRows(*mixed.plan->result_table()), expected);
-    if (mix.left == kWhole) EXPECT_EQ(stats.edge_transfers[0], 1u);
-    if (mix.right == kWhole) EXPECT_EQ(stats.edge_transfers[1], 1u);
+    if (mix.left == kWhole) EXPECT_EQ(stats.edges[0].transfers, 1u);
+    if (mix.right == kWhole) EXPECT_EQ(stats.edges[1].transfers, 1u);
     EXPECT_TRUE(mixed.left_intermediate->blocks().empty());
     EXPECT_TRUE(mixed.right_intermediate->blocks().empty());
   }

@@ -575,6 +575,25 @@ TEST_F(TpchServerTest, MinMaxOverEmptyInputReturnZeros) {
   EXPECT_EQ(resp.rows_csv, "0,0\n");
 }
 
+TEST_F(TpchServerTest, MalformedQueryNumbersAreErrors) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  // A trailing suffix or an out-of-range number must not run a query (both
+  // of the first two once ran Q3).
+  for (const char* stmt : {"tpch 4294967299", "tpch 3abc", "tpch -1"}) {
+    const Response resp = frontend.Handle({stmt, "default"});
+    EXPECT_FALSE(resp.ok) << stmt;
+    EXPECT_EQ(FormatResponse(resp).rfind("ERR ", 0), 0u) << stmt;
+    EXPECT_NE(resp.error.find("unsupported TPC-H query"), std::string::npos)
+        << stmt << ": " << resp.error;
+  }
+  EXPECT_TRUE(frontend.Handle({"tpch 3", "default"}).ok);
+}
+
 TEST_F(TpchServerTest, CachedPlansMatchFreshPlansByteForByte) {
   Catalog catalog(storage_);
   catalog.RegisterTpch(db_);
