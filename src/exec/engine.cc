@@ -6,8 +6,13 @@
 
 namespace uot {
 
-Engine::Engine(EngineConfig config) : config_(config) {
+Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   UOT_CHECK(config_.num_workers >= 1);
+  for (const AdmissionClass& cls : config_.admission_classes) {
+    UOT_CHECK(!cls.name.empty());
+    UOT_CHECK(classes_.emplace(cls.name, ClassState{cls}).second);
+  }
+  classes_.emplace("default", ClassState{AdmissionClass{"default", 0, 1.0}});
   if (config_.metrics != nullptr) {
     metrics_ = config_.metrics;
   } else {
@@ -51,11 +56,10 @@ void Engine::Shutdown() {
     // admission wait are woken and rejected (their predicate is
     // shutdown-aware) — they must never be admitted into a pool that is
     // about to close. Wait for both populations to drain: active sessions
-    // and admission waiters (head catches up with tail as each waiter is
-    // rejected).
+    // and the admission line (each rejected waiter leaves it).
     admission_cv_.notify_all();
     admission_cv_.wait(lock, [this] {
-      return active_ == 0 && admission_head_ == admission_tail_;
+      return active_ == 0 && waiters_.empty();
     });
   }
   work_queue_.Close();
@@ -65,6 +69,18 @@ void Engine::Shutdown() {
   if (sampler_ != nullptr) sampler_->Stop();
 }
 
+bool Engine::IsAdmissibleLocked(
+    std::list<Waiter>::const_iterator self) const {
+  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
+    const ClassState* cls = it->cls;
+    if (cls == nullptr || cls->cls.max_inflight <= 0 ||
+        cls->active < cls->cls.max_inflight) {
+      return it == self && CanAdmitLocked(self->storage);
+    }
+  }
+  return false;
+}
+
 bool Engine::CanAdmitLocked(const StorageManager* storage) const {
   if (active_ == 0) return true;  // progress guarantee
   if (config_.max_inflight_queries > 0 &&
@@ -72,14 +88,11 @@ bool Engine::CanAdmitLocked(const StorageManager* storage) const {
     return false;
   }
   if (config_.memory_budget_bytes > 0) {
-    // Sum tracked memory over the candidate's and every active session's
-    // storage manager, counting shared managers once.
-    int64_t total = storage->tracker().TotalCurrent();
-    std::vector<const StorageManager*> seen{storage};
-    for (const StorageManager* s : active_storages_) {
-      if (std::find(seen.begin(), seen.end(), s) != seen.end()) continue;
-      seen.push_back(s);
-      total += s->tracker().TotalCurrent();
+    // The candidate's storage counts unless an active session shares it.
+    int64_t total = TrackedBytesLocked();
+    if (std::find(active_storages_.begin(), active_storages_.end(),
+                  storage) == active_storages_.end()) {
+      total += storage->tracker().TotalCurrent();
     }
     if (total > config_.memory_budget_bytes) return false;
   }
@@ -101,8 +114,7 @@ void Engine::RefreshGauges() {
   queue_depth_gauge_->Set(static_cast<int64_t>(WorkQueueDepth()));
   std::lock_guard<std::mutex> lock(admission_mutex_);
   inflight_gauge_->Set(active_);
-  admission_waiters_gauge_->Set(
-      static_cast<int64_t>(admission_tail_ - admission_head_));
+  admission_waiters_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   if (budget_headroom_gauge_ != nullptr) {
     budget_headroom_gauge_->Set(config_.memory_budget_bytes -
                                 TrackedBytesLocked());
@@ -118,10 +130,20 @@ ExecutionStats Engine::Execute(QueryPlan* plan, const ExecConfig& config) {
 }
 
 Status Engine::ExecuteOrReject(QueryPlan* plan, const ExecConfig& config,
-                               ExecutionStats* stats) {
+                               ExecutionStats* stats,
+                               std::string_view admission_class) {
   UOT_CHECK(plan != nullptr);
   UOT_CHECK(stats != nullptr);
   const StorageManager* storage = plan->storage();
+  ClassState* cls = nullptr;
+  if (!admission_class.empty()) {
+    const auto it = classes_.find(admission_class);
+    if (it == classes_.end()) {
+      return Status::NotFound("unknown admission class '" +
+                              std::string(admission_class) + "'");
+    }
+    cls = &it->second;
+  }
   const int64_t admission_start_ns = NowNanos();
   {
     std::unique_lock<std::mutex> lock(admission_mutex_);
@@ -130,35 +152,40 @@ Status Engine::ExecuteOrReject(QueryPlan* plan, const ExecConfig& config,
       return Status::FailedPrecondition(
           "Engine::Execute called after Shutdown()");
     }
-    // FIFO admission: take the next ticket and wait until every earlier
-    // ticket has been admitted (or rejected) AND the headroom predicate
+    // FIFO admission: join the line and wait until no earlier waiter whose
+    // class has a free slot is still waiting AND the headroom predicate
     // holds. Strict ordering makes admission starvation-free — a stream of
     // small queries can no longer overtake a large-budget query that
     // arrived first every time the engine briefly has headroom. The wait
     // predicate is shutdown-aware: Shutdown() wakes waiters, which are
     // rejected here instead of being admitted into a closed worker pool.
-    const uint64_t ticket = admission_tail_++;
-    admission_cv_.wait(lock, [&] {
-      return shutdown_ ||
-             (ticket == admission_head_ && CanAdmitLocked(storage));
-    });
+    const auto self = waiters_.insert(waiters_.end(), Waiter{cls, storage});
+    admission_cv_.wait(lock,
+                       [&] { return shutdown_ || IsAdmissibleLocked(self); });
+    waiters_.erase(self);
+    // Wake the line either way: the next waiter may be admissible right
+    // away (e.g. under max_inflight > 1 with headroom to spare), and
+    // Shutdown() waits for the line to empty.
+    admission_cv_.notify_all();
     if (shutdown_) {
-      ++admission_head_;  // drain the ticket so waiters behind us advance
-      admission_cv_.notify_all();
       admission_rejections_counter_->Increment();
       return Status::FailedPrecondition(
           "engine shut down while the query waited in admission");
     }
-    ++admission_head_;
     ++active_;
+    if (cls != nullptr) ++cls->active;
     active_storages_.push_back(storage);
-    // The next ticket may be admissible right away (e.g. under
-    // max_inflight > 1 with headroom to spare).
-    admission_cv_.notify_all();
   }
   const int64_t admitted_ns = NowNanos();
 
-  QuerySession session(plan, config, this, config_.num_workers,
+  ExecConfig session_config = config;
+  if (cls != nullptr && config_.memory_budget_bytes > 0) {
+    session_config.memory_budget_bytes = static_cast<int64_t>(
+        static_cast<double>(config_.memory_budget_bytes) *
+        cls->cls.memory_share);
+  }
+  QuerySession session(plan, std::move(session_config), this,
+                       config_.num_workers,
                        next_query_id_.fetch_add(1,
                                                 std::memory_order_relaxed));
   *stats = session.Run();
@@ -167,6 +194,7 @@ Status Engine::ExecuteOrReject(QueryPlan* plan, const ExecConfig& config,
   {
     std::lock_guard<std::mutex> lock(admission_mutex_);
     --active_;
+    if (cls != nullptr) --cls->active;
     active_storages_.erase(std::find(active_storages_.begin(),
                                      active_storages_.end(), storage));
   }
@@ -185,7 +213,7 @@ int Engine::active_queries() const {
 
 int Engine::admission_waiters() const {
   std::lock_guard<std::mutex> lock(admission_mutex_);
-  return static_cast<int>(admission_tail_ - admission_head_);
+  return static_cast<int>(waiters_.size());
 }
 
 bool Engine::SubmitWork(QuerySession* session, std::unique_ptr<WorkOrder> wo,

@@ -4,8 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +20,21 @@
 #include "util/status.h"
 
 namespace uot {
+
+/// One admission class (a server tenant): how much of the engine the
+/// queries naming it may occupy. Classes are limits inside the engine's one
+/// admission line, not separate queues.
+struct AdmissionClass {
+  std::string name;
+  /// Concurrent queries of this class (0 = unlimited within the class; the
+  /// engine-wide max_inflight_queries still applies). A query whose class
+  /// is full waits in the line without holding back other classes.
+  int max_inflight = 0;
+  /// Fraction of EngineConfig::memory_budget_bytes a query of this class
+  /// receives as its per-query ExecConfig budget (ignored when the engine
+  /// is unbudgeted).
+  double memory_share = 1.0;
+};
 
 /// Engine-wide configuration: the shared resources behind all concurrently
 /// executing queries.
@@ -32,6 +51,9 @@ struct EngineConfig {
   /// engine-level admission; the per-work-order budget policy inside a
   /// query is ExecConfig::memory_budget_bytes.
   int64_t memory_budget_bytes = 0;
+  /// Admission classes a query may name in ExecuteOrReject. A "default"
+  /// class (unlimited, full share) is added when absent.
+  std::vector<AdmissionClass> admission_classes = {};
   /// Engine-level telemetry registry. When set, the engine records its
   /// service metrics (engine.* gauges, counters, and latency histograms)
   /// into this shared registry; when null it owns a private one, readable
@@ -57,8 +79,9 @@ struct EngineConfig {
 /// calling thread drives the session's coordinator loop while pool workers
 /// execute work orders tagged with their owning session; completion events
 /// route back to that session's event queue. Any number of threads may
-/// call Execute() concurrently — admission control (max in-flight queries
-/// plus a shared memory budget) decides when each query starts.
+/// call Execute() concurrently — admission control (max in-flight queries,
+/// a shared memory budget and per-class limits) decides when each query
+/// starts.
 ///
 /// Observability stays per-query: give each session its own TraceSession /
 /// MetricsRegistry via ExecConfig (or a shared registry with distinct
@@ -94,8 +117,16 @@ class Engine final : public WorkOrderSink {
   /// of CHECK-failing: returns FailedPrecondition when the engine is shut
   /// down (or shuts down while the query waits in admission), leaving
   /// `*stats` untouched. On OK, `*stats` holds the execution statistics.
+  ///
+  /// A non-empty `admission_class` names one of
+  /// EngineConfig::admission_classes (NotFound otherwise, before the query
+  /// joins the line). The query then also waits for a free slot of its
+  /// class, and on a budgeted engine runs with the class's memory share
+  /// as its ExecConfig::memory_budget_bytes. Among waiters whose class has
+  /// a free slot, admission stays strictly in arrival order.
   Status ExecuteOrReject(QueryPlan* plan, const ExecConfig& config,
-                         ExecutionStats* stats);
+                         ExecutionStats* stats,
+                         std::string_view admission_class = {});
 
   /// Wakes queries blocked in admission (they are rejected, never admitted
   /// into the closing pool), waits until no query is active and every
@@ -104,9 +135,13 @@ class Engine final : public WorkOrderSink {
   void Shutdown();
 
   int num_workers() const { return config_.num_workers; }
+  /// Whether `name` is one of this engine's admission classes.
+  bool HasAdmissionClass(std::string_view name) const {
+    return classes_.find(name) != classes_.end();
+  }
   /// Queries currently admitted and executing.
   int active_queries() const;
-  /// Queries currently blocked in admission control (FIFO ticket taken,
+  /// Queries currently blocked in admission control (in the wait line,
   /// not yet admitted or rejected).
   int admission_waiters() const;
   /// Total queries that have completed on this engine.
@@ -143,8 +178,23 @@ class Engine final : public WorkOrderSink {
     std::unique_ptr<WorkOrder> work_order;
   };
 
+  /// An admission class and its admitted queries.
+  struct ClassState {
+    AdmissionClass cls;
+    int active = 0;  // guarded by admission_mutex_
+  };
+  /// A query parked in the admission line.
+  struct Waiter {
+    ClassState* cls;  // nullptr when the query names no class
+    const StorageManager* storage;
+  };
+
   void WorkerLoop(int worker_id);
-  /// Admission predicate; `admission_mutex_` must be held.
+  /// Whether `self` is admitted now: it is the oldest waiter whose class
+  /// has a free slot and the engine-wide predicate holds for it.
+  /// `admission_mutex_` must be held.
+  bool IsAdmissibleLocked(std::list<Waiter>::const_iterator self) const;
+  /// Engine-wide admission predicate; `admission_mutex_` must be held.
   bool CanAdmitLocked(const StorageManager* storage) const;
   /// Tracked bytes across active sessions' storage managers, counting
   /// shared managers once; `admission_mutex_` must be held.
@@ -158,11 +208,12 @@ class Engine final : public WorkOrderSink {
   std::condition_variable admission_cv_;
   int active_ = 0;                // guarded by admission_mutex_
   bool shutdown_ = false;         // guarded by admission_mutex_
-  // FIFO admission tickets: an arriving query takes ticket admission_tail_
-  // and is only considered once admission_head_ reaches it; head advances
-  // on admission and on shutdown rejection. Guarded by admission_mutex_.
-  uint64_t admission_tail_ = 0;
-  uint64_t admission_head_ = 0;
+  // Admission classes by name; the map is fixed after construction, only
+  // ClassState::active changes.
+  std::map<std::string, ClassState, std::less<>> classes_;
+  // The admission line in arrival order. A waiter leaves it when admitted
+  // or rejected at shutdown. Guarded by admission_mutex_.
+  std::list<Waiter> waiters_;
   // Storage managers of active sessions (one entry per session; duplicates
   // possible when sessions share storage). Guarded by admission_mutex_.
   std::vector<const StorageManager*> active_storages_;

@@ -331,7 +331,6 @@ void QuerySession::ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order,
 void QuerySession::HandleWorkOrderDone(Event* event) {
   OpState& state = op_states_[static_cast<size_t>(event->op)];
   ++state.completed;
-  --state.running;
   --total_running_;
   // Transient intermediate blocks are dropped once consumed. Each block is
   // resolved against the consumer's droppable producer tables in turn
@@ -355,16 +354,6 @@ void QuerySession::HandleWorkOrderDone(Event* event) {
   }
   if (event->record.end_ns > os.last_end_ns) {
     os.last_end_ns = event->record.end_ns;
-  }
-  // Release held work orders under the concurrency cap.
-  while (!state.held.empty() &&
-         (config_.max_concurrent_per_op == 0 ||
-          state.running < config_.max_concurrent_per_op)) {
-    std::unique_ptr<WorkOrder> wo = std::move(state.held.back());
-    state.held.pop_back();
-    ++state.running;
-    ++total_running_;
-    SubmitToPool(state, std::move(wo));
   }
   ReleaseDeferred();
   CheckOperatorDone(event->op);
@@ -441,20 +430,8 @@ void QuerySession::TryGenerate(int op) {
   CheckOperatorDone(op);
 }
 
-void QuerySession::SubmitToPool(const OpState& state,
-                                std::unique_ptr<WorkOrder> wo) {
-  const bool accepted =
-      sink_->SubmitWork(this, std::move(wo), state.is_consumer);
-  UOT_CHECK(accepted);  // the pool outlives every active session
-}
-
 void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
-  OpState& state = op_states_[static_cast<size_t>(op)];
-  if (config_.max_concurrent_per_op != 0 &&
-      state.running >= config_.max_concurrent_per_op) {
-    state.held.push_back(std::move(wo));
-    return;
-  }
+  const OpState& state = op_states_[static_cast<size_t>(op)];
   // Memory-budget policy: *producer* work orders (leaf scans creating new
   // intermediates) go through admission control and are released paced
   // against the budget. Consumer work orders always run — they consume
@@ -484,9 +461,11 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
       return;
     }
   }
-  ++state.running;
   ++total_running_;
-  SubmitToPool(state, std::move(wo));
+  // Consumers run at high priority. The pool outlives every active session.
+  const bool accepted =
+      sink_->SubmitWork(this, std::move(wo), state.is_consumer);
+  UOT_CHECK(accepted);
 }
 
 void QuerySession::ReleaseDeferred() {
@@ -515,13 +494,6 @@ void QuerySession::ReleaseDeferred() {
       }
       RecordBudgetEvent(deferred.op, /*release=*/true, tracked);
     }
-    OpState& state = op_states_[static_cast<size_t>(deferred.op)];
-    if (config_.max_concurrent_per_op != 0 &&
-        state.running >= config_.max_concurrent_per_op) {
-      state.held.push_back(std::move(deferred.work_order));
-      continue;
-    }
-    ++state.running;
     ++total_running_;
     // Producers queue behind consumers: never high priority.
     const bool accepted =

@@ -98,8 +98,6 @@ class QuerySession {
     bool finished = false;
     uint64_t generated = 0;
     uint64_t completed = 0;
-    int running = 0;
-    std::vector<std::unique_ptr<WorkOrder>> held;  // over the concurrency cap
   };
 
   // Transfer state of one streaming edge. Its measured counters live in
@@ -157,8 +155,6 @@ class QuerySession {
   void Dispatch(int op, std::unique_ptr<WorkOrder> wo);
   /// Re-dispatches budget-deferred work orders when allowed.
   void ReleaseDeferred();
-  /// Hands a work order to the sink (consumers at high priority).
-  void SubmitToPool(const OpState& state, std::unique_ptr<WorkOrder> wo);
   void CheckOperatorDone(int op);
   void HandleWorkOrderDone(Event* event);
   void HandleBlockReady(int op, Block* block);

@@ -62,10 +62,6 @@ struct ExecConfig {
   /// `uot`. Per-edge plan annotations (QueryPlan::AnnotateEdgeUot) pin an
   /// edge and take precedence over both.
   std::shared_ptr<EdgeUotPolicy> uot_policy;
-  /// Optional cap on concurrently executing work orders per operator
-  /// (0 = unlimited). One of the "sophisticated scheduling policies" the
-  /// paper mentions in Section III-C.
-  int max_concurrent_per_op = 0;
   /// Drop intermediate blocks once their (single) consumer work order has
   /// executed. This makes temporaries transient, which is what gives the
   /// low-UoT strategy its near-zero intermediate footprint (Table II).

@@ -10,9 +10,6 @@ std::string ExecConfig::ToString() const {
   out += uot_policy != nullptr ? uot_policy->ToString()
                                : FixedUotPolicy(uot).ToString();
   out += ", join=" + join.ToString();
-  if (max_concurrent_per_op > 0) {
-    out += ", max_concurrent_per_op=" + std::to_string(max_concurrent_per_op);
-  }
   if (memory_budget_bytes > 0) {
     out += ", budget=" + std::to_string(memory_budget_bytes) + "B";
   }

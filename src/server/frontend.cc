@@ -28,6 +28,14 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
+/// Parses all of `s` as a number; false on a bad or partial parse.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const std::from_chars_result parsed = std::from_chars(s.data(), end, *out);
+  return parsed.ec == std::errc() && parsed.ptr == end;
+}
+
 /// Splits the leading word off `*rest` (lower-cased; empty at end).
 std::string TakeWord(std::string_view* rest) {
   *rest = Trim(*rest);
@@ -90,14 +98,6 @@ FrontEnd::FrontEnd(FrontEndConfig config, const Catalog* catalog)
   EngineConfig engine_config = config_.engine;
   engine_config.metrics = &metrics_;  // server.* and engine.* side by side
   engine_ = std::make_unique<Engine>(engine_config);
-  bool has_default = false;
-  for (const TenantClass& cls : config_.tenants) {
-    tenants_[cls.name] = TenantState{cls, 0};
-    if (cls.name == "default") has_default = true;
-  }
-  if (!has_default) {
-    tenants_["default"] = TenantState{TenantClass{"default", 0, 1.0}, 0};
-  }
   requests_counter_ = metrics_.GetCounter("server.requests");
   errors_counter_ = metrics_.GetCounter("server.errors");
   rows_counter_ = metrics_.GetCounter("server.rows_returned");
@@ -111,14 +111,7 @@ FrontEnd::FrontEnd(FrontEndConfig config, const Catalog* catalog)
 
 FrontEnd::~FrontEnd() { Shutdown(); }
 
-void FrontEnd::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    shutdown_ = true;
-  }
-  tenant_cv_.notify_all();
-  engine_->Shutdown();
-}
+void FrontEnd::Shutdown() { engine_->Shutdown(); }
 
 Response FrontEnd::Handle(const Request& request) {
   const int64_t start_ns = NowNanos();
@@ -184,10 +177,7 @@ Response FrontEnd::Handle(const Request& request) {
     // The whole word must be a number in range: "3abc" and values past
     // INT_MAX are errors, not query 3.
     int query = 0;
-    const char* end = num.data() + num.size();
-    const std::from_chars_result parsed =
-        std::from_chars(num.data(), end, query);
-    const bool valid = parsed.ec == std::errc() && parsed.ptr == end;
+    const bool valid = ParseWhole(num, &query);
     if (catalog_->tpch() == nullptr) {
       resp = ErrorResponse(
           Status::FailedPrecondition("no TPC-H data registered"));
@@ -204,16 +194,13 @@ Response FrontEnd::Handle(const Request& request) {
       if (name.empty()) {
         resp = ErrorResponse(
             Status::InvalidArgument("usage: SET TENANT <name>"));
+      } else if (!engine_->HasAdmissionClass(name)) {
+        resp = ErrorResponse(Status::NotFound("unknown tenant '" + name +
+                                              "'"));
       } else {
-        std::lock_guard<std::mutex> lock(tenant_mutex_);
-        if (tenants_.count(name) == 0) {
-          resp = ErrorResponse(Status::NotFound("unknown tenant '" + name +
-                                                "'"));
-        } else {
-          resp.ok = true;
-          resp.message = "tenant " + name;
-          resp.set_tenant = name;
-        }
+        resp.ok = true;
+        resp.message = "tenant " + name;
+        resp.set_tenant = name;
       }
     } else if (what == "pipeline_mode") {
       // Accept "SET PIPELINE_MODE fused" and "SET PIPELINE_MODE = fused".
@@ -305,22 +292,12 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
     }
   }
 
-  TenantState* tenant_state = nullptr;
-  const Status admit_status = AcquireTenant(tenant, &tenant_state);
-  if (!admit_status.ok()) return ErrorResponse(admit_status);
-
   ExecConfig exec;
   exec.join = config_.join;
   exec.pipeline_mode = mode;
-  if (config_.engine.memory_budget_bytes > 0) {
-    exec.memory_budget_bytes = static_cast<int64_t>(
-        static_cast<double>(config_.engine.memory_budget_bytes) *
-        tenant_state->cls.memory_share);
-  }
   ExecutionStats stats;
-  const Status exec_status = engine_->ExecuteOrReject(plan.get(), exec,
-                                                      &stats);
-  ReleaseTenant(tenant_state);
+  const Status exec_status =
+      engine_->ExecuteOrReject(plan.get(), exec, &stats, tenant);
   if (!exec_status.ok()) return ErrorResponse(exec_status);
 
   if (!hit) {
@@ -398,34 +375,6 @@ Response FrontEnd::Stats() const {
   return resp;
 }
 
-Status FrontEnd::AcquireTenant(const std::string& tenant,
-                               TenantState** state) {
-  std::unique_lock<std::mutex> lock(tenant_mutex_);
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    return Status::NotFound("unknown tenant '" + tenant + "'");
-  }
-  TenantState& ts = it->second;
-  tenant_cv_.wait(lock, [this, &ts] {
-    return shutdown_ || ts.cls.max_inflight <= 0 ||
-           ts.inflight < ts.cls.max_inflight;
-  });
-  if (shutdown_) {
-    return Status::FailedPrecondition("server shutting down");
-  }
-  ++ts.inflight;
-  *state = &ts;
-  return Status::OK();
-}
-
-void FrontEnd::ReleaseTenant(TenantState* state) {
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    --state->inflight;
-  }
-  tenant_cv_.notify_all();
-}
-
 std::string FrontEnd::KnobFingerprint(PipelineMode pipeline_mode) const {
   return "|pmode=" + std::to_string(static_cast<int>(pipeline_mode)) +
          ";batch=" + std::to_string(config_.join.batch_size) +
@@ -437,6 +386,33 @@ std::string FrontEnd::KnobFingerprint(PipelineMode pipeline_mode) const {
          ";chooser_budget=" +
          std::to_string(config_.chooser.memory_budget_bytes) +
          ";threads=" + std::to_string(config_.chooser.threads);
+}
+
+Status ParseTenantSpec(std::string_view spec,
+                       std::vector<AdmissionClass>* classes) {
+  const size_t c1 = spec.find(':');
+  const size_t c2 = c1 == std::string_view::npos ? c1 : spec.find(':', c1 + 1);
+  AdmissionClass cls;
+  bool ok = c2 != std::string_view::npos;
+  if (ok) {
+    cls.name = std::string(spec.substr(0, c1));
+    ok = !cls.name.empty() &&
+         ParseWhole(spec.substr(c1 + 1, c2 - c1 - 1), &cls.max_inflight) &&
+         ParseWhole(spec.substr(c2 + 1), &cls.memory_share) &&
+         cls.max_inflight >= 0 && cls.memory_share > 0.0 &&
+         cls.memory_share <= 1.0;
+  }
+  for (const AdmissionClass& existing : *classes) {
+    ok = ok && existing.name != cls.name;
+  }
+  if (!ok) {
+    return Status::InvalidArgument(
+        "bad --tenant spec '" + std::string(spec) +
+        "' (want a new name:max_inflight:share, max_inflight >= 0, "
+        "0 < share <= 1)");
+  }
+  classes->push_back(std::move(cls));
+  return Status::OK();
 }
 
 }  // namespace server

@@ -1,11 +1,11 @@
 #ifndef UOT_SERVER_FRONTEND_H_
 #define UOT_SERVER_FRONTEND_H_
 
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/engine.h"
@@ -19,23 +19,9 @@
 namespace uot {
 namespace server {
 
-/// One admission class: how much of the engine a tenant may occupy.
-/// Layered in front of the engine's own admission control — the class gate
-/// bounds a tenant's concurrent queries and scales the per-query memory
-/// budget, the engine's FIFO gate then arbitrates across tenants.
-struct TenantClass {
-  std::string name;
-  /// Concurrent queries of this class (0 = unlimited within the class;
-  /// the engine-wide max_inflight_queries still applies). Excess requests
-  /// wait at the class gate.
-  int max_inflight = 0;
-  /// Fraction of EngineConfig::memory_budget_bytes a query of this class
-  /// receives as its per-query ExecConfig budget (ignored when the engine
-  /// is unbudgeted).
-  double memory_share = 1.0;
-};
-
 struct FrontEndConfig {
+  /// The engine behind the front end; its admission_classes are the
+  /// tenants a connection may SET.
   EngineConfig engine;
   /// Plan-construction knobs for compiled statements and TPCH plans.
   PlanBuilderConfig plan;
@@ -43,9 +29,6 @@ struct FrontEndConfig {
   CostModelUotChooser::Options chooser;
   /// Join kernel knobs applied to every query.
   JoinKernelConfig join;
-  /// Admission classes; a "default" class (unlimited, full share) is added
-  /// when absent.
-  std::vector<TenantClass> tenants;
   size_t plan_cache_capacity = 128;
   /// Upper bound handed to ChooseRadixBits for ad-hoc joins.
   int max_radix_bits = 6;
@@ -53,6 +36,7 @@ struct FrontEndConfig {
 
 struct Request {
   std::string text;
+  /// The engine admission class every query of this request runs under.
   std::string tenant = "default";
   /// Connection-level pipeline execution mode (SET PIPELINE_MODE), applied
   /// to every query this request executes.
@@ -78,8 +62,8 @@ struct Response {
 
 /// The query front end (ROADMAP item 1): parses requests, compiles them to
 /// QueryPlans, reuses cached CostModelUotChooser decisions per query
-/// template, gates tenants through admission classes, and executes on the
-/// shared Engine. Handle() is safe to call from many connection threads.
+/// template, and executes on the shared Engine under the request's tenant
+/// (an engine admission class). Handle() is safe to call from many connection threads.
 ///
 /// Statements:
 ///   SELECT ... / PREPARE <name> AS SELECT ... / EXECUTE <name> [args]
@@ -96,7 +80,8 @@ class FrontEnd {
 
   Response Handle(const Request& request);
 
-  /// Rejects in-flight and future requests, then stops the engine.
+  /// Shuts the engine down: queries waiting in admission and future
+  /// requests are rejected.
   void Shutdown();
 
   Engine* engine() { return engine_.get(); }
@@ -119,11 +104,6 @@ class FrontEnd {
       PipelineMode pipeline_mode = PipelineMode::kVectorized) const;
 
  private:
-  struct TenantState {
-    TenantClass cls;
-    int inflight = 0;
-  };
-
   Response ExecuteSelect(const SelectStatement& stmt,
                          const std::vector<SqlValue>& params,
                          const std::string& tenant, PipelineMode mode);
@@ -141,9 +121,6 @@ class FrontEnd {
                             const std::string& tenant, PipelineMode mode);
   Response Stats() const;
 
-  Status AcquireTenant(const std::string& tenant, TenantState** state);
-  void ReleaseTenant(TenantState* state);
-
   const FrontEndConfig config_;
   const Catalog* const catalog_;
   obs::MetricsRegistry metrics_;
@@ -155,11 +132,6 @@ class FrontEnd {
   std::mutex prepared_mutex_;
   std::map<std::string, SelectStatement> prepared_;
 
-  std::mutex tenant_mutex_;
-  std::condition_variable tenant_cv_;
-  std::map<std::string, TenantState> tenants_;
-  bool shutdown_ = false;  // guarded by tenant_mutex_
-
   obs::Counter* requests_counter_;
   obs::Counter* errors_counter_;
   obs::Counter* rows_counter_;
@@ -169,6 +141,13 @@ class FrontEnd {
   obs::Counter* model_evaluations_counter_;
   obs::Histogram* request_latency_hist_;
 };
+
+/// Parses a `uot_server --tenant` spec `name:max_inflight:memory_share`
+/// and appends the class to `*classes`. Every field must be consumed
+/// whole; requires a non-empty name not already in `*classes`,
+/// max_inflight >= 0 and 0 < memory_share <= 1.
+Status ParseTenantSpec(std::string_view spec,
+                       std::vector<AdmissionClass>* classes);
 
 }  // namespace server
 }  // namespace uot

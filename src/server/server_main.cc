@@ -8,6 +8,12 @@
 // With --stdin the server reads statements from stdin and writes replies
 // to stdout (CI smoke tests, piping). Otherwise it binds 127.0.0.1:port
 // (default 5433; 0 picks an ephemeral port) and prints the bound port.
+//
+// Each --tenant adds an engine admission class that connections select
+// with SET TENANT <name>: at most max_inflight of its queries run at once
+// (0 = unlimited) and each gets memory_share (0 < share <= 1) of the
+// --budget-mb budget. The "default" class is unlimited with share 1 unless
+// redefined. A malformed or repeated spec exits with code 2.
 
 #include <csignal>
 #include <cstdio>
@@ -15,7 +21,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "server/text_server.h"
 
@@ -23,17 +28,6 @@ namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
-
-bool ParseTenant(const std::string& spec, uot::server::TenantClass* out) {
-  const size_t c1 = spec.find(':');
-  if (c1 == std::string::npos) return false;
-  const size_t c2 = spec.find(':', c1 + 1);
-  if (c2 == std::string::npos) return false;
-  out->name = spec.substr(0, c1);
-  out->max_inflight = std::atoi(spec.substr(c1 + 1, c2 - c1 - 1).c_str());
-  out->memory_share = std::atof(spec.substr(c2 + 1).c_str());
-  return !out->name.empty() && out->memory_share > 0.0;
-}
 
 }  // namespace
 
@@ -44,7 +38,7 @@ int main(int argc, char** argv) {
   double scale_factor = 0.01;
   int max_inflight = 0;
   int64_t budget_mb = 0;
-  std::vector<uot::server::TenantClass> tenants;
+  uot::server::FrontEndConfig config;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -58,13 +52,12 @@ int main(int argc, char** argv) {
     else if (arg == "--max-inflight") max_inflight = std::atoi(next());
     else if (arg == "--budget-mb") budget_mb = std::atoll(next());
     else if (arg == "--tenant") {
-      uot::server::TenantClass cls;
-      if (!ParseTenant(next(), &cls)) {
-        std::fprintf(stderr,
-                     "bad --tenant spec (want name:max_inflight:share)\n");
+      const uot::Status status = uot::server::ParseTenantSpec(
+          next(), &config.engine.admission_classes);
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s\n", status.message().c_str());
         return 2;
       }
-      tenants.push_back(cls);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return 2;
@@ -81,13 +74,11 @@ int main(int argc, char** argv) {
   uot::server::Catalog catalog(&storage);
   catalog.RegisterTpch(&db);
 
-  uot::server::FrontEndConfig config;
   config.engine.num_workers = workers;
   config.engine.max_inflight_queries = max_inflight;
   config.engine.memory_budget_bytes = budget_mb * (1 << 20);
   config.chooser.threads = workers;
   config.chooser.memory_budget_bytes = config.engine.memory_budget_bytes;
-  config.tenants = tenants;
   uot::server::FrontEnd frontend(config, &catalog);
 
   if (use_stdin) {

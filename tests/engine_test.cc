@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -97,6 +98,20 @@ class GateOperator final : public Operator {
   Gate* gate_;
   bool emitted_ = false;
 };
+
+/// Spins until `done()` holds or a generous deadline passes; returns
+/// whether it held. A broken admission predicate then fails a test instead
+/// of hanging it.
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 std::unique_ptr<QueryPlan> MakeGatedPlan(StorageManager* storage, Gate* gate) {
   auto plan = std::make_unique<QueryPlan>(storage);
@@ -433,33 +448,43 @@ TEST(EngineTest, ShutdownRejectsAdmissionWaiters) {
   EngineConfig engine_config;
   engine_config.num_workers = 1;
   engine_config.max_inflight_queries = 1;
+  engine_config.admission_classes.push_back(AdmissionClass{"solo", 1, 1.0});
   Engine engine(engine_config);
 
   ExecConfig config;
   Gate gate;
   auto gated_plan = MakeGatedPlan(&storage, &gate);
   auto waiter_plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  auto class_waiter_plan = MakeSelectAggPlan(&storage, *input, 0.0);
 
-  // A occupies the single admission slot, blocked on the gate.
-  Status status_a, status_b;
-  ExecutionStats stats_a, stats_b;
+  // A occupies the single admission slot (and its class's), blocked on the
+  // gate.
+  Status status_a, status_b, status_c;
+  ExecutionStats stats_a, stats_b, stats_c;
   std::thread ta([&] {
-    status_a = engine.ExecuteOrReject(gated_plan.get(), config, &stats_a);
+    status_a =
+        engine.ExecuteOrReject(gated_plan.get(), config, &stats_a, "solo");
   });
   while (engine.active_queries() != 1) std::this_thread::yield();
 
-  // B parks in the admission wait behind A.
+  // B parks in the admission wait behind A; C parks behind A's class.
   std::thread tb([&] {
     status_b = engine.ExecuteOrReject(waiter_plan.get(), config, &stats_b);
   });
   while (engine.admission_waiters() != 1) std::this_thread::yield();
+  std::thread tc([&] {
+    status_c = engine.ExecuteOrReject(class_waiter_plan.get(), config,
+                                      &stats_c, "solo");
+  });
+  while (engine.admission_waiters() != 2) std::this_thread::yield();
 
-  // Shutdown while B waits. B can only return by rejection: admission
-  // requires A to finish, and A is held on the still-closed gate.
+  // Shutdown while B and C wait. They can only return by rejection:
+  // admission requires A to finish, and A is held on the still-closed gate.
   std::thread ts([&] { engine.Shutdown(); });
   tb.join();
-  EXPECT_FALSE(status_b.ok());
+  tc.join();
   EXPECT_EQ(status_b.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status_c.code(), StatusCode::kFailedPrecondition);
 
   gate.Open();
   ta.join();
@@ -469,13 +494,13 @@ TEST(EngineTest, ShutdownRejectsAdmissionWaiters) {
   EXPECT_EQ(engine.admission_waiters(), 0);
   EXPECT_EQ(engine.metrics()->GetCounter("engine.admission_rejections")
                 ->Value(),
-            1u);
+            2u);
 
   // After Shutdown, ExecuteOrReject rejects immediately instead of
   // CHECK-failing like Execute().
-  ExecutionStats stats_c;
+  ExecutionStats stats_d;
   auto late_plan = MakeSelectAggPlan(&storage, *input, 0.0);
-  EXPECT_FALSE(engine.ExecuteOrReject(late_plan.get(), config, &stats_c).ok());
+  EXPECT_FALSE(engine.ExecuteOrReject(late_plan.get(), config, &stats_d).ok());
 }
 
 /// Regression: admission used notify_all + a bare headroom predicate, so
@@ -525,6 +550,140 @@ TEST(EngineTest, AdmissionIsFifoInArrivalOrder) {
         << "waiter " << i + 1 << " overtook waiter " << i << " in admission";
   }
   EXPECT_EQ(engine.queries_executed(), static_cast<uint64_t>(kWaiters) + 1);
+}
+
+/// An admission class with one slot runs its queries one at a time even
+/// when the engine has room for more; the held query's wait is reported.
+TEST(EngineTest, ClassSlotsBoundConcurrentQueries) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 1000, 8, Layout::kRowStore, 1024);
+
+  EngineConfig engine_config;
+  engine_config.num_workers = 2;
+  engine_config.admission_classes.push_back(AdmissionClass{"solo", 1, 1.0});
+  Engine engine(engine_config);
+
+  ExecConfig config;
+  Gate gate;
+  auto gated_plan = MakeGatedPlan(&storage, &gate);
+  auto second_plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  Status status_a, status_b;
+  ExecutionStats stats_a, stats_b;
+  std::thread ta([&] {
+    status_a =
+        engine.ExecuteOrReject(gated_plan.get(), config, &stats_a, "solo");
+  });
+  while (engine.active_queries() != 1) std::this_thread::yield();
+  std::thread tb([&] {
+    status_b =
+        engine.ExecuteOrReject(second_plan.get(), config, &stats_b, "solo");
+  });
+  EXPECT_TRUE(SpinUntil([&] { return engine.admission_waiters() == 1; }))
+      << "the second query of a one-slot class was not held";
+  EXPECT_EQ(engine.active_queries(), 1);
+
+  gate.Open();
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(status_a.ok());
+  ASSERT_TRUE(status_b.ok());
+  EXPECT_GE(stats_b.query_start_ns, stats_a.query_end_ns);
+  EXPECT_GT(stats_b.admission_wait_ns, 0);
+}
+
+/// A waiter whose class is full does not hold back a later waiter of
+/// another class: the later one is admitted (and finishes) first.
+TEST(EngineTest, FullClassDoesNotBlockOtherClasses) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 1000, 8, Layout::kRowStore, 1024);
+
+  EngineConfig engine_config;
+  engine_config.num_workers = 2;
+  engine_config.admission_classes.push_back(AdmissionClass{"solo", 1, 1.0});
+  Engine engine(engine_config);
+
+  ExecConfig config;
+  Gate gate;
+  auto gated_plan = MakeGatedPlan(&storage, &gate);
+  auto held_plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  auto other_plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  Status status_a, status_b;
+  ExecutionStats stats_a, stats_b;
+  std::thread ta([&] {
+    status_a =
+        engine.ExecuteOrReject(gated_plan.get(), config, &stats_a, "solo");
+  });
+  while (engine.active_queries() != 1) std::this_thread::yield();
+  std::thread tb([&] {
+    status_b =
+        engine.ExecuteOrReject(held_plan.get(), config, &stats_b, "solo");
+  });
+  while (engine.admission_waiters() != 1) std::this_thread::yield();
+
+  // C arrives after B and runs to completion while B still waits on its
+  // class (A holds the class slot on the closed gate).
+  Status status_c;
+  ExecutionStats stats_c;
+  std::atomic<bool> c_done{false};
+  std::thread tc([&] {
+    status_c =
+        engine.ExecuteOrReject(other_plan.get(), config, &stats_c, "default");
+    c_done = true;
+  });
+  EXPECT_TRUE(SpinUntil([&] { return c_done.load(); }))
+      << "a waiter of a full class held back another class";
+  EXPECT_EQ(engine.admission_waiters(), 1);
+
+  gate.Open();
+  ta.join();
+  tb.join();
+  tc.join();
+  ASSERT_TRUE(status_a.ok());
+  ASSERT_TRUE(status_b.ok());
+  ASSERT_TRUE(status_c.ok());
+  EXPECT_LT(stats_c.query_id, stats_b.query_id);
+  EXPECT_GE(stats_b.query_start_ns, stats_a.query_end_ns);
+}
+
+TEST(EngineTest, UnknownClassIsNotFound) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 1000, 8, Layout::kRowStore, 1024);
+  EngineConfig engine_config;
+  engine_config.num_workers = 1;
+  Engine engine(engine_config);
+
+  auto plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  ExecutionStats stats;
+  const Status status =
+      engine.ExecuteOrReject(plan.get(), ExecConfig{}, &stats, "nosuch");
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine.admission_waiters(), 0);
+  EXPECT_EQ(engine.queries_executed(), 0u);
+  EXPECT_TRUE(engine.HasAdmissionClass("default"));
+  EXPECT_FALSE(engine.HasAdmissionClass("nosuch"));
+}
+
+/// A named class's memory share becomes the session's per-query budget on
+/// a budgeted engine; a query naming no class keeps its own ExecConfig.
+TEST(EngineTest, ClassMemoryShareScalesSessionBudget) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 1000, 8, Layout::kRowStore, 1024);
+  EngineConfig engine_config;
+  engine_config.num_workers = 1;
+  engine_config.memory_budget_bytes = int64_t{1} << 30;
+  engine_config.admission_classes.push_back(AdmissionClass{"half", 0, 0.5});
+  Engine engine(engine_config);
+
+  const auto summary = [&](std::string_view cls) {
+    auto plan = MakeSelectAggPlan(&storage, *input, 0.0);
+    ExecutionStats stats;
+    EXPECT_TRUE(
+        engine.ExecuteOrReject(plan.get(), ExecConfig{}, &stats, cls).ok());
+    return stats.config_summary;
+  };
+  EXPECT_NE(summary("half").find("budget=536870912B"), std::string::npos);
+  EXPECT_NE(summary("default").find("budget=1073741824B"), std::string::npos);
+  EXPECT_EQ(summary("").find("budget="), std::string::npos);
 }
 
 TEST(EngineTest, ConcurrentQueriesShareOneAdaptivePolicy) {

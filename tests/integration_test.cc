@@ -284,7 +284,6 @@ TEST(IntegrationTest, StressManyBlocksManyConfigs) {
       exec.num_workers = workers;
       exec.uot = uot == UotPolicy::kWholeTable ? UotPolicy::HighUot()
                                                : UotPolicy::LowUot(uot);
-      exec.max_concurrent_per_op = workers;
       QueryExecutor::Execute(&plan, exec);
       const std::string got = CanonicalRows(*plan.result_table());
       if (expected.empty()) {

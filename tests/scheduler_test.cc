@@ -217,38 +217,6 @@ TEST(SchedulerTest, UotGroupsBlocksPerTransfer) {
   EXPECT_GE(transfers_k4, transfers_k1 / 4);
 }
 
-TEST(SchedulerTest, ConcurrencyCapRespected) {
-  StorageManager storage;
-  auto probe_table = MakeKvTable(&storage, "probe", 8000, 10,
-                                 Layout::kRowStore, 1024);
-  auto build_table = MakeKvTable(&storage, "build", 10, 10,
-                                 Layout::kRowStore, 1024);
-  auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
-                                1024);
-  ExecConfig config;
-  config.num_workers = 8;
-  config.uot = UotPolicy::LowUot(1);
-  config.max_concurrent_per_op = 2;
-  ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
-
-  // Sweep each operator's records for maximum overlap.
-  for (int op = 0; op < 3; ++op) {
-    std::vector<std::pair<int64_t, int>> events;
-    for (const WorkOrderRecord& r : stats.records) {
-      if (r.op != op) continue;
-      events.emplace_back(r.start_ns, +1);
-      events.emplace_back(r.end_ns, -1);
-    }
-    std::sort(events.begin(), events.end());
-    int running = 0, peak = 0;
-    for (const auto& [ts, delta] : events) {
-      running += delta;
-      peak = std::max(peak, running);
-    }
-    EXPECT_LE(peak, 2) << "operator " << op;
-  }
-}
-
 TEST(SchedulerTest, MemoryBudgetStillCompletesAndBoundsPeak) {
   StorageManager storage;
   auto probe_table = MakeKvTable(&storage, "probe", 20000, 10,

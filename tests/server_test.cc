@@ -471,8 +471,9 @@ TEST_F(FrontEndTest, PreparedStatementsShareOneTemplate) {
 TEST_F(FrontEndTest, TenantClassesGateAndErrorProperly) {
   FrontEndConfig config = SmallConfig();
   config.engine.memory_budget_bytes = 256u << 20;
-  config.tenants.push_back(TenantClass{"gold", 4, 1.0});
-  config.tenants.push_back(TenantClass{"bronze", 1, 0.25});
+  config.engine.admission_classes.push_back(AdmissionClass{"gold", 4, 1.0});
+  config.engine.admission_classes.push_back(
+      AdmissionClass{"bronze", 1, 0.25});
   FrontEnd frontend(config, &catalog_);
 
   Response resp = frontend.Handle({"set tenant bronze", "default"});
@@ -705,7 +706,7 @@ class TcpClient {
 
 TEST_F(FrontEndTest, TcpServerRoundTrip) {
   FrontEndConfig config = SmallConfig();
-  config.tenants.push_back(TenantClass{"gold", 2, 1.0});
+  config.engine.admission_classes.push_back(AdmissionClass{"gold", 2, 1.0});
   FrontEnd frontend(config, &catalog_);
   TextServer tcp(&frontend);
   ASSERT_TRUE(tcp.Start(0).ok());  // ephemeral port
@@ -802,6 +803,28 @@ TEST(FormatResponseTest, RendersOkAndError) {
   err.ok = false;
   err.error = "boom";
   EXPECT_EQ(FormatResponse(err), "ERR boom\n");
+}
+
+TEST(ParseTenantSpecTest, RejectsMalformedAndDuplicateSpecs) {
+  std::vector<AdmissionClass> classes;
+  ASSERT_TRUE(ParseTenantSpec("gold:2:0.5", &classes).ok());
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0].name, "gold");
+  EXPECT_EQ(classes[0].max_inflight, 2);
+  EXPECT_EQ(classes[0].memory_share, 0.5);
+
+  // Each of these was once accepted: "x" and "-3" as unlimited, a trailing
+  // suffix ignored, and a share above 1 taken as 4x the engine budget.
+  for (const char* spec :
+       {"gold:x:0.5", "gold:-3:0.5", "gold:2:0.5junk", "gold:2:4.0"}) {
+    std::vector<AdmissionClass> fresh;
+    EXPECT_FALSE(ParseTenantSpec(spec, &fresh).ok()) << spec;
+    EXPECT_TRUE(fresh.empty()) << spec;
+  }
+  // A repeated name once silently overwrote the earlier class.
+  EXPECT_FALSE(ParseTenantSpec("gold:1:1.0", &classes).ok());
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0].max_inflight, 2);
 }
 
 }  // namespace
