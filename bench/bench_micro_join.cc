@@ -5,13 +5,19 @@
 // appears once the table outgrows LLC and every probe chain starts with a
 // memory stall.
 //
-// Two levels:
+// Three parts:
 //   1. Kernel level: raw JoinHashTable Insert/Probe loops vs
 //      InsertBatch/ProbeBatch (batch 256, prefetch distance 16).
-//   2. Plan level: TPC-H Q3 through the scheduler with the join knobs at
+//   2. Concurrent build: 1, 2 and 4 threads InsertBatch disjoint slices
+//      into one shared out-of-cache table, as the build work orders of a
+//      non-partitioned join do. Any per-row write to shared state shows up
+//      here as poor w4/w1 scaling; the single-thread A/B above cannot see it.
+//   3. Plan level: TPC-H Q3 through the scheduler with the join knobs at
 //      batch 1 / no prefetch vs the defaults, across block sizes and UoT.
 //
-// Emits BENCH_join_kernels.json. UOT_JOIN_BENCH_SMALL=1 shrinks the table
+// Emits BENCH_join_kernels.json; the concurrent build reports
+// build_concurrent_ms_w{1,2,4} and build_scaling_w4_w1 (w1 time over w4
+// time, 4 = linear). UOT_JOIN_BENCH_SMALL=1 shrinks the table
 // sizes and scale factor so CI can smoke-test the emitter in seconds.
 
 #include <algorithm>
@@ -19,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -56,14 +63,20 @@ std::vector<uint64_t> ShuffledKeys(uint64_t entries) {
   return keys;
 }
 
-KernelTimes RunKernelAb(uint64_t entries, int runs) {
-  Schema payload({{"v", Type::Int64()}});
-  const std::vector<uint64_t> probe_keys = ShuffledKeys(entries);
+/// Payload i is the int64 i, packed at stride 8.
+std::vector<std::byte> PackedPayloads(uint64_t entries) {
   std::vector<std::byte> payloads(entries * 8);
   for (uint64_t i = 0; i < entries; ++i) {
     const int64_t v = static_cast<int64_t>(i);
     std::memcpy(payloads.data() + i * 8, &v, 8);
   }
+  return payloads;
+}
+
+KernelTimes RunKernelAb(uint64_t entries, int runs) {
+  Schema payload({{"v", Type::Int64()}});
+  const std::vector<uint64_t> probe_keys = ShuffledKeys(entries);
+  const std::vector<std::byte> payloads = PackedPayloads(entries);
 
   KernelTimes out;
   out.build_scalar_ms = out.build_batched_ms = 1e300;
@@ -147,6 +160,45 @@ KernelTimes RunKernelAb(uint64_t entries, int runs) {
   return out;
 }
 
+/// Best-of-`runs` wall time (ms) for `threads` threads to build one shared
+/// table of `entries` rows with InsertBatch, each thread inserting its own
+/// contiguous slice. Reserve (allocation and zeroing) is outside the timing.
+double TimeConcurrentBuild(uint64_t entries, int threads, int runs) {
+  Schema payload({{"v", Type::Int64()}});
+  std::vector<uint64_t> keys(entries);
+  for (uint64_t i = 0; i < entries; ++i) keys[i] = i * 37;
+  const std::vector<std::byte> payloads = PackedPayloads(entries);
+  double best_ms = 1e300;
+  for (int r = 0; r < runs; ++r) {
+    JoinHashTable ht(payload, 1, 0.75, nullptr);
+    ht.Reserve(entries);
+    Timer t;
+    std::vector<std::thread> workers;
+    for (int w = 0; w < threads; ++w) {
+      workers.emplace_back([&, w] {
+        const uint64_t begin = entries * w / threads;
+        const uint64_t end = entries * (w + 1) / threads;
+        std::vector<uint64_t> hash_scratch;
+        for (uint64_t base = begin; base < end; base += kBatch) {
+          const uint32_t m =
+              static_cast<uint32_t>(std::min<uint64_t>(kBatch, end - base));
+          ht.InsertBatch(&keys[base], payloads.data() + base * 8, m,
+                         kPrefetchDistance, &hash_scratch);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    best_ms = std::min(best_ms, t.ElapsedSeconds() * 1e3);
+    if (ht.size() != entries) {
+      std::fprintf(stderr, "FATAL: concurrent build counted %llu of %llu\n",
+                   static_cast<unsigned long long>(ht.size()),
+                   static_cast<unsigned long long>(entries));
+      std::exit(1);
+    }
+  }
+  return best_ms;
+}
+
 void PrintKernelRow(const char* label, uint64_t entries,
                     const KernelTimes& t) {
   std::printf("%-12s (%8llu entries)  build %8.2f -> %8.2f ms (%4.2fx)   "
@@ -196,6 +248,18 @@ int main() {
   json.Set("build_batched_ms_outcache", outcache.build_batched_ms);
   json.Set("build_speedup_outcache",
            outcache.build_scalar_ms / outcache.build_batched_ms);
+
+  std::printf("\nConcurrent build, one shared table (%llu entries):\n",
+              static_cast<unsigned long long>(outcache_entries));
+  double build_w1_ms = 0.0;
+  for (const int threads : {1, 2, 4}) {
+    const double ms = TimeConcurrentBuild(outcache_entries, threads, runs);
+    if (threads == 1) build_w1_ms = ms;
+    std::printf("  w%d %8.2f ms  (%4.2fx vs w1)\n", threads, ms,
+                build_w1_ms / ms);
+    json.Set("build_concurrent_ms_w" + std::to_string(threads), ms);
+    if (threads == 4) json.Set("build_scaling_w4_w1", build_w1_ms / ms);
+  }
 
   // Plan level: TPC-H Q3 (join-heavy) with tuple-at-a-time join knobs
   // (batch 1, no prefetch) vs the defaults, over the block-size grid and

@@ -42,10 +42,8 @@ void JoinHashTable::Reserve(uint64_t num_entries) {
       static_cast<double>(num_entries < 1 ? 1 : num_entries) / load_factor_);
   num_slots_ = NextPow2(wanted < 16 ? 16 : wanted);
   slots_ = std::make_unique<std::byte[]>(num_slots_ * slot_stride_);
+  // Value-initialised: every tag starts at 0 (empty).
   tags_ = std::make_unique<std::atomic<uint8_t>[]>(num_slots_);
-  for (uint64_t i = 0; i < num_slots_; ++i) {
-    tags_[i].store(0, std::memory_order_relaxed);
-  }
   allocated_bytes_ = num_slots_ * (slot_stride_ + 1);
   if (tracker_ != nullptr) {
     tracker_->Allocate(MemoryCategory::kHashTable, allocated_bytes_);
@@ -63,6 +61,7 @@ void JoinHashTable::Reserve(uint64_t num_entries) {
 void JoinHashTable::Insert(const uint64_t* key, const std::byte* payload) {
   UOT_DCHECK(slots_ != nullptr);
   InsertWithHash(key, HashJoinKey(key, num_key_cols_), payload);
+  num_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void JoinHashTable::InsertWithHash(const uint64_t* key, uint64_t hash,
@@ -80,7 +79,6 @@ void JoinHashTable::InsertWithHash(const uint64_t* key, uint64_t hash,
                     payload_schema_.row_width());
       }
       tags_[idx].store(2, std::memory_order_release);
-      num_entries_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     idx = (idx + 1) & mask;
@@ -126,6 +124,7 @@ uint64_t JoinHashTable::InsertBatch(const uint64_t* keys,
     InsertWithHash(keys + static_cast<size_t>(i) * words, hashes[i],
                    payloads + i * payload_width);
   }
+  num_entries_.fetch_add(n, std::memory_order_relaxed);
   return prefetches;
 }
 

@@ -39,7 +39,10 @@ struct JoinMatch {
 ///
 /// Concurrency: `Insert` is thread-safe (per-slot CAS claim, release-store
 /// publish). `Probe` must only run after all inserts are complete, which the
-/// scheduler guarantees via the blocking build->probe dependency.
+/// scheduler guarantees via the blocking build->probe dependency. The
+/// per-row insert path writes only the slot it claims; the shared entry
+/// count is bumped once per call (`n` per `InsertBatch`), so concurrent
+/// builders do not bounce a shared cache line on every row.
 class JoinHashTable {
  public:
   /// `num_key_cols` is 1 or 2; payload rows are packed `payload_schema`
@@ -132,7 +135,7 @@ class JoinHashTable {
   }
 
   /// One claim-and-publish insert starting the linear probe at the slot
-  /// for `hash`; shared by Insert and InsertBatch.
+  /// for `hash`; shared by Insert and InsertBatch, which count the entry.
   void InsertWithHash(const uint64_t* key, uint64_t hash,
                       const std::byte* payload);
 

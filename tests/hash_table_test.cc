@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <thread>
 
 #include "join/hash_table.h"
 #include "model/memory_model.h"
+#include "operators/exec_context.h"
 #include "util/memory_tracker.h"
 
 namespace uot {
@@ -149,6 +151,69 @@ TEST(JoinHashTableTest, ConcurrentBuildFindsAllEntries) {
   for (int key : {0, 1999, 2000, 4500, 7999}) {
     EXPECT_EQ(ProbeAll(ht, key).size(), 1u) << "key " << key;
   }
+}
+
+/// The engine builds through InsertBatch, which counts its entries once
+/// per batch rather than per row. Concurrent batched builds, mixed with
+/// scalar inserts, must still count every row and keep every duplicate.
+TEST(JoinHashTableTest, ConcurrentBatchedBuildCountsEveryRow) {
+  constexpr int kThreads = 4, kRounds = 12;
+  constexpr uint64_t kDistinct = 500;
+  // Empty, single-row, just below and at the prefetch threshold, and full.
+  constexpr uint32_t kMin = JoinKernelConfig::kMinRowsForPrefetch;
+  const std::vector<uint32_t> sizes = {0, 1, kMin - 1, kMin, 256, 256};
+  uint64_t per_round = 1;  // one scalar Insert per round
+  for (const uint32_t n : sizes) per_round += n;
+  const uint64_t per_thread = kRounds * per_round;
+  // Row r of thread t: key (t * 131 + r) % kDistinct, value t * 1e6 + r,
+  // so every key repeats within and across threads.
+  auto key_of = [](int t, uint64_t r) { return (t * 131 + r) % kDistinct; };
+  auto value_of = [](int t, uint64_t r) {
+    return static_cast<int32_t>(t * 1000000 + r);
+  };
+
+  MemoryTracker tracker;
+  JoinHashTable ht(PayloadSchema(), 1, 0.75, &tracker);
+  ht.Reserve(kThreads * per_thread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint64_t> keys, hashes;
+      std::vector<std::byte> payloads;
+      uint64_t r = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (const uint32_t n : sizes) {
+          keys.resize(n);
+          payloads.resize(static_cast<size_t>(n) * 4);
+          for (uint32_t i = 0; i < n; ++i, ++r) {
+            keys[i] = key_of(t, r);
+            const int32_t v = value_of(t, r);
+            std::memcpy(payloads.data() + static_cast<size_t>(i) * 4, &v, 4);
+          }
+          ht.InsertBatch(keys.data(), payloads.data(), n,
+                         /*prefetch_distance=*/16, &hashes);
+        }
+        InsertKv(&ht, static_cast<int64_t>(key_of(t, r)), value_of(t, r));
+        ++r;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(ht.size(), kThreads * per_thread);
+  std::vector<std::vector<int32_t>> expected(kDistinct);
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t r = 0; r < per_thread; ++r) {
+      expected[key_of(t, r)].push_back(value_of(t, r));
+    }
+  }
+  for (uint64_t key = 0; key < kDistinct; ++key) {
+    std::vector<int32_t> got = ProbeAll(ht, static_cast<int64_t>(key));
+    std::sort(got.begin(), got.end());
+    std::sort(expected[key].begin(), expected[key].end());
+    EXPECT_EQ(got, expected[key]) << "key " << key;
+  }
+  EXPECT_TRUE(ProbeAll(ht, kDistinct).empty());
 }
 
 TEST(JoinHashTableTest, HashKeyMixesWords) {
