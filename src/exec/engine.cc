@@ -229,11 +229,14 @@ void Engine::WorkerLoop(int worker_id) {
   while (true) {
     std::optional<WorkItem> item = work_queue_.Pop();
     if (!item.has_value()) return;
-    item->session->ExecuteWorkOrder(std::move(item->work_order), worker_id);
-    // Let the coordinator react (transfer blocks, release transients)
-    // before taking more work — important on machines with few cores,
-    // where a busy worker can otherwise starve the coordinator threads.
-    std::this_thread::yield();
+    // A worker that just handed its coordinator an event lets it run
+    // before taking more work: on an oversubscribed machine a busy worker
+    // can otherwise starve the coordinator, which then transfers blocks
+    // and releases transients late.
+    if (item->session->ExecuteWorkOrder(std::move(item->work_order),
+                                        worker_id)) {
+      std::this_thread::yield();
+    }
   }
 }
 

@@ -77,8 +77,8 @@ struct EngineConfig {
 /// The engine owns one persistent pool of `num_workers` threads and a
 /// shared work-order queue. Each Execute() call runs one QuerySession: the
 /// calling thread drives the session's coordinator loop while pool workers
-/// execute work orders tagged with their owning session; completion events
-/// route back to that session's event queue. Any number of threads may
+/// execute work orders tagged with their owning session and account them
+/// there, waking that session's coordinator only when a decision is due. Any number of threads may
 /// call Execute() concurrently — admission control (max in-flight queries,
 /// a shared memory budget and per-class limits) decides when each query
 /// starts.

@@ -119,6 +119,16 @@ HistogramSnapshot SnapshotOfDurations(const std::vector<WorkOrderRecord>& record
   return histogram.TakeSnapshot();
 }
 
+/// Dispatch-to-start waits of the records that carry a dispatch time.
+HistogramSnapshot SnapshotOfQueueWaits(
+    const std::vector<WorkOrderRecord>& records) {
+  Histogram histogram(Histogram::DefaultLatencyBoundsNs());
+  for (const WorkOrderRecord& r : records) {
+    if (r.dispatch_ns != 0) histogram.Record(r.queue_wait_ns());
+  }
+  return histogram.TakeSnapshot();
+}
+
 }  // namespace
 
 double QueryProfile::Edge::WorstRelativeError() const {
@@ -140,6 +150,7 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
       options.query_name.empty() ? "query" : options.query_name;
   profile.stats_ = stats;
   profile.work_order_latency_ = SnapshotOfDurations(stats.records, -1);
+  profile.queue_wait_ = SnapshotOfQueueWaits(stats.records);
 
   profile.operators_.reserve(stats.operators.size());
   for (size_t i = 0; i < stats.operators.size(); ++i) {
@@ -205,6 +216,18 @@ std::string QueryProfile::ToString() const {
                 stats_.records.size(),
                 stats_.profiled ? "" : " [profile logs off]");
   out += buf;
+  if (stats_.coordinator_events > 0 || queue_wait_.count > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "  scheduler: coordinator busy %.2f ms over %" PRIu64
+                  " events (%" PRIu64
+                  " completions), queue wait p50/p95/p99 %.3f/%.3f/%.3f ms\n",
+                  static_cast<double>(stats_.coordinator_busy_ns) / 1e6,
+                  stats_.coordinator_events, stats_.completion_events,
+                  static_cast<double>(queue_wait_.p50) / 1e6,
+                  static_cast<double>(queue_wait_.p95) / 1e6,
+                  static_cast<double>(queue_wait_.p99) / 1e6);
+    out += buf;
+  }
   for (const OperatorEntry& op : operators_) {
     std::snprintf(buf, sizeof(buf),
                   "  op[%d] %s: %" PRIu64
@@ -356,8 +379,22 @@ std::string QueryProfile::ToJson() const {
     AppendFieldU(&out, "work_orders",
                  static_cast<uint64_t>(stats_.records.size()), &first);
     AppendFieldS(&out, "config", stats_.config_summary, &first);
+    // Optional: absent when zero, so documents of runs that predate the
+    // coordinator/queue split stay byte-identical; validated when present.
+    if (stats_.coordinator_events != 0) {
+      AppendField(&out, "coordinator_busy_ns", stats_.coordinator_busy_ns,
+                  &first);
+      AppendFieldU(&out, "coordinator_events", stats_.coordinator_events,
+                   &first);
+      AppendFieldU(&out, "completion_events", stats_.completion_events,
+                   &first);
+    }
     out += ", \"latency\": ";
     AppendSnapshot(&out, work_order_latency_);
+    if (queue_wait_.count != 0) {
+      out += ", \"queue_wait\": ";
+      AppendSnapshot(&out, queue_wait_);
+    }
     out += '}';
   }
   out += ",\n  \"operators\": [";
@@ -625,6 +662,32 @@ Status ParseQueryProfileJson(std::string_view json,
     return ProfileError("missing \"query.latency\" object");
   }
   UOT_RETURN_IF_ERROR(ValidateSnapshot(*query_latency, "query.latency"));
+  // Optional coordinator/queue split: all three counters or none.
+  const JsonValue* coordinator_events = query->Find("coordinator_events");
+  if (coordinator_events != nullptr) {
+    for (const char* key : {"coordinator_busy_ns", "coordinator_events",
+                            "completion_events"}) {
+      UOT_RETURN_IF_ERROR(RequireNumber(*query, key, "query"));
+    }
+    summary->coordinator_events =
+        static_cast<uint64_t>(coordinator_events->AsInt64());
+    summary->completion_events =
+        static_cast<uint64_t>(query->Find("completion_events")->AsInt64());
+    if (summary->completion_events > summary->coordinator_events) {
+      return ProfileError("query \"completion_events\" exceeds "
+                          "\"coordinator_events\"");
+    }
+  } else if (query->Find("coordinator_busy_ns") != nullptr ||
+             query->Find("completion_events") != nullptr) {
+    return ProfileError("query coordinator counters are incomplete");
+  }
+  const JsonValue* queue_wait = query->Find("queue_wait");
+  if (queue_wait != nullptr) {
+    if (!queue_wait->is_object()) {
+      return ProfileError("\"query.queue_wait\" is not an object");
+    }
+    UOT_RETURN_IF_ERROR(ValidateSnapshot(*queue_wait, "query.queue_wait"));
+  }
 
   const JsonValue* operators = root.Find("operators");
   if (operators == nullptr || !operators->is_array()) {

@@ -85,9 +85,12 @@ class QueryProfile {
   const HistogramSnapshot& work_order_latency() const {
     return work_order_latency_;
   }
+  /// Digest of dispatch-to-start waits (WorkOrderRecord::queue_wait_ns)
+  /// over the work orders that carry a dispatch time.
+  const HistogramSnapshot& queue_wait() const { return queue_wait_; }
 
-  /// The EXPLAIN-ANALYZE-style annotated plan: operators with work-order
-  /// counts/time/DoP/latency percentiles, edges with measured vs
+  /// The EXPLAIN-ANALYZE-style annotated plan: the coordinator/queue-wait
+  /// split, operators with work-order counts/time/DoP/latency percentiles, edges with measured vs
   /// predicted transfers/bytes/footprint and residuals, memory peaks,
   /// budget events, and the UoT decision log.
   std::string ToString() const;
@@ -116,6 +119,7 @@ class QueryProfile {
   std::vector<OperatorEntry> operators_;
   std::vector<Edge> edges_;
   HistogramSnapshot work_order_latency_;
+  HistogramSnapshot queue_wait_;
 };
 
 /// What a structural validation of a profile JSON document found; the
@@ -132,6 +136,8 @@ struct QueryProfileSummary {
   size_t num_fused_chains = 0;     // entries of the "fused_pipelines" section
   size_t num_uot_decisions = 0;
   size_t num_budget_events = 0;
+  uint64_t coordinator_events = 0;  // 0 when the optional keys are absent
+  uint64_t completion_events = 0;
   bool profiled = false;
 };
 

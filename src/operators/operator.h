@@ -23,6 +23,9 @@ class WorkOrder {
   /// Set by the scheduler at dispatch time.
   int operator_index = -1;
 
+  /// When the scheduler handed this order to the worker pool (NowNanos()).
+  int64_t dispatch_ns = 0;
+
   /// Worker executing this order, set just before Execute(); 0 for
   /// standalone drivers. Used as the trace track (tid = 1 + worker_id).
   int worker_id = 0;

@@ -39,6 +39,16 @@ std::string ExecutionStats::ToString() const {
   std::snprintf(line, sizeof(line), "query: %.3f ms, %zu work orders\n",
                 QueryMillis(), records.size());
   out += line;
+  int64_t queue_wait_ns = 0;
+  for (const WorkOrderRecord& r : records) queue_wait_ns += r.queue_wait_ns();
+  std::snprintf(line, sizeof(line),
+                "  coordinator busy=%.3f ms events=%llu (completions=%llu), "
+                "queue wait=%.3f ms\n",
+                static_cast<double>(coordinator_busy_ns) / 1e6,
+                static_cast<unsigned long long>(coordinator_events),
+                static_cast<unsigned long long>(completion_events),
+                static_cast<double>(queue_wait_ns) / 1e6);
+  out += line;
   for (size_t i = 0; i < operators.size(); ++i) {
     const OperatorStats& s = operators[i];
     std::snprintf(line, sizeof(line),

@@ -17,8 +17,16 @@ struct WorkOrderRecord {
   int worker = -1;
   int64_t start_ns = 0;
   int64_t end_ns = 0;
+  /// When the coordinator submitted the work order to the pool (for a
+  /// budget-deferred one, when it was released); 0 when unknown.
+  int64_t dispatch_ns = 0;
 
   int64_t duration_ns() const { return end_ns - start_ns; }
+  /// Time between submission and start: queued behind other work or
+  /// waiting for a worker.
+  int64_t queue_wait_ns() const {
+    return dispatch_ns == 0 ? 0 : start_ns - dispatch_ns;
+  }
 };
 
 /// Aggregated per-operator execution statistics.
@@ -155,8 +163,19 @@ struct ExecutionStats {
   int64_t admission_wait_ns = 0;
   int64_t query_start_ns = 0;
   int64_t query_end_ns = 0;
+  /// Every executed work order, by end time.
   std::vector<WorkOrderRecord> records;
   std::vector<OperatorStats> operators;
+  /// Coordinator time spent deciding: the first generation pass plus the
+  /// handling of every event, excluding the waits for the next event.
+  int64_t coordinator_busy_ns = 0;
+  /// Events the coordinator handled: completed blocks, operator drains
+  /// and operator flushes.
+  uint64_t coordinator_events = 0;
+  /// The share of coordinator_events that workers posted on completing a
+  /// work order: one per operator drain, plus one per completion while
+  /// budget-deferred work waited.
+  uint64_t completion_events = 0;
   /// Measured per-edge detail (transfers, payload bytes, buffered
   /// high-water marks), one entry per streaming edge.
   std::vector<EdgeStats> edges;
@@ -181,8 +200,8 @@ struct ExecutionStats {
   /// metric).
   uint64_t budget_deferrals = 0;
   /// Denied release attempts while over budget with deferred work waiting:
-  /// the duration-like measure of budget pressure (each completion event
-  /// that could not re-admit work counts once).
+  /// the duration-like measure of budget pressure (each coordinator event
+  /// after which no deferred work could be re-admitted counts once).
   uint64_t budget_stalls = 0;
   /// Mid-query effective-UoT changes across all streaming edges (0 for
   /// fixed policies).

@@ -1,6 +1,7 @@
 #include "scheduler/query_session.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "fused/pipeline_fuser.h"
 #include "obs/metrics.h"
@@ -9,6 +10,16 @@
 #include "util/timer.h"
 
 namespace uot {
+
+namespace {
+
+// Whether the calling thread posted an event during the current work
+// order. Completed blocks are posted from inside Execute(), by the
+// destinations' callbacks, so a flag per thread is what ties them to the
+// work order.
+thread_local bool t_posted_event = false;
+
+}  // namespace
 
 QuerySession::QuerySession(QueryPlan* plan, ExecConfig config,
                            WorkOrderSink* sink, int pool_workers,
@@ -134,7 +145,10 @@ ExecutionStats QuerySession::Run() {
   edge_states_.clear();
   edge_states_.resize(plan_->streaming_edges().size());
   deferred_.clear();
-  total_running_ = 0;
+  deferred_waiting_.store(0);
+  outstanding_ = std::make_unique<Outstanding[]>(static_cast<size_t>(n));
+  worker_slots_ =
+      std::make_unique<WorkerSlot[]>(static_cast<size_t>(pool_workers_));
   stats_ = ExecutionStats{};
   stats_.query_id = query_id_;
   stats_.config_summary = config_.ToString();
@@ -212,7 +226,8 @@ ExecutionStats QuerySession::Run() {
   for (int i = 0; i < n; ++i) {
     for (InsertDestination* dest : plan_->destinations_of(i)) {
       dest->set_on_block_ready([this, i](Block* block) {
-        event_queue_.Push(Event{Event::Kind::kBlockReady, i, block, {}, {}});
+        t_posted_event = true;
+        event_queue_.Push(Event{Event::Kind::kBlockReady, i, block});
       });
     }
   }
@@ -242,24 +257,35 @@ ExecutionStats QuerySession::Run() {
 
   for (int i = 0; i < n; ++i) TryGenerate(i);
   ReleaseDeferred();
+  // Coordinator busy time: this first generation pass plus the handling
+  // of every event, never the waits in Pop().
+  stats_.coordinator_busy_ns = NowNanos() - stats_.query_start_ns;
 
   while (!AllFinished()) {
     std::optional<Event> event = event_queue_.Pop();
     UOT_CHECK(event.has_value());  // queue is never closed mid-run
+    const int64_t handle_start_ns = NowNanos();
+    ++stats_.coordinator_events;
     if (trace_ != nullptr || metrics_ != nullptr) SampleQueueDepths();
     switch (event->kind) {
       case Event::Kind::kBlockReady:
         HandleBlockReady(event->op, event->block);
         break;
       case Event::Kind::kWorkOrderDone:
-        HandleWorkOrderDone(&*event);
+        ++stats_.completion_events;
+        CheckOperatorDone(event->op);
         break;
       case Event::Kind::kOperatorFlushed:
         HandleOperatorFlushed(event->op);
         break;
     }
+    // Any event may have deferred work (generation) or made room for it
+    // (a completion), so the release check follows every one.
+    ReleaseDeferred();
+    stats_.coordinator_busy_ns += NowNanos() - handle_start_ns;
   }
 
+  CollectWorkerRecords();
   stats_.query_end_ns = NowNanos();
 
   if (trace_ != nullptr) {
@@ -309,11 +335,14 @@ ExecutionStats QuerySession::Run() {
   return std::move(stats_);
 }
 
-void QuerySession::ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order,
+bool QuerySession::ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order,
                                     int worker_id) {
+  UOT_DCHECK(worker_id >= 0 && worker_id < pool_workers_);
+  t_posted_event = false;
   WorkOrderRecord record;
   record.op = work_order->operator_index;
   record.worker = worker_id;
+  record.dispatch_ns = work_order->dispatch_ns;
   work_order->worker_id = worker_id;
   record.start_ns = NowNanos();
   work_order->Execute();
@@ -324,20 +353,13 @@ void QuerySession::ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order,
                          record.start_ns, record.end_ns, record.op,
                          worker_id);
   }
-  event_queue_.Push(Event{Event::Kind::kWorkOrderDone, record.op, nullptr,
-                          std::move(work_order->consumed_blocks), record});
-}
-
-void QuerySession::HandleWorkOrderDone(Event* event) {
-  OpState& state = op_states_[static_cast<size_t>(event->op)];
-  ++state.completed;
-  --total_running_;
   // Transient intermediate blocks are dropped once consumed. Each block is
   // resolved against the consumer's droppable producer tables in turn
-  // (ReleaseBlock is a no-op returning false on the wrong table).
+  // (ReleaseBlock is a no-op returning false on the wrong table); both
+  // calls lock, so workers drop concurrently.
   const std::vector<Table*>& sources =
-      droppable_sources_[static_cast<size_t>(event->op)];
-  for (Block* consumed : event->consumed) {
+      droppable_sources_[static_cast<size_t>(record.op)];
+  for (Block* consumed : work_order->consumed_blocks) {
     for (Table* source : sources) {
       if (source->ReleaseBlock(consumed)) {
         plan_->storage()->DropBlock(consumed);
@@ -345,18 +367,60 @@ void QuerySession::HandleWorkOrderDone(Event* event) {
       }
     }
   }
-  stats_.records.push_back(event->record);
-  OperatorStats& os = stats_.operators[static_cast<size_t>(event->op)];
-  ++os.num_work_orders;
-  os.total_task_ns += event->record.duration_ns();
-  if (os.first_start_ns == 0 || event->record.start_ns < os.first_start_ns) {
-    os.first_start_ns = event->record.start_ns;
+  // The plan may be destroyed as soon as the query ends, so the work
+  // order goes before the decrement below can end it.
+  work_order.reset();
+  WorkerSlot& slot = worker_slots_[worker_id];
+  slot.records.push_back(record);
+  // The wake rule. The decrement comes before the deferred-work check;
+  // the coordinator publishes deferred work before it re-checks Running(),
+  // so one of the two sees the other.
+  const bool drained =
+      outstanding_[static_cast<size_t>(record.op)].count.fetch_sub(1) == 1;
+  if (drained || deferred_waiting_.load() > 0) {
+    t_posted_event = true;
+    event_queue_.Push(Event{Event::Kind::kWorkOrderDone, record.op, nullptr});
   }
-  if (event->record.end_ns > os.last_end_ns) {
-    os.last_end_ns = event->record.end_ns;
+  // Last touch of the session: Run() may return once every work order is
+  // retired.
+  slot.retired.store(slot.records.size(), std::memory_order_release);
+  return t_posted_event;
+}
+
+void QuerySession::CollectWorkerRecords() {
+  uint64_t generated = 0;
+  for (const OpState& s : op_states_) generated += s.generated;
+  // Every operator has drained, but the workers that ran the last work
+  // orders may still be between their decrement and their retire store:
+  // a bounded tail, so spinning beats a sleep/wake round trip.
+  const size_t workers = static_cast<size_t>(pool_workers_);
+  while (true) {
+    uint64_t retired = 0;
+    for (size_t w = 0; w < workers; ++w) {
+      retired += worker_slots_[w].retired.load(std::memory_order_acquire);
+    }
+    if (retired == generated) break;
+    std::this_thread::yield();
   }
-  ReleaseDeferred();
-  CheckOperatorDone(event->op);
+  stats_.records.reserve(generated);
+  for (size_t w = 0; w < workers; ++w) {
+    const std::vector<WorkOrderRecord>& records = worker_slots_[w].records;
+    stats_.records.insert(stats_.records.end(), records.begin(),
+                          records.end());
+  }
+  std::sort(stats_.records.begin(), stats_.records.end(),
+            [](const WorkOrderRecord& a, const WorkOrderRecord& b) {
+              return a.end_ns < b.end_ns;
+            });
+  for (const WorkOrderRecord& r : stats_.records) {
+    OperatorStats& os = stats_.operators[static_cast<size_t>(r.op)];
+    ++os.num_work_orders;
+    os.total_task_ns += r.duration_ns();
+    if (os.first_start_ns == 0 || r.start_ns < os.first_start_ns) {
+      os.first_start_ns = r.start_ns;
+    }
+    os.last_end_ns = std::max(os.last_end_ns, r.end_ns);
+  }
 }
 
 void QuerySession::SetupFusedChains() {
@@ -421,10 +485,16 @@ void QuerySession::TryGenerate(int op) {
     state.done_generating = chain != nullptr
                                 ? chain->GenerateWorkOrders(&out)
                                 : plan_->op(op)->GenerateWorkOrders(&out);
+    // The whole batch counts as outstanding before any of it runs, so a
+    // worker that finishes an early work order cannot drain the operator
+    // while the rest of the batch is still being dispatched.
+    state.generated += out.size();
+    outstanding_[static_cast<size_t>(op)].count.fetch_add(out.size());
+    undispatched_ = out.size();
     for (auto& wo : out) {
       wo->operator_index = op;
-      ++state.generated;
       Dispatch(op, std::move(wo));
+      --undispatched_;
     }
   }
   CheckOperatorDone(op);
@@ -447,7 +517,7 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
     // and traced; pacing deferrals (admissions waiting for a pool slot)
     // are not budget events.
     if (over_budget || !deferred_.empty() ||
-        total_running_ >= pool_workers_) {
+        Running() >= static_cast<uint64_t>(pool_workers_)) {
       if (over_budget) {
         const int64_t tracked = plan_->storage()->tracker().TotalCurrent();
         if (trace_ != nullptr) {
@@ -458,14 +528,27 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
         RecordBudgetEvent(op, /*release=*/false, tracked);
       }
       deferred_.push_back(DeferredWorkOrder{op, over_budget, std::move(wo)});
+      deferred_waiting_.store(deferred_.size());
       return;
     }
   }
-  ++total_running_;
-  // Consumers run at high priority. The pool outlives every active session.
-  const bool accepted =
-      sink_->SubmitWork(this, std::move(wo), state.is_consumer);
+  // Consumers run at high priority.
+  Submit(std::move(wo), state.is_consumer);
+}
+
+void QuerySession::Submit(std::unique_ptr<WorkOrder> wo, bool high_priority) {
+  wo->dispatch_ns = NowNanos();
+  // The pool outlives every active session.
+  const bool accepted = sink_->SubmitWork(this, std::move(wo), high_priority);
   UOT_CHECK(accepted);
+}
+
+uint64_t QuerySession::Running() const {
+  uint64_t outstanding = 0;
+  for (size_t i = 0; i < op_states_.size(); ++i) {
+    outstanding += outstanding_[i].count.load();
+  }
+  return outstanding - deferred_.size() - undispatched_;
 }
 
 void QuerySession::ReleaseDeferred() {
@@ -473,19 +556,23 @@ void QuerySession::ReleaseDeferred() {
     const bool over_budget =
         plan_->storage()->tracker().TotalCurrent() >
         config_.memory_budget_bytes;
+    const uint64_t running = Running();
     // Over budget: only release if nothing is running (progress
     // guarantee). Under budget: admit producers only up to the pool
     // size, so allocations stay paced against completions. Each denied
     // release while deferred work waits is a stall — the duration-like
     // signal of budget pressure (deferral counts alone only record the
     // first admission refusal of each work order).
-    if (over_budget && total_running_ > 0) {
+    if (over_budget && running > 0) {
       ++stats_.budget_stalls;
       return;
     }
-    if (!over_budget && total_running_ >= pool_workers_) return;
+    if (!over_budget && running >= static_cast<uint64_t>(pool_workers_)) {
+      return;
+    }
     DeferredWorkOrder deferred = std::move(deferred_.front());
     deferred_.pop_front();
+    deferred_waiting_.store(deferred_.size());
     if (deferred.counted) {
       const int64_t tracked = plan_->storage()->tracker().TotalCurrent();
       if (trace_ != nullptr) {
@@ -494,11 +581,8 @@ void QuerySession::ReleaseDeferred() {
       }
       RecordBudgetEvent(deferred.op, /*release=*/true, tracked);
     }
-    ++total_running_;
     // Producers queue behind consumers: never high priority.
-    const bool accepted =
-        sink_->SubmitWork(this, std::move(deferred.work_order), false);
-    UOT_CHECK(accepted);
+    Submit(std::move(deferred.work_order), /*high_priority=*/false);
     if (over_budget) return;  // released the single progress work order
   }
 }
@@ -506,7 +590,10 @@ void QuerySession::ReleaseDeferred() {
 void QuerySession::CheckOperatorDone(int op) {
   OpState& state = op_states_[static_cast<size_t>(op)];
   if (state.finished || state.finishing) return;
-  if (!state.done_generating || state.completed != state.generated) return;
+  if (!state.done_generating ||
+      outstanding_[static_cast<size_t>(op)].count.load() != 0) {
+    return;
+  }
   // All work orders executed and no more coming: flush the operator. The
   // flush callbacks enqueue kBlockReady events; the marker event below is
   // processed after them (FIFO), so final UoT transfers see every block.
@@ -515,7 +602,7 @@ void QuerySession::CheckOperatorDone(int op) {
   plan_->op(op)->Finish();
   stats_.operators[static_cast<size_t>(op)].finish_ns =
       NowNanos() - finish_start_ns;
-  event_queue_.Push(Event{Event::Kind::kOperatorFlushed, op, nullptr, {}, {}});
+  event_queue_.Push(Event{Event::Kind::kOperatorFlushed, op, nullptr});
 }
 
 uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
@@ -546,9 +633,8 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
     rt.memory_budget_bytes = config_.memory_budget_bytes;
     rt.baseline_tracked_bytes = baseline_tracked_bytes_;
     rt.deferred_work_orders = deferred_.size();
-    rt.producer_work_orders_done = producer.completed;
-    rt.consumer_work_orders_done =
-        op_states_[static_cast<size_t>(edge.consumer)].completed;
+    rt.producer_work_orders_done = Completed(edge.producer);
+    rt.consumer_work_orders_done = Completed(edge.consumer);
     blocks = uot_policy_->BlocksPerTransfer(rt, &cause);
   }
   UOT_CHECK(blocks != 0);  // a zero UoT is a policy bug, not a request

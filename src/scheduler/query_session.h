@@ -1,6 +1,7 @@
 #ifndef UOT_SCHEDULER_QUERY_SESSION_H_
 #define UOT_SCHEDULER_QUERY_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -52,13 +53,16 @@ class WorkOrderSink {
 ///    outgoing streaming edge and transfer to the consumer once UoT blocks
 ///    are available (for the whole-table UoT, only when the producer
 ///    finished);
-///  - a work order finished -> account it, drop consumed transient blocks,
-///    release capped/deferred work orders, and when the operator is fully
-///    done, flush its partial output blocks and unblock dependents.
+///  - an operator drained (its last outstanding work order finished) ->
+///    when the operator is fully done, flush its partial output blocks and
+///    unblock dependents;
+///  - after every event, release budget-deferred work orders when allowed.
 ///
-/// Work orders are executed by pool workers owned by the Engine; many
-/// sessions run concurrently on one pool, each tagged with its own
-/// `query_id` and (optionally) its own trace/metrics sinks.
+/// The worker that ran a work order does its bookkeeping itself (see
+/// ExecuteWorkOrder): the coordinator never hears about a completion that
+/// needs no decision. Work orders are executed by pool workers owned by
+/// the Engine; many sessions run concurrently on one pool, each tagged
+/// with its own `query_id` and (optionally) its own trace/metrics sinks.
 class QuerySession {
  public:
   /// `pool_workers` is the size of the worker pool behind `sink` (used for
@@ -73,10 +77,16 @@ class QuerySession {
   /// most once.
   ExecutionStats Run();
 
-  /// Executes `work_order` on behalf of this session and posts the
-  /// completion event to the session's event queue. Called by pool worker
-  /// threads, concurrently with Run().
-  void ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order, int worker_id);
+  /// Executes `work_order` on behalf of this session and accounts it on
+  /// the calling worker: drops the consumed transient blocks, files the
+  /// timing record in the worker's own buffer and decrements the
+  /// operator's outstanding count. Posts a completion event only when that
+  /// decrement drains the operator, or while budget-deferred work orders
+  /// wait for a slot. Called by pool worker threads (`worker_id` in
+  /// [0, pool_workers)), concurrently with Run(). Returns whether the
+  /// work order posted any event (a completed block or a completion), so
+  /// the coordinator has something to decide.
+  bool ExecuteWorkOrder(std::unique_ptr<WorkOrder> work_order, int worker_id);
 
   uint64_t query_id() const { return query_id_; }
 
@@ -86,8 +96,6 @@ class QuerySession {
     Kind kind;
     int op = -1;
     Block* block = nullptr;
-    std::vector<Block*> consumed;  // transient input blocks, for dropping
-    WorkOrderRecord record;
   };
 
   struct OpState {
@@ -97,7 +105,24 @@ class QuerySession {
     bool finishing = false;
     bool finished = false;
     uint64_t generated = 0;
-    uint64_t completed = 0;
+  };
+
+  /// Work orders of one operator generated and not yet completed
+  /// (budget-deferred ones included): raised by the coordinator before it
+  /// dispatches, lowered by the worker that completes one. One cache line
+  /// per operator so workers of different operators do not share one.
+  struct alignas(64) Outstanding {
+    std::atomic<uint64_t> count{0};
+  };
+
+  /// What one pool worker accounted for this session. Only that worker
+  /// writes it; `retired` (the number of records filed) is its last store
+  /// into the session per work order, so once the coordinator has seen
+  /// every generated work order retired, no worker touches the session
+  /// again and `records` is safe to read.
+  struct alignas(64) WorkerSlot {
+    std::vector<WorkOrderRecord> records;
+    std::atomic<uint64_t> retired{0};
   };
 
   // Transfer state of one streaming edge. Its measured counters live in
@@ -153,14 +178,26 @@ class QuerySession {
   int FusedHeadOf(int op) const;
   void TryGenerate(int op);
   void Dispatch(int op, std::unique_ptr<WorkOrder> wo);
+  /// Stamps the dispatch time and hands `wo` to the pool.
+  void Submit(std::unique_ptr<WorkOrder> wo, bool high_priority);
   /// Re-dispatches budget-deferred work orders when allowed.
   void ReleaseDeferred();
+  /// Work orders submitted to the pool and not yet completed.
+  uint64_t Running() const;
+  /// Work orders of `op` completed so far.
+  uint64_t Completed(int op) const {
+    return op_states_[static_cast<size_t>(op)].generated -
+           outstanding_[static_cast<size_t>(op)].count.load();
+  }
   void CheckOperatorDone(int op);
-  void HandleWorkOrderDone(Event* event);
   void HandleBlockReady(int op, Block* block);
   void HandleOperatorFlushed(int op);
   void DeliverEdge(int edge_index, bool final_flush);
   bool AllFinished() const;
+  /// The tail handshake: waits until every generated work order is
+  /// retired by its worker, then builds `stats_.records` (by end time) and
+  /// the per-operator work-order aggregates from the worker slots.
+  void CollectWorkerRecords();
 
   QueryPlan* const plan_;
   const ExecConfig config_;
@@ -187,7 +224,16 @@ class QuerySession {
   std::vector<int> fused_chain_of_op_;  // per op: chain index or -1
   // Work orders deferred by the memory budget, FIFO.
   std::deque<DeferredWorkOrder> deferred_;
-  int total_running_ = 0;
+  // deferred_.size(), published for workers: while it is non-zero, every
+  // completion posts an event so the coordinator can release deferred
+  // work. The coordinator re-checks Running() after each publish, so a
+  // completion racing with a deferral is seen by one side or the other.
+  std::atomic<uint64_t> deferred_waiting_{0};
+  // Work orders of the batch TryGenerate is dispatching that are counted
+  // outstanding but not yet submitted or deferred (0 outside that loop).
+  uint64_t undispatched_ = 0;
+  std::unique_ptr<Outstanding[]> outstanding_;   // per operator
+  std::unique_ptr<WorkerSlot[]> worker_slots_;   // per pool worker
   ExecutionStats stats_;
 
   // The resolved UoT policy chain: `uot_policy_` points at the config's

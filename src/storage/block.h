@@ -95,6 +95,8 @@ class Block {
   void Clear() { num_rows_ = 0; }
 
  private:
+  friend class StorageManager;
+
   const BlockId id_;
   const Schema* schema_;  // owned by the table / destination, outlives block
   const Layout layout_;
@@ -105,6 +107,8 @@ class Block {
   std::unique_ptr<std::byte[]> data_;
   // Byte offset where each column's array starts (column store only).
   std::vector<size_t> column_starts_;
+  // Index of this block's entry in the owning StorageManager.
+  size_t storage_slot_ = 0;
 };
 
 }  // namespace uot

@@ -1,6 +1,7 @@
 #ifndef UOT_STORAGE_STORAGE_MANAGER_H_
 #define UOT_STORAGE_STORAGE_MANAGER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -24,7 +25,8 @@ class StorageManager {
   Block* CreateBlock(const Schema* schema, Layout layout,
                      size_t capacity_bytes, MemoryCategory category);
 
-  /// Releases a block's memory accounting and destroys it.
+  /// Releases a block's memory accounting and destroys it. O(1): each
+  /// block knows its entry, and the last entry moves into the hole.
   void DropBlock(Block* block);
 
   MemoryTracker& tracker() { return tracker_; }
@@ -40,8 +42,9 @@ class StorageManager {
   };
 
   mutable std::mutex mutex_;
+  // Live blocks in no particular order; entries_[b->storage_slot_] is b's.
   std::vector<Entry> entries_;
-  BlockId next_id_ = 1;
+  std::atomic<BlockId> next_id_{1};
   MemoryTracker tracker_;
 };
 

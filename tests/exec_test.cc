@@ -1,16 +1,75 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "exec/adaptive_uot_policy.h"
+#include "exec/engine.h"
 #include "exec/query_executor.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/uot_policy.h"
 #include "operators/select_operator.h"
 #include "test_util.h"
+#include "tpch/tpch_generator.h"
+#include "tpch/tpch_queries.h"
 
 namespace uot {
 namespace {
 
 using testing::MakeKvTable;
+
+/// TPC-H at SF 0.01 in 16 KiB blocks (hundreds of work orders per query),
+/// generated once and shared (read-only) by the scheduling tests below.
+constexpr size_t kSmallBlockBytes = 16 << 10;
+
+const TpchDatabase& Tpch001() {
+  static StorageManager* storage = new StorageManager();
+  static TpchDatabase* db = [] {
+    auto* d = new TpchDatabase(storage);
+    TpchConfig config;
+    config.scale_factor = 0.01;
+    config.block_bytes = kSmallBlockBytes;
+    d->Generate(config);
+    return d;
+  }();
+  return *db;
+}
+
+std::unique_ptr<QueryPlan> SmallBlockTpchPlan(int query) {
+  TpchPlanConfig config;
+  config.block_bytes = kSmallBlockBytes;
+  return BuildTpchPlan(query, Tpch001(), config);
+}
+
+/// Runs `plan` on `engine` from a helper thread and waits at most
+/// `deadline` for it. A query that never finishes (a lost wakeup) fails
+/// the assertion, and the still-joinable thread then aborts the suite
+/// instead of hanging it.
+ExecutionStats ExecuteWithDeadline(Engine* engine, QueryPlan* plan,
+                                   const ExecConfig& config,
+                                   std::chrono::seconds deadline) {
+  ExecutionStats stats;
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    stats = engine->Execute(plan, config);
+    done.store(true);
+  });
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  while (!done.load() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!done.load()) {
+    ADD_FAILURE() << "query did not finish within " << deadline.count()
+                  << " s: " << config.ToString();
+    std::abort();
+  }
+  runner.join();
+  return stats;
+}
 
 TEST(UotPolicyTest, DefaultsToOneBlock) {
   UotPolicy policy;
@@ -181,6 +240,132 @@ TEST(ExecutorTest, RepeatedExecutionOfFreshPlansIsStable) {
     }
   }
   EXPECT_FALSE(first.empty());
+}
+
+// Workers account their own work orders and wake the coordinator only
+// when an operator drains. An operator drains at most once per batch of
+// work it was given: at its start (or unblocking) and after each transfer
+// into it. Whatever the schedule, the wakeups stay within that bound and
+// the records still cover every work order.
+TEST(CompletionEventTest, WakeupsStayWithinTransfersPlusOperators) {
+  constexpr uint64_t kUot = 4;
+  for (const int workers : {1, 4}) {
+    EngineConfig engine_config;
+    engine_config.num_workers = workers;
+    Engine engine(engine_config);
+    for (const int query : {1, 3, 21}) {
+      auto plan = SmallBlockTpchPlan(query);
+      ExecConfig config;
+      config.uot = UotPolicy::LowUot(kUot);
+      const ExecutionStats stats = engine.Execute(plan.get(), config);
+      const std::string where = "Q" + std::to_string(query) + " at " +
+                                std::to_string(workers) + " worker(s)";
+
+      uint64_t transfers = 0;
+      for (const EdgeStats& edge : stats.edges) {
+        EXPECT_TRUE(testing::TransfersMatchUot(edge, kUot)) << where;
+        transfers += edge.transfers;
+      }
+      EXPECT_LE(stats.completion_events,
+                transfers + stats.operators.size())
+          << where;
+      EXPECT_GE(stats.coordinator_events, stats.completion_events) << where;
+      EXPECT_GT(stats.coordinator_busy_ns, 0) << where;
+
+      uint64_t work_orders = 0;
+      for (const OperatorStats& os : stats.operators) {
+        work_orders += os.num_work_orders;
+      }
+      EXPECT_EQ(stats.records.size(), work_orders) << where;
+      EXPECT_GT(stats.records.size(), stats.completion_events) << where;
+      EXPECT_TRUE(std::is_sorted(stats.records.begin(), stats.records.end(),
+                                 [](const WorkOrderRecord& a,
+                                    const WorkOrderRecord& b) {
+                                   return a.end_ns < b.end_ns;
+                                 }))
+          << where;
+      for (const WorkOrderRecord& r : stats.records) {
+        ASSERT_GT(r.dispatch_ns, 0) << where;
+        ASSERT_LE(r.dispatch_ns, r.start_ns) << where;
+        ASSERT_LE(r.start_ns, r.end_ns) << where;
+      }
+    }
+  }
+}
+
+// memory_budget_bytes = 1 keeps every session permanently over budget:
+// producer work orders are deferred and released one at a time, each
+// release waiting on the completion of the one before. A completion that
+// raced past a deferral without posting its event would leave the query
+// stuck with nothing running. Fused chain heads defer their work only when
+// their last build finishes, from an operator-flush event rather than a
+// completion.
+TEST(CompletionEventTest, BudgetDeferralsNeverLoseAWakeup) {
+  for (const int workers : {1, 4}) {
+    EngineConfig engine_config;
+    engine_config.num_workers = workers;
+    Engine engine(engine_config);
+    for (const int query : {3, 6}) {
+      auto reference_plan = SmallBlockTpchPlan(query);
+      engine.Execute(reference_plan.get(), ExecConfig{});
+      const std::string expected =
+          CanonicalRows(*reference_plan->result_table());
+      for (const PipelineMode mode :
+           {PipelineMode::kVectorized, PipelineMode::kFused}) {
+        for (int run = 0; run < 3; ++run) {
+          auto plan = SmallBlockTpchPlan(query);
+          ExecConfig config;
+          config.memory_budget_bytes = 1;
+          config.pipeline_mode = mode;
+          const std::string where = "Q" + std::to_string(query) + " " +
+                                    PipelineModeName(mode) + " at " +
+                                    std::to_string(workers) + " worker(s)";
+          const ExecutionStats stats = ExecuteWithDeadline(
+              &engine, plan.get(), config, std::chrono::seconds(120));
+          EXPECT_GT(stats.budget_deferrals, 0u) << where;
+          EXPECT_EQ(CanonicalRows(*plan->result_table()), expected) << where;
+        }
+      }
+    }
+  }
+}
+
+// Many tiny sessions ending back to back on one engine: a session's
+// Run() may only return once no worker can touch it again, however the
+// last work orders' tails interleave with the next session's start.
+TEST(CompletionEventTest, ManyTinySessionsOnOneEngine) {
+  EngineConfig engine_config;
+  engine_config.num_workers = 4;
+  Engine engine(engine_config);
+  auto reference_plan = SmallBlockTpchPlan(6);
+  engine.Execute(reference_plan.get(), ExecConfig{});
+  const std::string expected = CanonicalRows(*reference_plan->result_table());
+
+  constexpr int kThreads = 8, kSessionsPerThread = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSessionsPerThread; ++i) {
+        auto plan = SmallBlockTpchPlan(6);
+        ExecConfig config;
+        config.uot = UotPolicy::LowUot(1 + static_cast<uint64_t>(i % 3));
+        const ExecutionStats stats = engine.Execute(plan.get(), config);
+        uint64_t work_orders = 0;
+        for (const OperatorStats& os : stats.operators) {
+          work_orders += os.num_work_orders;
+        }
+        if (CanonicalRows(*plan->result_table()) != expected ||
+            work_orders != stats.records.size()) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(engine.queries_executed(),
+            static_cast<uint64_t>(1 + kThreads * kSessionsPerThread));
 }
 
 }  // namespace

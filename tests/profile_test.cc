@@ -319,6 +319,60 @@ TEST(ProfileTest, FinishTimeIsAttributedAndOptionalInJson) {
   EXPECT_FALSE(obs::ParseQueryProfileJson(broken, &summary).ok());
 }
 
+TEST(ProfileTest, CoordinatorSplitIsShownAndOptionalInJson) {
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 4000, 20, Layout::kRowStore, 1024);
+  auto plan = MakeSelectAggPlan(&storage, *input);
+  ExecConfig config;
+  config.num_workers = 2;
+  ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
+  EXPECT_GT(stats.coordinator_events, 0u);
+  EXPECT_LE(stats.completion_events, stats.coordinator_events);
+  EXPECT_GT(stats.coordinator_busy_ns, 0);
+  EXPECT_NE(stats.ToString().find("coordinator busy="), std::string::npos);
+
+  const obs::QueryProfile profile =
+      obs::QueryProfile::FromRun(plan.get(), stats, {"split"});
+  EXPECT_EQ(profile.queue_wait().count, stats.records.size());
+  EXPECT_NE(profile.ToString().find("coordinator busy"), std::string::npos);
+  const std::string json = profile.ToJson();
+  EXPECT_NE(json.find("\"coordinator_busy_ns\": "), std::string::npos);
+  EXPECT_NE(json.find("\"queue_wait\": "), std::string::npos);
+  obs::QueryProfileSummary summary;
+  ASSERT_TRUE(obs::ParseQueryProfileJson(json, &summary).ok());
+  EXPECT_EQ(summary.coordinator_events, stats.coordinator_events);
+  EXPECT_EQ(summary.completion_events, stats.completion_events);
+
+  // Stats without the split render the document written before the keys
+  // existed, and it still validates.
+  ExecutionStats old_stats = stats;
+  old_stats.coordinator_busy_ns = 0;
+  old_stats.coordinator_events = 0;
+  old_stats.completion_events = 0;
+  for (WorkOrderRecord& r : old_stats.records) r.dispatch_ns = 0;
+  const std::string old_json =
+      obs::QueryProfile::FromRun(plan.get(), old_stats, {"split"}).ToJson();
+  EXPECT_EQ(old_json.find("coordinator"), std::string::npos);
+  EXPECT_EQ(old_json.find("completion_events"), std::string::npos);
+  EXPECT_EQ(old_json.find("queue_wait"), std::string::npos);
+  ASSERT_TRUE(obs::ParseQueryProfileJson(old_json, &summary).ok());
+  EXPECT_EQ(summary.coordinator_events, 0u);
+
+  // Present keys must be complete, numeric and consistent.
+  std::string partial = json;
+  const size_t busy = partial.find("\"coordinator_busy_ns\": ");
+  partial.erase(busy, partial.find(", ", busy) + 2 - busy);
+  EXPECT_FALSE(obs::ParseQueryProfileJson(partial, &summary).ok());
+  std::string broken = json;
+  const size_t key = broken.find("\"completion_events\": ") + 21;
+  broken.replace(key, broken.find(',', key) - key, "\"x\"");
+  EXPECT_FALSE(obs::ParseQueryProfileJson(broken, &summary).ok());
+  std::string inconsistent = json;
+  inconsistent.replace(key, inconsistent.find(',', key) - key,
+                       std::to_string(stats.coordinator_events + 1));
+  EXPECT_FALSE(obs::ParseQueryProfileJson(inconsistent, &summary).ok());
+}
+
 TEST(ProfileTest, FusedRunRendersChainsAndVectorizedDocumentsAreUnchanged) {
   StorageManager storage;
   auto input = MakeKvTable(&storage, "in", 4000, 20, Layout::kRowStore, 1024);

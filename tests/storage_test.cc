@@ -149,6 +149,47 @@ TEST(StorageManagerTest, TracksBlockMemory) {
             temp_bytes);
 }
 
+TEST(StorageManagerTest, ConcurrentCreateAndDropReturnsToBaseline) {
+  StorageManager storage;
+  const Schema schema = TestSchema();
+  // Long-lived blocks (a base table) stay put while the workers churn, so
+  // drops move entries around them.
+  std::vector<Block*> base;
+  for (int i = 0; i < 64; ++i) {
+    base.push_back(storage.CreateBlock(&schema, Layout::kRowStore, 512,
+                                       MemoryCategory::kBaseTable));
+  }
+  const int64_t baseline = storage.tracker().TotalCurrent();
+  constexpr int kThreads = 4, kRounds = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&storage, &schema, t] {
+      std::vector<Block*> mine;
+      for (int i = 0; i < kRounds; ++i) {
+        mine.push_back(storage.CreateBlock(
+            &schema, t % 2 == 0 ? Layout::kRowStore : Layout::kColumnStore,
+            256 + 64 * static_cast<size_t>(i % 4),
+            MemoryCategory::kTemporaryTable));
+        // Drop in a scrambled order, keeping a few blocks alive.
+        if (mine.size() > 3) {
+          const size_t victim = static_cast<size_t>(i * 7) % mine.size();
+          storage.DropBlock(mine[victim]);
+          mine[victim] = mine.back();
+          mine.pop_back();
+        }
+      }
+      for (Block* b : mine) storage.DropBlock(b);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(storage.num_blocks(), base.size());
+  EXPECT_EQ(storage.tracker().TotalCurrent(), baseline);
+  EXPECT_EQ(storage.tracker().Current(MemoryCategory::kTemporaryTable), 0);
+  for (Block* b : base) storage.DropBlock(b);
+  EXPECT_EQ(storage.num_blocks(), 0u);
+  EXPECT_EQ(storage.tracker().TotalCurrent(), 0);
+}
+
 TEST(TableTest, AppendAcrossBlocks) {
   StorageManager storage;
   Table table("t", TestSchema(), Layout::kRowStore, 5 * 18, &storage,
