@@ -5,20 +5,27 @@
 // appears once the table outgrows LLC and every probe chain starts with a
 // memory stall.
 //
-// Three parts:
-//   1. Kernel level: raw JoinHashTable Insert/Probe loops vs
-//      InsertBatch/ProbeBatch (batch 256, prefetch distance 16).
+// Four parts:
+//   1. Kernel level: one-row InsertBatch/ProbeBatch calls without
+//      prefetching (the tuple-at-a-time path) vs InsertBatch/ProbeBatch
+//      over batches of 256 with prefetch distance 16.
 //   2. Concurrent build: 1, 2 and 4 threads InsertBatch disjoint slices
 //      into one shared out-of-cache table, as the build work orders of a
 //      non-partitioned join do. Any per-row write to shared state shows up
 //      here as poor w4/w1 scaling; the single-thread A/B above cannot see it.
-//   3. Plan level: TPC-H Q3 through the scheduler with the join knobs at
+//   3. Duplicate keys: the same 4-thread build at 1, 4 and 15 rows per key
+//      in both table layouts (hash and dense). The hash layout walks past
+//      the earlier copies of a key to place the next one; the dense layout
+//      prepends. Unique-key arms cannot show that cost.
+//   4. Plan level: TPC-H Q3 through the scheduler with the join knobs at
 //      batch 1 / no prefetch vs the defaults, across block sizes and UoT.
 //
 // Emits BENCH_join_kernels.json; the concurrent build reports
 // build_concurrent_ms_w{1,2,4} and build_scaling_w4_w1 (w1 time over w4
-// time, 4 = linear). UOT_JOIN_BENCH_SMALL=1 shrinks the table
-// sizes and scale factor so CI can smoke-test the emitter in seconds.
+// time, 4 = linear), the duplicate arms build_ns_per_row_dup{1,4,15}_
+// {hash,dense} (4-thread wall time over rows). UOT_JOIN_BENCH_SMALL=1
+// shrinks the table sizes and scale factor so CI can smoke-test the
+// emitter in seconds.
 
 #include <algorithm>
 #include <cstdio>
@@ -86,14 +93,15 @@ KernelTimes RunKernelAb(uint64_t entries, int runs) {
   matches.reserve(kBatch);
 
   for (int r = 0; r < runs; ++r) {
-    // Scalar build.
+    // One-at-a-time build: one-row calls without prefetching.
     JoinHashTable ht_scalar(payload, 1, 0.75, nullptr);
     ht_scalar.Reserve(entries);
     {
       Timer t;
       for (uint64_t i = 0; i < entries; ++i) {
         const uint64_t key = i * 37;
-        ht_scalar.Insert(&key, payloads.data() + i * 8);
+        ht_scalar.InsertBatch(&key, payloads.data() + i * 8, 1,
+                              /*prefetch_distance=*/0, &hash_scratch);
       }
       out.build_scalar_ms =
           std::min(out.build_scalar_ms, t.ElapsedSeconds() * 1e3);
@@ -117,16 +125,18 @@ KernelTimes RunKernelAb(uint64_t entries, int runs) {
           std::min(out.build_batched_ms, t.ElapsedSeconds() * 1e3);
     }
 
-    // Scalar probe: one dependent pointer chase per tuple.
+    // One-at-a-time probe: one dependent pointer chase per tuple.
     int64_t sum_scalar = 0;
     {
       Timer t;
       for (uint64_t i = 0; i < entries; ++i) {
-        ht_scalar.Probe(&probe_keys[i], [&sum_scalar](const std::byte* p) {
+        ht_scalar.ProbeBatch(&probe_keys[i], 1, /*prefetch_distance=*/0,
+                             &hash_scratch, &matches);
+        for (const JoinMatch& match : matches) {
           int64_t v;
-          std::memcpy(&v, p, 8);
+          std::memcpy(&v, match.payload, 8);
           sum_scalar += v;
-        });
+        }
       }
       out.probe_scalar_ms =
           std::min(out.probe_scalar_ms, t.ElapsedSeconds() * 1e3);
@@ -161,17 +171,28 @@ KernelTimes RunKernelAb(uint64_t entries, int runs) {
 }
 
 /// Best-of-`runs` wall time (ms) for `threads` threads to build one shared
-/// table of `entries` rows with InsertBatch, each thread inserting its own
-/// contiguous slice. Reserve (allocation and zeroing) is outside the timing.
-double TimeConcurrentBuild(uint64_t entries, int threads, int runs) {
+/// table of `keys.size()` rows with InsertBatch, each thread inserting its
+/// own contiguous slice. `dense_range` > 0 reserves the dense layout over
+/// keys [0, dense_range); 0 reserves the hash layout. Reserve (allocation,
+/// zeroing the tags or heads) is outside the timing; the first touch of
+/// the slots, links and payloads, which Reserve leaves unzeroed, is inside.
+double TimeConcurrentBuild(const std::vector<uint64_t>& keys, int threads,
+                           int runs, uint64_t dense_range = 0) {
   Schema payload({{"v", Type::Int64()}});
-  std::vector<uint64_t> keys(entries);
-  for (uint64_t i = 0; i < entries; ++i) keys[i] = i * 37;
+  const uint64_t entries = keys.size();
   const std::vector<std::byte> payloads = PackedPayloads(entries);
   double best_ms = 1e300;
   for (int r = 0; r < runs; ++r) {
     JoinHashTable ht(payload, 1, 0.75, nullptr);
-    ht.Reserve(entries);
+    if (dense_range > 0) {
+      ht.Reserve(entries, 0, static_cast<int64_t>(dense_range) - 1);
+      if (!ht.dense()) {
+        std::fprintf(stderr, "FATAL: dense arm reserved the hash layout\n");
+        std::exit(1);
+      }
+    } else {
+      ht.Reserve(entries);
+    }
     Timer t;
     std::vector<std::thread> workers;
     for (int w = 0; w < threads; ++w) {
@@ -251,14 +272,39 @@ int main() {
 
   std::printf("\nConcurrent build, one shared table (%llu entries):\n",
               static_cast<unsigned long long>(outcache_entries));
+  std::vector<uint64_t> spread_keys(outcache_entries);
+  for (uint64_t i = 0; i < outcache_entries; ++i) spread_keys[i] = i * 37;
   double build_w1_ms = 0.0;
   for (const int threads : {1, 2, 4}) {
-    const double ms = TimeConcurrentBuild(outcache_entries, threads, runs);
+    const double ms = TimeConcurrentBuild(spread_keys, threads, runs);
     if (threads == 1) build_w1_ms = ms;
     std::printf("  w%d %8.2f ms  (%4.2fx vs w1)\n", threads, ms,
                 build_w1_ms / ms);
     json.Set("build_concurrent_ms_w" + std::to_string(threads), ms);
     if (threads == 4) json.Set("build_scaling_w4_w1", build_w1_ms / ms);
+  }
+
+  // Duplicate keys: `dup` rows per key over keys [0, entries / dup), in
+  // random order, built by 4 threads into each layout.
+  std::printf("\nDuplicate-key build, 4 threads (%llu entries), ns per row:\n",
+              static_cast<unsigned long long>(outcache_entries));
+  const std::vector<uint64_t> order = ShuffledKeys(outcache_entries);
+  for (const uint64_t dup : {1, 4, 15}) {
+    const uint64_t range = (outcache_entries + dup - 1) / dup;
+    std::vector<uint64_t> keys(outcache_entries);
+    for (uint64_t i = 0; i < outcache_entries; ++i) {
+      keys[i] = order[i] / 37 / dup;  // ShuffledKeys spaces keys by 37
+    }
+    const double rows = static_cast<double>(outcache_entries);
+    const double hash_ns = TimeConcurrentBuild(keys, 4, runs) * 1e6 / rows;
+    const double dense_ns =
+        TimeConcurrentBuild(keys, 4, runs, range) * 1e6 / rows;
+    std::printf("  %2llu rows/key  hash %7.2f   dense %7.2f   (%4.2fx)\n",
+                static_cast<unsigned long long>(dup), hash_ns, dense_ns,
+                hash_ns / dense_ns);
+    const std::string tag = "build_ns_per_row_dup" + std::to_string(dup);
+    json.Set(tag + "_hash", hash_ns);
+    json.Set(tag + "_dense", dense_ns);
   }
 
   // Plan level: TPC-H Q3 (join-heavy) with tuple-at-a-time join knobs

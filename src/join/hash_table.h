@@ -25,24 +25,30 @@ inline uint64_t HashJoinKey(const uint64_t* key, int words) {
 /// row of the probe key and the matching entry's payload.
 struct JoinMatch {
   uint32_t row;              // index into the probed key batch [0, n)
-  const std::byte* payload;  // packed payload_schema tuple in the slot
+  const std::byte* payload;  // packed payload_schema tuple in the table
 };
 
-/// A non-partitioned hash table for hash joins (paper Section III):
-/// one shared table built concurrently by all build work orders, probed
-/// read-only afterwards.
+/// A non-partitioned join table (paper Section III): one shared table
+/// built concurrently by all build work orders, probed read-only
+/// afterwards. It has two layouts, picked once by Reserve:
 ///
-/// Layout matches the paper's Section VI-B memory model: fixed-size buckets
-/// of `slot_bytes()` (= c) in an open-addressed array sized so that the
-/// occupancy never exceeds `load_factor` (= f); the footprint per entry is
-/// therefore c/f. Duplicate keys are supported (linear-probe multimap).
+///  - **Hash** (any key): the paper's Section VI-B layout. Fixed-size
+///    buckets of `slot_bytes()` (= c) in an open-addressed array sized so
+///    that the occupancy never exceeds `load_factor` (= f), so the
+///    footprint per entry is c/f. Duplicate keys are supported
+///    (linear-probe multimap).
+///  - **Dense** (a single integral key over a narrow range): a `heads`
+///    array of 32-bit chain heads indexed by `key - min`, and per-entry
+///    payloads plus 32-bit `next` links. No hashing, stored keys, tags or
+///    probe walks: an insert prepends its row to its key's chain.
 ///
-/// Concurrency: `Insert` is thread-safe (per-slot CAS claim, release-store
-/// publish). `Probe` must only run after all inserts are complete, which the
-/// scheduler guarantees via the blocking build->probe dependency. The
-/// per-row insert path writes only the slot it claims; the shared entry
-/// count is bumped once per call (`n` per `InsertBatch`), so concurrent
-/// builders do not bounce a shared cache line on every row.
+/// Concurrency: InsertBatch is thread-safe. Hash layout: per-slot CAS claim,
+/// release-store publish. Dense layout: each batch claims its entry range
+/// with one `fetch_add` on the entry count and prepends each row with one
+/// atomic `exchange` on its head; a row's `next` link is written only by
+/// the thread that claimed it. ProbeBatch must only run after all inserts
+/// are complete, which the scheduler guarantees via the blocking
+/// build->probe dependency.
 class JoinHashTable {
  public:
   /// `num_key_cols` is 1 or 2; payload rows are packed `payload_schema`
@@ -52,55 +58,42 @@ class JoinHashTable {
   ~JoinHashTable();
   UOT_DISALLOW_COPY_AND_ASSIGN(JoinHashTable);
 
-  /// Sizes the table for `num_entries` inserts. Must be called once before
-  /// any Insert.
+  /// Sizes the hash layout for `num_entries` inserts. Reserve (either
+  /// overload) must be called exactly once, before any InsertBatch.
   void Reserve(uint64_t num_entries);
 
-  /// Inserts a key (array of `num_key_cols` widened words) with its packed
-  /// payload. Thread-safe. CHECK-fails if Reserve was too small.
-  void Insert(const uint64_t* key, const std::byte* payload);
+  /// Sizes the table for `num_entries` inserts of a single-word key whose
+  /// build values, read as signed widened words, all lie in
+  /// [`min_key`, `max_key`]. Picks the dense layout when
+  /// MemoryModel::JoinTableBytes finds it no larger than the hash layout,
+  /// and the hash layout otherwise.
+  void Reserve(uint64_t num_entries, int64_t min_key, int64_t max_key);
 
   /// Batched insert of `n` keys (packed at stride `num_key_cols` words)
   /// with `n` packed payloads (stride `payload_schema().row_width()`).
-  /// Hashes the whole batch first, software-prefetches home slots
-  /// `prefetch_distance` keys ahead of the inserting key, then claims
-  /// slots in batch order — equivalent to calling Insert per row.
-  /// `hash_scratch` is caller-owned so repeated calls allocate nothing;
-  /// it holds the batch hashes on return (LIP filters reuse them).
-  /// Thread-safe. Returns the number of prefetches issued.
+  /// Hash layout: hashes the whole batch first, software-prefetches home
+  /// slots `prefetch_distance` keys ahead of the inserting key, then claims
+  /// slots in batch order; `hash_scratch` (caller-owned, so repeated calls
+  /// allocate nothing) holds the batch hashes on return (LIP filters reuse
+  /// them). Dense layout: copies the payloads in one block, prefetches
+  /// heads ahead the same way, and leaves `hash_scratch` untouched.
+  /// Thread-safe. CHECK-fails if Reserve was too small (or, dense, a key
+  /// lies outside the reserved range). Returns the number of prefetches
+  /// issued.
   uint64_t InsertBatch(const uint64_t* keys, const std::byte* payloads,
                        uint32_t n, int prefetch_distance,
                        std::vector<uint64_t>* hash_scratch);
 
-  /// Invokes `fn(payload_ptr)` for every entry whose key equals `key`.
-  template <typename Fn>
-  void Probe(const uint64_t* key, Fn&& fn) const {
-    const uint64_t mask = num_slots_ - 1;
-    uint64_t idx = HashJoinKey(key, num_key_cols_) & mask;
-    while (true) {
-      const uint8_t tag = tags_[idx].load(std::memory_order_acquire);
-      if (tag == 0) return;  // empty slot terminates the probe chain
-      if (tag == 2) {
-        const std::byte* slot = SlotPtr(idx);
-        const uint64_t* slot_key = reinterpret_cast<const uint64_t*>(slot);
-        bool match = slot_key[0] == key[0];
-        if (num_key_cols_ == 2) match = match && slot_key[1] == key[1];
-        if (match) fn(slot + static_cast<size_t>(num_key_cols_) * 8);
-      }
-      idx = (idx + 1) & mask;
-    }
-  }
-
   /// Batched probe of `n` keys (packed at stride `num_key_cols` words):
-  /// computes all hashes, issues home-slot prefetches `prefetch_distance`
-  /// keys ahead of the resolving key (group prefetching — the batch's
-  /// independent memory accesses overlap instead of serializing on one
-  /// dependent miss per tuple), then appends every match to `matches`.
-  /// Matches are grouped by probe row in ascending row order with chain
-  /// order preserved inside a row — exactly the order per-row Probe calls
-  /// would observe, so scalar and batched probes are byte-parity
-  /// equivalent. Batches below JoinKernelConfig::kMinRowsForPrefetch (or
-  /// `prefetch_distance` <= 0) resolve without prefetching.
+  /// issues home-slot (hash) or head (dense) prefetches
+  /// `prefetch_distance` keys ahead of the resolving key (group
+  /// prefetching — the batch's independent memory accesses overlap instead
+  /// of serializing on one dependent miss per tuple), then appends every
+  /// match to `matches`. Matches are grouped by probe row in ascending row
+  /// order with chain order preserved inside a row, so the result does not
+  /// depend on the batch size or prefetch distance. Batches below
+  /// JoinKernelConfig::kMinRowsForPrefetch (or `prefetch_distance` <= 0)
+  /// resolve without prefetching. `hash_scratch` is caller-owned scratch.
   /// Returns the number of prefetches issued.
   uint64_t ProbeBatch(const uint64_t* keys, uint32_t n, int prefetch_distance,
                       std::vector<uint64_t>* hash_scratch,
@@ -109,14 +102,17 @@ class JoinHashTable {
   const Schema& payload_schema() const { return payload_schema_; }
   int num_key_cols() const { return num_key_cols_; }
   double load_factor() const { return load_factor_; }
+  /// True once Reserve picked the direct-indexed layout.
+  bool dense() const { return heads_ != nullptr; }
 
   uint64_t size() const {
     return num_entries_.load(std::memory_order_relaxed);
   }
+  /// Hash buckets, or chain heads (the key range) in the dense layout.
   uint64_t num_slots() const { return num_slots_; }
-  /// Bytes per bucket (the model's `c`): key words + payload.
+  /// Bytes per hash bucket (the model's `c`): key words + payload.
   size_t slot_bytes() const { return slot_stride_; }
-  /// Total bytes of slot + tag storage.
+  /// Total bytes of the chosen layout's arrays.
   size_t allocated_bytes() const { return allocated_bytes_; }
 
  private:
@@ -134,8 +130,18 @@ class JoinHashTable {
     UOT_PREFETCH_READ(SlotPtr(idx));
   }
 
+  /// Allocates the arrays of the layout `Reserve` chose.
+  void Allocate(bool dense, uint64_t slots, uint64_t bytes,
+                uint64_t num_entries);
+
+  /// Dense-layout halves of InsertBatch and ProbeBatch.
+  uint64_t InsertDense(const uint64_t* keys, const std::byte* payloads,
+                       uint32_t n, uint32_t dist);
+  uint64_t ProbeDense(const uint64_t* keys, uint32_t n, uint32_t dist,
+                      std::vector<JoinMatch>* matches) const;
+
   /// One claim-and-publish insert starting the linear probe at the slot
-  /// for `hash`; shared by Insert and InsertBatch, which count the entry.
+  /// for `hash` (hash layout).
   void InsertWithHash(const uint64_t* key, uint64_t hash,
                       const std::byte* payload);
 
@@ -147,9 +153,19 @@ class JoinHashTable {
   size_t slot_stride_ = 0;
   uint64_t num_slots_ = 0;
   size_t allocated_bytes_ = 0;
+  std::atomic<uint64_t> num_entries_{0};
+
+  // Hash layout.
   std::unique_ptr<std::byte[]> slots_;
   std::unique_ptr<std::atomic<uint8_t>[]> tags_;
-  std::atomic<uint64_t> num_entries_{0};
+
+  // Dense layout: heads_[key - key_min_] is 1 + the chain's first entry
+  // (0 = empty); next_[e] likewise links entry e to the one before it.
+  uint64_t key_min_ = 0;  // the signed minimum key, as a widened word
+  uint64_t capacity_ = 0;  // entries reserved
+  std::unique_ptr<std::atomic<uint32_t>[]> heads_;
+  std::unique_ptr<uint32_t[]> next_;
+  std::unique_ptr<std::byte[]> payloads_;
 };
 
 }  // namespace uot

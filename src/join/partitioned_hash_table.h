@@ -32,10 +32,11 @@ class PartitionedJoinHashTable {
                            MemoryTracker* tracker);
   UOT_DISALLOW_COPY_AND_ASSIGN(PartitionedJoinHashTable);
 
-  /// Sizes sub-table `p` for `counts[p]` inserts. `counts` must have
-  /// exactly num_partitions() entries; exact per-partition counts are
-  /// available because builds start only once their (exchanged) input is
-  /// complete. Empty partitions get a minimal table probes see as empty.
+  /// Sizes sub-table `p` for `counts[p]` inserts, in the hash layout.
+  /// `counts` must have exactly num_partitions() entries; exact
+  /// per-partition counts are available because builds start only once
+  /// their (exchanged) input is complete. Empty partitions get a minimal
+  /// table probes see as empty.
   void ReservePartitions(const std::vector<uint64_t>& counts);
 
   JoinHashTable* sub_table(uint32_t partition) {

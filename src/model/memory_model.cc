@@ -11,6 +11,23 @@ double MemoryModel::HashTableBytes(double input_bytes, double tuple_width,
   return entries * (bucket_bytes / load_factor);     // * (c / f)
 }
 
+MemoryModel::JoinTableFootprint MemoryModel::JoinTableBytes(
+    uint64_t rows, uint64_t key_range, uint64_t payload_bytes,
+    uint64_t slot_bytes, double load_factor) {
+  UOT_CHECK(slot_bytes > 0 && load_factor > 0 && load_factor <= 1.0);
+  const uint64_t wanted = static_cast<uint64_t>(
+      static_cast<double>(rows < 1 ? 1 : rows) / load_factor);
+  uint64_t slots = 16;
+  while (slots < wanted) slots <<= 1;
+  JoinTableFootprint hash{false, slots, slots * (slot_bytes + 1)};
+  if (key_range == 0 || key_range > UINT32_MAX || rows >= UINT32_MAX) {
+    return hash;
+  }
+  const uint64_t dense_bytes = key_range * 4 + rows * (4 + payload_bytes);
+  if (dense_bytes > hash.bytes) return hash;
+  return JoinTableFootprint{true, key_range, dense_bytes};
+}
+
 double MemoryModel::Selectivity(uint64_t selected_rows, uint64_t input_rows) {
   UOT_CHECK(input_rows > 0);
   return static_cast<double>(selected_rows) /

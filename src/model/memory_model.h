@@ -16,6 +16,29 @@ class MemoryModel {
   static double HashTableBytes(double input_bytes, double tuple_width,
                                double bucket_bytes, double load_factor);
 
+  /// A join table's allocated bytes and the layout that gives them.
+  struct JoinTableFootprint {
+    bool dense = false;  // direct-indexed layout (else the hash layout)
+    uint64_t slots = 0;  // hash buckets, or dense chain heads (key range)
+    uint64_t bytes = 0;  // allocated bytes of that layout
+  };
+
+  /// The exact footprint of a join table over `rows` build rows with
+  /// `payload_bytes` of payload each, as the smaller of two layouts:
+  ///  - hash: NextPow2(rows / f) buckets (at least 16) of `slot_bytes`
+  ///    (= c) plus a one-byte tag each — Section VI-B's c/f per entry,
+  ///    rounded up to a power of two;
+  ///  - dense (direct-indexed), only when a single integral key spans
+  ///    `key_range` values (0 = not eligible) and both `rows` and
+  ///    `key_range` fit in 32 bits: a 4-byte chain head per key value plus
+  ///    the payload and a 4-byte link per row, range*4 + rows*(4 + w).
+  /// Ties go to the dense layout. JoinHashTable::Reserve sizes itself with
+  /// this, so the model and the memory tracker agree byte for byte.
+  static JoinTableFootprint JoinTableBytes(uint64_t rows, uint64_t key_range,
+                                           uint64_t payload_bytes,
+                                           uint64_t slot_bytes,
+                                           double load_factor);
+
   /// Selectivity s = Ns / N (Section VI-A).
   static double Selectivity(uint64_t selected_rows, uint64_t input_rows);
 

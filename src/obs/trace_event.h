@@ -27,8 +27,9 @@ enum class TraceEventType : uint8_t {
   /// A budget-deferred work order was released. arg0 = operator index,
   /// value = tracked bytes at release.
   kBudgetRelease,
-  /// A join hash table sized its slot array. arg1 = slots (saturated),
-  /// value = allocated bytes.
+  /// A join table sized its arrays. arg0 = layout (0 hash, 1 dense),
+  /// arg1 = hash buckets or dense chain heads (saturated), value =
+  /// allocated bytes.
   kHashTableReserve,
   /// An operator completed all work orders and flushed its output.
   /// arg0 = operator index.

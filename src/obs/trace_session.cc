@@ -366,6 +366,9 @@ void TraceSession::ExportChromeJson(std::ostream& os) const {
         AppendKeyValue(&line, "tracked_bytes", e.value, &first_arg);
         break;
       case TraceEventType::kHashTableReserve:
+        line += "\"layout\":";
+        AppendJsonString(&line, e.arg0 == 1 ? "dense" : "hash");
+        first_arg = false;
         AppendKeyValue(&line, "slots", e.arg1, &first_arg);
         AppendKeyValue(&line, "bytes", e.value, &first_arg);
         break;

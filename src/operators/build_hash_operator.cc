@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
+#include "storage/table.h"
 
 namespace uot {
 
@@ -76,17 +77,31 @@ bool BuildHashOperator::GenerateWorkOrders(
     // Presize each sub-table exactly: one partition gets the whole input;
     // at radix > 0 the exchange's partition tags give per-partition counts.
     const uint32_t parts = tables_->num_partitions();
-    std::vector<uint64_t> counts(parts, 0);
     if (parts == 1) {
-      counts[0] = input_.total_rows();
+      // The whole input is here, so a single integral key's range is
+      // known too (cached per base table): Reserve picks the
+      // direct-indexed layout when it is the smaller one.
+      JoinHashTable* table = tables_->sub_table(0);
+      int64_t min_key = 0;
+      int64_t max_key = 0;
+      if (key_cols_.size() == 1 &&
+          (base_table_ != nullptr
+               ? base_table_->IntegralRange(key_cols_[0], &min_key, &max_key)
+               : IntegralColumnRange(buffered_, key_cols_[0], &min_key,
+                                     &max_key))) {
+        table->Reserve(input_.total_rows(), min_key, max_key);
+      } else {
+        table->Reserve(input_.total_rows());
+      }
     } else {
+      std::vector<uint64_t> counts(parts, 0);
       for (const Block* block : buffered_) {
         const int32_t p = block->partition();
         UOT_CHECK(p >= 0 && static_cast<uint32_t>(p) < parts);
         counts[static_cast<size_t>(p)] += block->num_rows();
       }
+      tables_->ReservePartitions(counts);
     }
-    tables_->ReservePartitions(counts);
     if (lip_bits_per_entry_ > 0) {
       // One filter spans all partitions (inserts are atomic fetch_or, so
       // concurrent per-partition builds share it safely).
@@ -145,8 +160,16 @@ void BuildHashWorkOrder::Execute() {
         hash_table_->InsertBatch(keys.data(), payloads.data(), m, dist,
                                  &hashes);
     if (lip_filter_ != nullptr) {
-      // InsertBatch leaves the batch hashes in `hashes`; the LIP filter
-      // mixes the same join-key hash, so reuse instead of rehashing.
+      // The hash layout's InsertBatch leaves the batch hashes in `hashes`
+      // and the LIP filter mixes the same join-key hash, so reuse them;
+      // the dense layout hashes nothing, so hash here.
+      if (hash_table_->dense()) {
+        hashes.resize(m);
+        for (uint32_t i = 0; i < m; ++i) {
+          hashes[i] = HashJoinKey(keys.data() + i * words,
+                                  static_cast<int>(words));
+        }
+      }
       for (uint32_t i = 0; i < m; ++i) lip_filter_->Insert(hashes[i]);
     }
     ctx_->TraceStage(worker_id, operator_index, obs::JoinBatchStage::kInsert,

@@ -22,7 +22,8 @@ namespace uot {
 /// partitioned — the exchange tags make exact counts available), so work
 /// orders are generated once the input is complete (for base-table inputs
 /// that is immediately); the builds themselves then run in parallel, one
-/// work order per input block.
+/// work order per input block. An unpartitioned build on one integral key
+/// also passes the key range, so the table can take its dense layout.
 class BuildHashOperator final : public Operator {
  public:
   /// `key_cols`/`payload_cols` index the build input's schema.
@@ -33,7 +34,10 @@ class BuildHashOperator final : public Operator {
                     MemoryTracker* tracker, int radix_bits = 0);
 
   /// Binds the input to a materialized base table (instead of a stream).
-  void AttachBaseTable(const Table* table) { input_.AttachTable(table); }
+  void AttachBaseTable(const Table* table) {
+    base_table_ = table;
+    input_.AttachTable(table);
+  }
 
   void BindExecContext(const OperatorExecContext& ctx) override {
     exec_ctx_ = ctx;
@@ -92,6 +96,7 @@ class BuildHashOperator final : public Operator {
   const int radix_bits_;
 
   StreamingInput input_;
+  const Table* base_table_ = nullptr;  // set when the input is a base table
   std::vector<Block*> buffered_;
   std::unique_ptr<PartitionedJoinHashTable> tables_;
   int lip_bits_per_entry_ = 0;  // 0 = LIP disabled

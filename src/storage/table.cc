@@ -1,8 +1,47 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace uot {
+namespace {
+
+/// Folds the `n` values of type T at `access` into [*lo, *hi].
+template <typename T>
+void FoldMinMax(const ColumnAccess& access, uint32_t n, int64_t* lo,
+                int64_t* hi) {
+  int64_t min_value = *lo;
+  int64_t max_value = *hi;
+  for (uint32_t i = 0; i < n; ++i) {
+    T v;
+    std::memcpy(&v, access.at(i), sizeof(T));
+    min_value = std::min<int64_t>(min_value, v);
+    max_value = std::max<int64_t>(max_value, v);
+  }
+  *lo = min_value;
+  *hi = max_value;
+}
+
+}  // namespace
+
+bool IntegralColumnRange(const std::vector<Block*>& blocks, int col,
+                         int64_t* min_value, int64_t* max_value) {
+  int64_t lo = INT64_MAX;
+  int64_t hi = INT64_MIN;
+  for (const Block* block : blocks) {
+    const Type& type = block->schema().column(col).type;
+    if (!type.IsIntegral()) return false;
+    if (type.width() == 4) {
+      FoldMinMax<int32_t>(block->Column(col), block->num_rows(), &lo, &hi);
+    } else {
+      FoldMinMax<int64_t>(block->Column(col), block->num_rows(), &lo, &hi);
+    }
+  }
+  if (lo > hi) return false;
+  *min_value = lo;
+  *max_value = hi;
+  return true;
+}
 
 Table::Table(std::string name, Schema schema, Layout layout,
              size_t block_bytes, StorageManager* storage,
@@ -20,6 +59,7 @@ Table::Table(std::string name, Schema schema, Layout layout,
 Table::~Table() { DropBlocks(); }
 
 void Table::AppendRow(const std::byte* packed_row) {
+  if (!ranges_.empty()) ranges_.clear();
   if (blocks_.empty() || !blocks_.back()->AppendRow(packed_row)) {
     Block* block =
         storage_->CreateBlock(&schema_, layout_, block_bytes_, category_);
@@ -42,6 +82,7 @@ void Table::AddBlock(Block* block) {
   UOT_DCHECK(block->schema() == schema_);
   std::lock_guard<std::mutex> lock(mutex_);
   blocks_.push_back(block);
+  ranges_.clear();
 }
 
 bool Table::ReleaseBlock(Block* block) {
@@ -49,6 +90,7 @@ bool Table::ReleaseBlock(Block* block) {
   for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
     if (*it == block) {
       blocks_.erase(it);
+      ranges_.clear();
       return true;
     }
   }
@@ -87,6 +129,22 @@ void Table::DropBlocks() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (Block* b : blocks_) storage_->DropBlock(b);
   blocks_.clear();
+  ranges_.clear();
+}
+
+bool Table::IntegralRange(int col, int64_t* min_value,
+                          int64_t* max_value) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (ranges_.empty()) ranges_.resize(schema_.num_columns());
+  ColumnRange& range = ranges_[static_cast<size_t>(col)];
+  if (!range.known) {
+    range.valid = IntegralColumnRange(blocks_, col, &range.min_value,
+                                      &range.max_value);
+    range.known = true;
+  }
+  *min_value = range.min_value;
+  *max_value = range.max_value;
+  return range.valid;
 }
 
 }  // namespace uot

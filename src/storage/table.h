@@ -56,7 +56,20 @@ class Table {
   /// Drops all blocks (releases their memory accounting).
   void DropBlocks();
 
+  /// IntegralColumnRange over this table's blocks, computed once per
+  /// column and kept until the rows change, so the join builds of every
+  /// query over a base table share one pass.
+  bool IntegralRange(int col, int64_t* min_value, int64_t* max_value) const;
+
  private:
+  /// A cached IntegralRange result.
+  struct ColumnRange {
+    bool known = false;  // computed since the rows last changed
+    bool valid = false;  // IntegralColumnRange's return value
+    int64_t min_value = 0;
+    int64_t max_value = 0;
+  };
+
   const std::string name_;
   const Schema schema_;
   const Layout layout_;
@@ -66,7 +79,15 @@ class Table {
 
   mutable std::mutex mutex_;
   std::vector<Block*> blocks_;
+  // Per-column IntegralRange cache, cleared whenever the rows change.
+  mutable std::vector<ColumnRange> ranges_;
 };
+
+/// The minimum and maximum of integral column `col` over every row of
+/// `blocks`, as signed 64-bit values (the widened words join keys use).
+/// Returns false for a non-integral column or when the blocks hold no rows.
+bool IntegralColumnRange(const std::vector<Block*>& blocks, int col,
+                         int64_t* min_value, int64_t* max_value);
 
 }  // namespace uot
 

@@ -37,6 +37,13 @@ TEST(IntegrationTest, HashTableFootprintMatchesModel) {
       10000.0 * 12, 12.0, 17.0, 0.75);
   EXPECT_GT(measured, model * 0.5);
   EXPECT_LT(measured, model * 2.5);  // power-of-two slot rounding
+  // The tracker holds exactly the bytes of the layout the footprint rule
+  // picked: 10000 unique keys over a 10000-key range go dense.
+  const MemoryModel::JoinTableFootprint exact = MemoryModel::JoinTableBytes(
+      10000, /*key_range=*/10000, /*payload_bytes=*/8, /*slot_bytes=*/16,
+      0.75);
+  EXPECT_TRUE(exact.dense);
+  EXPECT_EQ(measured, static_cast<int64_t>(exact.bytes));
   (void)out;
 }
 

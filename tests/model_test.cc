@@ -105,6 +105,26 @@ TEST(CostModelTest, DescribeMentionsParameters) {
   EXPECT_NE(d.find("p1"), std::string::npos);
 }
 
+TEST(MemoryModelTest, JoinTableBytesPicksTheSmallerLayout) {
+  // Hash: NextPow2(1000 / 0.5) = 2048 buckets of 16 bytes plus a tag.
+  const MemoryModel::JoinTableFootprint hash =
+      MemoryModel::JoinTableBytes(1000, 0, 8, 16, 0.5);
+  EXPECT_FALSE(hash.dense);
+  EXPECT_EQ(hash.slots, 2048u);
+  EXPECT_EQ(hash.bytes, 2048u * 17);
+  // Dense over 1000 key values: 1000 heads + 1000 * (4-byte link + 8).
+  const MemoryModel::JoinTableFootprint dense =
+      MemoryModel::JoinTableBytes(1000, 1000, 8, 16, 0.5);
+  EXPECT_TRUE(dense.dense);
+  EXPECT_EQ(dense.slots, 1000u);
+  EXPECT_EQ(dense.bytes, 1000u * 4 + 1000u * 12);
+  // A sparse range costs more than the hash layout: keep the hash layout.
+  EXPECT_FALSE(MemoryModel::JoinTableBytes(1000, 1000000, 8, 16, 0.5).dense);
+  // Key spans past 32 bits never go dense.
+  EXPECT_FALSE(
+      MemoryModel::JoinTableBytes(1ull << 33, 1ull << 33, 0, 8, 1.0).dense);
+}
+
 TEST(MemoryModelTest, HashTableBytesFormula) {
   // (M/w) * (c/f): 1 GB of 100-byte tuples, 32-byte buckets, f = 0.5
   // -> 10M entries * 64 bytes.

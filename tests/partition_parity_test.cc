@@ -14,6 +14,7 @@
 #include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "model/uot_chooser.h"
+#include "operators/build_hash_operator.h"
 #include "operators/exchange_operator.h"
 #include "plan/query_plan.h"
 #include "scheduler/execution_stats.h"
@@ -119,8 +120,15 @@ void CheckTransferInvariants(const QueryPlan& plan,
   }
 }
 
+/// Builds per join-table layout over a run's unpartitioned tables.
+struct LayoutCounts {
+  int hash = 0;
+  int dense = 0;
+};
+
 std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
-                    int radix_bits, bool batched, PolicyMode policy) {
+                    int radix_bits, bool batched, PolicyMode policy,
+                    LayoutCounts* layouts = nullptr) {
   const std::string label = query.Description() +
                             " radix=" + std::to_string(radix_bits) +
                             (batched ? " batched " : " batch1 ") +
@@ -142,6 +150,13 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
   CheckTransferInvariants(*plan, stats, radix_bits, query.num_joins(),
                           label);
+  if (layouts != nullptr) {
+    for (int i = 0; i < plan->num_operators(); ++i) {
+      const auto* build = dynamic_cast<const BuildHashOperator*>(plan->op(i));
+      if (build == nullptr || build->radix_bits() > 0) continue;
+      ++(build->hash_table()->dense() ? layouts->dense : layouts->hash);
+    }
+  }
   return CanonicalRows(*plan->result_table());
 }
 
@@ -149,6 +164,9 @@ TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
   const int num_seeds = ::uot::testing::NumFuzzSeeds();
   const PolicyMode kPolicies[] = {PolicyMode::kFixed, PolicyMode::kModel,
                                   PolicyMode::kAdaptive};
+  // The unpartitioned runs pick each table's layout from its data; the
+  // corpus must exercise both.
+  LayoutCounts layouts;
   for (int seed = 0; seed < num_seeds; ++seed) {
     StorageManager storage;
     RandomJoinQuery query(&storage, static_cast<uint64_t>(seed));
@@ -156,7 +174,7 @@ TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
 
     // Reference: unpartitioned, batch 1 without prefetch, fixed UoT.
     const std::string expected =
-        RunOnce(&storage, query, 0, false, PolicyMode::kFixed);
+        RunOnce(&storage, query, 0, false, PolicyMode::kFixed, &layouts);
 
     // Unpartitioned with the default join knobs and a cycling policy.
     EXPECT_EQ(RunOnce(&storage, query, 0, true,
@@ -176,6 +194,8 @@ TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
       }
     }
   }
+  EXPECT_GT(layouts.dense, 0);
+  EXPECT_GT(layouts.hash, 0);
 }
 
 TEST(PartitionParityTest, DeepRadixSweepOnOneSkewedQuery) {

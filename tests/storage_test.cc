@@ -229,6 +229,42 @@ TEST(TableTest, DropBlocksReleasesMemory) {
   EXPECT_EQ(storage.num_blocks(), 0u);
 }
 
+/// IntegralRange folds INT32 and INT64 columns in either layout (runs of
+/// lanes in a column store, strided rows in a row store), refuses other
+/// types and empty tables, and recomputes once the rows change.
+TEST(TableTest, IntegralRangeIsCachedUntilRowsChange) {
+  for (const Layout layout : {Layout::kRowStore, Layout::kColumnStore}) {
+    StorageManager storage;
+    Table table("t",
+                Schema({{"i32", Type::Int32()},
+                        {"i64", Type::Int64()},
+                        {"d", Type::Double()}}),
+                layout, 512, &storage, MemoryCategory::kBaseTable);
+    int64_t lo = 0, hi = 0;
+    EXPECT_FALSE(table.IntegralRange(0, &lo, &hi));  // no rows
+    for (int i = 0; i < 100; ++i) {
+      const int v = (i * 37) % 100 - 40;  // -40 .. 59, unordered
+      table.AppendValues({TypedValue::Int32(v),
+                          TypedValue::Int64(int64_t{v} << 33),
+                          TypedValue::Double(v)});
+    }
+    ASSERT_GT(table.blocks().size(), 1u);
+    ASSERT_TRUE(table.IntegralRange(0, &lo, &hi));
+    EXPECT_EQ(lo, -40);
+    EXPECT_EQ(hi, 59);
+    ASSERT_TRUE(table.IntegralRange(1, &lo, &hi));
+    EXPECT_EQ(lo, int64_t{-40} << 33);
+    EXPECT_EQ(hi, int64_t{59} << 33);
+    EXPECT_FALSE(table.IntegralRange(2, &lo, &hi));
+
+    table.AppendValues({TypedValue::Int32(INT32_MIN), TypedValue::Int64(0),
+                        TypedValue::Double(0)});
+    ASSERT_TRUE(table.IntegralRange(0, &lo, &hi));
+    EXPECT_EQ(lo, INT32_MIN);
+    EXPECT_EQ(hi, 59);
+  }
+}
+
 TEST(BlockPoolTest, CheckoutReturnsPooledBlockFirst) {
   StorageManager storage;
   const Schema schema = TestSchema();
