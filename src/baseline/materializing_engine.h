@@ -62,12 +62,13 @@ class MaterializingEngine {
   /// the result stays in `plan->result_table()`.
   static double ExecutePlan(QueryPlan* plan);
 
+  /// Drives one operator (already fed) to completion on this thread.
+  static void Drive(Operator* op);
+
  private:
   /// Output-table block size: one whole-table block when possible.
   std::unique_ptr<Table> MakeOutput(const std::string& name, Schema schema,
                                     uint64_t bytes_hint);
-  /// Drives one operator (already fed) to completion on this thread.
-  static void Drive(Operator* op);
 
   StorageManager* const storage_;
 };

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "expr/predicate.h"
+#include "operators/key_util.h"
 #include "types/date.h"
 #include "util/scratch_arena.h"
 
@@ -13,23 +14,8 @@ void ColumnRef::Eval(const Block& block, const uint32_t* rows, uint32_t n,
                      std::byte* out) const {
   UOT_DCHECK(block.schema().column(col_).type == type_);
   const ColumnAccess access = block.Column(col_);
-  const uint16_t w = type_.width();
-  switch (w) {
-    case 4:
-      for (uint32_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 4u, access.at(rows[i]), 4);
-      }
-      return;
-    case 8:
-      for (uint32_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 8u, access.at(rows[i]), 8);
-      }
-      return;
-    default:
-      for (uint32_t i = 0; i < n; ++i) {
-        std::memcpy(out + static_cast<size_t>(i) * w, access.at(rows[i]), w);
-      }
-  }
+  GatherValues(type_.width(), access.base, access.stride, rows, n, out,
+               type_.width());
 }
 
 std::string ColumnRef::ToString() const {

@@ -1,6 +1,9 @@
 #include "expr/projection.h"
 
-#include <cstring>
+#include <algorithm>
+
+#include "operators/key_util.h"
+#include "util/scratch_arena.h"
 
 namespace uot {
 
@@ -16,46 +19,37 @@ Projection::Projection(std::vector<std::unique_ptr<Scalar>> exprs,
   schema_ = Schema(std::move(columns));
 }
 
-void Projection::MaterializeInto(const Block& block,
-                                 const std::vector<uint32_t>& rows,
-                                 InsertDestination::Writer* writer) const {
-  const uint32_t n = static_cast<uint32_t>(rows.size());
-  if (n == 0) return;
-  // Evaluate each expression into a contiguous column buffer.
-  std::vector<std::vector<std::byte>> cols(exprs_.size());
+void Projection::AppendRows(const Block& block, const uint32_t* rows,
+                            uint32_t n, Block* out) const {
+  UOT_DCHECK(out->free_rows() >= n);
+  ScratchArena& arena = ScratchArena::ForThread();
   for (size_t e = 0; e < exprs_.size(); ++e) {
-    cols[e].resize(static_cast<size_t>(n) * exprs_[e]->result_type().width());
-    exprs_[e]->Eval(block, rows.data(), n, cols[e].data());
-  }
-  // Stitch packed rows and append.
-  std::vector<std::byte> row(schema_.row_width());
-  for (uint32_t i = 0; i < n; ++i) {
-    for (size_t e = 0; e < exprs_.size(); ++e) {
-      const uint16_t w = exprs_[e]->result_type().width();
-      std::memcpy(row.data() + schema_.offset(static_cast<int>(e)),
-                  cols[e].data() + static_cast<size_t>(i) * w, w);
+    const Scalar& expr = *exprs_[e];
+    const uint16_t w = expr.result_type().width();
+    uint32_t stride = 0;
+    std::byte* dst = out->AppendCursor(static_cast<int>(e), &stride);
+    if (const ColumnRef* ref = expr.as_column_ref()) {
+      const ColumnAccess access = block.Column(ref->col());
+      GatherValues(w, access.base, access.stride, rows, n, dst, stride);
+      continue;
     }
-    writer->AppendRow(row.data());
+    ScratchArena::Scope scope(&arena);
+    std::byte* values = arena.Alloc(static_cast<size_t>(n) * w);
+    expr.Eval(block, rows, n, values);
+    GatherValues(w, values, w, nullptr, n, dst, stride);
   }
+  out->CommitRows(n);
 }
 
-void Projection::MaterializeIntoBlock(const Block& block,
-                                      const uint32_t* rows, uint32_t n,
-                                      Block* out) const {
-  if (n == 0) return;
-  std::vector<std::vector<std::byte>> cols(exprs_.size());
-  for (size_t e = 0; e < exprs_.size(); ++e) {
-    cols[e].resize(static_cast<size_t>(n) * exprs_[e]->result_type().width());
-    exprs_[e]->Eval(block, rows, n, cols[e].data());
-  }
-  std::vector<std::byte> row(schema_.row_width());
-  for (uint32_t i = 0; i < n; ++i) {
-    for (size_t e = 0; e < exprs_.size(); ++e) {
-      const uint16_t w = exprs_[e]->result_type().width();
-      std::memcpy(row.data() + schema_.offset(static_cast<int>(e)),
-                  cols[e].data() + static_cast<size_t>(i) * w, w);
-    }
-    UOT_CHECK(out->AppendRow(row.data()));  // caller sized the scratch
+void Projection::MaterializeInto(const Block& block,
+                                 const std::vector<uint32_t>& rows,
+                                 RowSink* sink) const {
+  const uint32_t n = static_cast<uint32_t>(rows.size());
+  for (uint32_t done = 0; done < n;) {
+    Block* out = sink->BlockWithRoom();
+    const uint32_t k = std::min(out->free_rows(), n - done);
+    AppendRows(block, rows.data() + done, k, out);
+    done += k;
   }
 }
 

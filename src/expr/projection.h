@@ -23,19 +23,18 @@ class Projection {
   int num_exprs() const { return static_cast<int>(exprs_.size()); }
   const Scalar& expr(int i) const { return *exprs_[static_cast<size_t>(i)]; }
 
-  /// Materializes the selected rows of `block` into `writer`, evaluating
-  /// every output expression column-at-a-time and then stitching packed
-  /// rows.
-  void MaterializeInto(const Block& block, const std::vector<uint32_t>& rows,
-                       InsertDestination::Writer* writer) const;
+  /// Writes the projection of rows `rows[0..n)` of `block` as `n` new rows
+  /// of `out` and commits them. `out` must have output_schema() and at
+  /// least `n` free rows. Bare column references gather straight into
+  /// their output columns; computed expressions are evaluated into thread
+  /// scratch and then copied in.
+  void AppendRows(const Block& block, const uint32_t* rows, uint32_t n,
+                  Block* out) const;
 
-  /// Same evaluation, but appends the packed rows to a raw block (a fused
-  /// pipeline's transient scratch granule) instead of an insert
-  /// destination. The caller must have sized `out` to hold all `n` rows
-  /// (CHECK-fails on overflow); `out->schema()` must equal
-  /// output_schema().
-  void MaterializeIntoBlock(const Block& block, const uint32_t* rows,
-                            uint32_t n, Block* out) const;
+  /// Materializes the selected rows of `block` into `sink`, one
+  /// AppendRows per output block.
+  void MaterializeInto(const Block& block, const std::vector<uint32_t>& rows,
+                       RowSink* sink) const;
 
   /// Convenience: a projection that passes through columns
   /// `cols` of `input` unchanged (names preserved).

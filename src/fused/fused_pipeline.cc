@@ -79,17 +79,16 @@ const char* FusedChain::StageKindName(StageKind kind) {
   return "?";
 }
 
-/// Appends stage `s`'s output rows to its scratch granule, pushing the
+/// Collects stage `s`'s output rows in its scratch granule, pushing the
 /// granule through the downstream stages whenever it fills.
 class FusedChainWorkOrder::GranuleSink final : public RowSink {
  public:
   GranuleSink(FusedChainWorkOrder* wo, size_t s)
       : wo_(wo), s_(s), out_(wo->scratch_[s].get()) {}
 
-  void AppendRow(const std::byte* packed_row) override {
-    if (out_->AppendRow(packed_row)) return;
-    wo_->FlushScratch(s_);
-    UOT_CHECK(out_->AppendRow(packed_row));
+  Block* BlockWithRoom() override {
+    if (out_->Full()) wo_->FlushScratch(s_);
+    return out_;
   }
 
  private:
@@ -140,11 +139,12 @@ void FusedChainWorkOrder::ExecStage(size_t s, const Block& block,
   st.rows_in.fetch_add(n, std::memory_order_relaxed);
   const bool tail = s + 1 == chain_->stages_.size();
 
+  // Interior stages write into their granule, the tail into its writer.
+  GranuleSink granule(this, s);
+  RowSink* sink = tail ? static_cast<RowSink*>(writer_.get()) : &granule;
   if (st.kind == FusedChain::StageKind::kProbe) {
     const JoinHashTable* table = st.probe->build()->hash_table();
     UOT_CHECK(table != nullptr);  // blocking edge: build done
-    GranuleSink granule(this, s);
-    RowSink* sink = tail ? static_cast<RowSink*>(writer_.get()) : &granule;
     const uint64_t emitted =
         st.probe->ProbeRows(block, row_begin, n, *table, &probe_scratch_[s],
                             sink, st.op_index, worker_id);
@@ -166,15 +166,8 @@ void FusedChainWorkOrder::ExecStage(size_t s, const Block& block,
   st.select->FilterRows(block, &sel);
   st.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
   if (sel.empty()) return;
-  if (tail) {
-    st.select->projection().MaterializeInto(block, sel, writer_.get());
-    return;
-  }
-  // Interior: the granule holds kRowGroupRows rows and every stage input
-  // is bounded by that, so the surviving rows always fit in one flush.
-  st.select->projection().MaterializeIntoBlock(
-      block, sel.data(), static_cast<uint32_t>(sel.size()), scratch_[s].get());
-  FlushScratch(s);
+  st.select->projection().MaterializeInto(block, sel, sink);
+  if (!tail) FlushScratch(s);
 }
 
 void FusedChainWorkOrder::FlushScratch(size_t s) {

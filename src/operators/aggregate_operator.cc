@@ -123,10 +123,10 @@ void AggregateOperator::Finish() {
         if (s.count != 0) {
           switch (aggs_[a].fn) {
             case AggFn::kSum:
-              v = s.sum;
+              v = s.Total();
               break;
             case AggFn::kAvg:
-              v = s.sum / static_cast<double>(s.count);
+              v = s.Total() / static_cast<double>(s.count);
               break;
             case AggFn::kMin:
               v = s.min;

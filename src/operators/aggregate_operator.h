@@ -2,6 +2,7 @@
 #define UOT_OPERATORS_AGGREGATE_OPERATOR_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -27,30 +28,34 @@ struct AggSpec {
 
 /// Running state of one aggregate within one group.
 ///
-/// Sums use Kahan compensation so the result is (nearly) independent of the
-/// order in which work orders' partials merge — scheduling must not change
-/// query results beyond the last representable bit.
+/// Sums keep Neumaier's compensation: every addition adds its exact
+/// rounding error (TwoSum) to `comp`, and merging a partial adds its sum
+/// and then its compensation, so no merge loses an error. Total() is then
+/// the same for any order in which work orders' partials merge, short of
+/// extreme cancellation — scheduling must not change query results.
 struct AggState {
   double sum = 0.0;
-  double comp = 0.0;  // Kahan compensation term
+  double comp = 0.0;  // accumulated rounding error of `sum`
   int64_t count = 0;
   double min = 1e308;
   double max = -1e308;
 
   void Add(double v) {
-    const double y = v - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
+    const double t = sum + v;
+    comp += std::fabs(sum) >= std::fabs(v) ? (sum - t) + v : (v - t) + sum;
     sum = t;
   }
 
   void Merge(const AggState& other) {
     Add(other.sum);
-    Add(-other.comp);
+    comp += other.comp;
     count += other.count;
     if (other.min < min) min = other.min;
     if (other.max > max) max = other.max;
   }
+
+  /// The compensated sum.
+  double Total() const { return sum + comp; }
 };
 
 /// Composite group key: up to 3 widened column words (unused words are 0).

@@ -2,6 +2,7 @@
 #define UOT_OPERATORS_KEY_UTIL_H_
 
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "storage/block.h"
@@ -122,38 +123,63 @@ inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
   }
 }
 
+/// Writes `n` values of `width` bytes to a strided destination, value i
+/// read from `src_at(i)`. Widths 4 and 8 compile to plain loads and
+/// stores.
+template <typename SrcAt>
+inline void CopyValues(uint16_t width, SrcAt src_at, uint32_t n,
+                       std::byte* dst, uint32_t dst_stride) {
+  auto copy = [&](auto w) {
+    for (uint32_t i = 0; i < n; ++i) {
+      std::memcpy(dst + static_cast<size_t>(i) * dst_stride, src_at(i), w);
+    }
+  };
+  switch (width) {
+    case 4:
+      copy(std::integral_constant<size_t, 4>());
+      return;
+    case 8:
+      copy(std::integral_constant<size_t, 8>());
+      return;
+    default:
+      copy(static_cast<size_t>(width));
+  }
+}
+
+/// Copies `n` values of `width` bytes from a strided column at `src` to a
+/// strided destination at `dst`: value i comes from row `rows[i]` of the
+/// source, or from row i when `rows` is null (a contiguous range). The
+/// gather behind every columnar write of operator output.
+inline void GatherValues(uint16_t width, const std::byte* src,
+                         uint32_t src_stride, const uint32_t* rows,
+                         uint32_t n, std::byte* dst, uint32_t dst_stride) {
+  if (rows == nullptr) {
+    CopyValues(
+        width,
+        [=](uint32_t i) { return src + static_cast<size_t>(i) * src_stride; },
+        n, dst, dst_stride);
+    return;
+  }
+  CopyValues(
+      width,
+      [=](uint32_t i) {
+        return src + static_cast<size_t>(rows[i]) * src_stride;
+      },
+      n, dst, dst_stride);
+}
+
 /// Columnar batch form of ExtractColumns: packs rows
 /// `[row_begin, row_begin + n)` of the given columns into `n` consecutive
-/// packed rows of `out_schema` starting at `out`. Per-column widths and
-/// offsets are hoisted out of the row loop.
+/// packed rows of `out_schema` starting at `out`.
 inline void ExtractRows(const Block& block, const std::vector<int>& cols,
                         const Schema& out_schema, uint32_t row_begin,
                         uint32_t n, std::byte* out) {
-  const size_t stride = out_schema.row_width();
   for (size_t c = 0; c < cols.size(); ++c) {
-    const uint16_t w = out_schema.column(static_cast<int>(c)).type.width();
-    const size_t off = out_schema.offset(static_cast<int>(c));
     const ColumnAccess access = block.Column(cols[c]);
-    std::byte* dst = out + off;
-    switch (w) {
-      case 4:
-        for (uint32_t i = 0; i < n; ++i) {
-          std::memcpy(dst + static_cast<size_t>(i) * stride,
-                      access.at(row_begin + i), 4);
-        }
-        break;
-      case 8:
-        for (uint32_t i = 0; i < n; ++i) {
-          std::memcpy(dst + static_cast<size_t>(i) * stride,
-                      access.at(row_begin + i), 8);
-        }
-        break;
-      default:
-        for (uint32_t i = 0; i < n; ++i) {
-          std::memcpy(dst + static_cast<size_t>(i) * stride,
-                      access.at(row_begin + i), w);
-        }
-    }
+    GatherValues(out_schema.column(static_cast<int>(c)).type.width(),
+                 access.at(row_begin), access.stride, nullptr, n,
+                 out + out_schema.offset(static_cast<int>(c)),
+                 out_schema.row_width());
   }
 }
 

@@ -1,7 +1,6 @@
 #include "operators/probe_hash_operator.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace_session.h"
@@ -75,11 +74,11 @@ uint64_t ProbeHashOperator::ProbeRows(const Block& block, uint32_t row_begin,
                                       ProbeScratch* scratch, RowSink* sink,
                                       int op_index, int worker_id) const {
   const Schema& payload_schema = table.payload_schema();
-  const Schema probe_part = SubSchema(block.schema(), probe_output_cols_);
-  const uint32_t probe_width = probe_part.row_width();
-  const size_t payload_width = payload_schema.row_width();
-  UOT_DCHECK(kind_ != JoinKind::kInner ||
-             probe_width + payload_width == destination_->schema().row_width());
+  const int num_probe_cols = static_cast<int>(probe_output_cols_.size());
+  const int num_payload_cols =
+      kind_ == JoinKind::kInner ? payload_schema.num_columns() : 0;
+  UOT_DCHECK(num_probe_cols + num_payload_cols ==
+             destination_->schema().num_columns());
 
   const OperatorExecContext& ctx = exec_ctx_;
   const uint32_t batch = ctx.join.clamped_batch_size();
@@ -92,11 +91,10 @@ uint64_t ProbeHashOperator::ProbeRows(const Block& block, uint32_t row_begin,
   std::vector<JoinMatch>& matches = scratch->matches;
   std::vector<double>& residual_vals = scratch->residual_vals;
   std::vector<uint8_t>& row_has_match = scratch->row_has_match;
-  std::vector<std::byte>& row = scratch->row;
+  std::vector<uint32_t>& out_rows = scratch->out_rows;
   keys.resize(static_cast<size_t>(batch) * words);
   residual_vals.resize(num_res * batch);
   row_has_match.resize(kind_ == JoinKind::kInner ? 0 : batch);
-  row.resize(destination_->schema().row_width());
 
   uint64_t num_batches = 0;
   uint64_t prefetches = 0;
@@ -151,35 +149,47 @@ uint64_t ProbeHashOperator::ProbeRows(const Block& block, uint32_t row_begin,
                      m);
     }
 
-    // Stage: emit. Matches arrive grouped by probe row ascending, so the
-    // probe part is packed once per distinct matching row.
+    // Stage: emit. List the block rows of the batch's output once (one per
+    // match for inner joins, in match order), then write them block by
+    // block: gather the probe columns, copy the payload columns.
     t0 = ctx.StageStart();
+    out_rows.clear();
     if (kind_ == JoinKind::kInner) {
-      uint32_t ready_row = UINT32_MAX;  // no probe part packed yet
       for (const JoinMatch& match : matches) {
-        if (match.row != ready_row) {
-          ExtractColumns(block, probe_output_cols_, probe_part,
-                         base + match.row, row.data());
-          ready_row = match.row;
-        }
-        if (payload_width > 0) {
-          std::memcpy(row.data() + probe_width, match.payload, payload_width);
-        }
-        sink->AppendRow(row.data());
+        out_rows.push_back(base + match.row);
       }
-      emitted += matches.size();
     } else {
       std::fill(row_has_match.begin(), row_has_match.begin() + m, uint8_t{0});
       for (const JoinMatch& match : matches) row_has_match[match.row] = 1;
       const uint8_t want = kind_ == JoinKind::kLeftSemi ? 1 : 0;
       for (uint32_t i = 0; i < m; ++i) {
-        if (row_has_match[i] != want) continue;
-        ExtractColumns(block, probe_output_cols_, probe_part, base + i,
-                       row.data());
-        sink->AppendRow(row.data());
-        ++emitted;
+        if (row_has_match[i] == want) out_rows.push_back(base + i);
       }
     }
+    const uint32_t count = static_cast<uint32_t>(out_rows.size());
+    for (uint32_t done = 0; done < count;) {
+      Block* out = sink->BlockWithRoom();
+      const uint32_t k = std::min(out->free_rows(), count - done);
+      uint32_t stride = 0;
+      for (int c = 0; c < num_probe_cols; ++c) {
+        const int col = probe_output_cols_[static_cast<size_t>(c)];
+        const ColumnAccess access = block.Column(col);
+        std::byte* dst = out->AppendCursor(c, &stride);
+        GatherValues(block.schema().column(col).type.width(), access.base,
+                     access.stride, out_rows.data() + done, k, dst, stride);
+      }
+      for (int c = 0; c < num_payload_cols; ++c) {
+        const JoinMatch* from = matches.data() + done;
+        const uint32_t off = payload_schema.offset(c);
+        std::byte* dst = out->AppendCursor(num_probe_cols + c, &stride);
+        CopyValues(
+            payload_schema.column(c).type.width(),
+            [=](uint32_t i) { return from[i].payload + off; }, k, dst, stride);
+      }
+      out->CommitRows(k);
+      done += k;
+    }
+    emitted += count;
     ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kEmit, t0, m);
   }
 

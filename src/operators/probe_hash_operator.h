@@ -49,7 +49,7 @@ class ProbeHashOperator final : public Operator {
     std::vector<JoinMatch> matches;
     std::vector<double> residual_vals;  // [residual * batch + row]
     std::vector<uint8_t> row_has_match;
-    std::vector<std::byte> row;
+    std::vector<uint32_t> out_rows;  // block rows of the batch's output
   };
 
   /// `build` owns the hash table this operator probes; the plan must add a

@@ -46,31 +46,6 @@ bool Block::AppendRow(const std::byte* packed_row) {
   return true;
 }
 
-uint32_t Block::AppendRows(const std::byte* packed_rows, uint32_t n) {
-  const uint32_t space = capacity_rows_ - num_rows_;
-  const uint32_t count = n < space ? n : space;
-  if (count == 0) return 0;
-  if (layout_ == Layout::kRowStore) {
-    std::memcpy(
-        data_.get() + static_cast<size_t>(num_rows_) * schema_->row_width(),
-        packed_rows, static_cast<size_t>(count) * schema_->row_width());
-  } else {
-    for (int c = 0; c < schema_->num_columns(); ++c) {
-      const uint16_t w = schema_->column(c).type.width();
-      std::byte* dst = data_.get() + column_starts_[static_cast<size_t>(c)] +
-                       static_cast<size_t>(num_rows_) * w;
-      const std::byte* src = packed_rows + schema_->offset(c);
-      for (uint32_t i = 0; i < count; ++i) {
-        std::memcpy(dst, src, w);
-        dst += w;
-        src += schema_->row_width();
-      }
-    }
-  }
-  num_rows_ += count;
-  return count;
-}
-
 void Block::GetRow(uint32_t row, std::byte* out) const {
   UOT_DCHECK(row < num_rows_);
   if (layout_ == Layout::kRowStore) {

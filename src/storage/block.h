@@ -69,22 +69,34 @@ class Block {
   /// whole number of tuples).
   size_t allocated_bytes() const { return allocated_bytes_; }
 
+  uint32_t free_rows() const { return capacity_rows_ - num_rows_; }
+
   /// Appends one packed row; returns false (and appends nothing) if full.
   bool AppendRow(const std::byte* packed_row);
 
-  /// Appends up to `n` packed rows from a contiguous packed-row array;
-  /// returns how many were appended.
-  uint32_t AppendRows(const std::byte* packed_rows, uint32_t n);
+  /// Writable strided cursor at the first free row of column `col`: row
+  /// `num_rows() + i` of the column lives at `cursor + i * *stride`, for
+  /// i < free_rows(). Both layouts; nothing is visible to readers until
+  /// CommitRows publishes it.
+  std::byte* AppendCursor(int col, uint32_t* stride) {
+    UOT_DCHECK(col >= 0 && col < schema_->num_columns());
+    return data_.get() + ColumnStart(col, stride) +
+           static_cast<size_t>(num_rows_) * *stride;
+  }
+
+  /// Publishes `n` rows written through the AppendCursor()s of every
+  /// column. Call only after all their bytes are in place.
+  void CommitRows(uint32_t n) {
+    UOT_DCHECK(n <= free_rows());
+    num_rows_ += n;
+  }
 
   /// Strided access to column `col` (valid for rows < num_rows()).
   ColumnAccess Column(int col) const {
     UOT_DCHECK(col >= 0 && col < schema_->num_columns());
-    if (layout_ == Layout::kRowStore) {
-      return ColumnAccess{data_.get() + schema_->offset(col),
-                          schema_->row_width()};
-    }
-    return ColumnAccess{data_.get() + column_starts_[static_cast<size_t>(col)],
-                        schema_->column(col).type.width()};
+    uint32_t stride = 0;
+    const size_t start = ColumnStart(col, &stride);
+    return ColumnAccess{data_.get() + start, stride};
   }
 
   /// Extracts row `row` into `out` in packed-row format
@@ -96,6 +108,16 @@ class Block {
 
  private:
   friend class StorageManager;
+
+  /// Byte offset of row 0 of column `col`; sets its stride.
+  size_t ColumnStart(int col, uint32_t* stride) const {
+    if (layout_ == Layout::kRowStore) {
+      *stride = schema_->row_width();
+      return schema_->offset(col);
+    }
+    *stride = schema_->column(col).type.width();
+    return column_starts_[static_cast<size_t>(col)];
+  }
 
   const BlockId id_;
   const Schema* schema_;  // owned by the table / destination, outlives block

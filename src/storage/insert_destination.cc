@@ -24,11 +24,12 @@ InsertDestination::Writer::~Writer() {
   }
 }
 
-void InsertDestination::Writer::AppendRow(const std::byte* packed_row) {
-  while (!block_->AppendRow(packed_row)) {
+Block* InsertDestination::Writer::BlockWithRoom() {
+  if (block_->Full()) {
     dest_->CompleteBlock(block_);
     block_ = dest_->pool_.Checkout();
   }
+  return block_;
 }
 
 void InsertDestination::CompleteBlock(Block* block) {

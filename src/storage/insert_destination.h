@@ -10,13 +10,25 @@
 
 namespace uot {
 
-/// Where an operator kernel appends its packed output rows: an
+/// Where an operator kernel writes its output rows: an
 /// InsertDestination::Writer in vectorized work orders, a cache-resident
 /// scratch granule in fused pipelines. One kernel serves both.
+///
+/// Kernels write block by block: take BlockWithRoom(), write up to its
+/// free_rows() through its AppendCursor()s, CommitRows(), repeat.
 class RowSink {
  public:
-  /// Appends one packed row (the sink schema's row_width() bytes).
-  virtual void AppendRow(const std::byte* packed_row) = 0;
+  /// A block of the sink's schema with at least one free row. A full block
+  /// is handed on (completed, or flushed downstream) before the next one
+  /// is returned, so rows must be committed before calling this again.
+  virtual Block* BlockWithRoom() = 0;
+
+  /// Appends one packed row (the sink schema's row_width() bytes): the
+  /// path of the cold emitters (aggregate finish, sort, joins without a
+  /// hash table, exchange).
+  void AppendRow(const std::byte* packed_row) {
+    UOT_CHECK(BlockWithRoom()->AppendRow(packed_row));
+  }
 
  protected:
   ~RowSink() = default;
@@ -65,8 +77,8 @@ class InsertDestination {
     ~Writer();
     UOT_DISALLOW_COPY_AND_ASSIGN(Writer);
 
-    /// Appends one packed row (schema().row_width() bytes).
-    void AppendRow(const std::byte* packed_row) override;
+    /// Completes the current block if it is full and checks out the next.
+    Block* BlockWithRoom() override;
 
    private:
     InsertDestination* const dest_;

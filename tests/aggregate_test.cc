@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -268,6 +269,54 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });
+
+TEST(AggStateTest, SumIsBitIdenticalForAnySplitAndMergeOrder) {
+  // One multiset of TPC-H-like revenue terms,
+  // extendedprice * (1 - discount) * (1 + tax), whose sum needs every
+  // mantissa bit. Each trial shuffles it, splits it into 2-16 partials at
+  // random cuts (one per work order), accumulates each partial in its
+  // order and merges the partials in a random order; the compensated sum
+  // must not change in its last bit.
+  testing::FuzzRng rng(19);
+  std::vector<double> values(6000);
+  for (double& v : values) {
+    const double quantity = static_cast<double>(rng.Range(1, 50));
+    const double price = static_cast<double>(rng.Range(90000, 200000)) / 100;
+    const double discount = static_cast<double>(rng.Range(0, 10)) / 100;
+    const double tax = static_cast<double>(rng.Range(0, 8)) / 100;
+    v = quantity * price * (1 - discount) * (1 + tax);
+  }
+  auto shuffle = [&rng](auto* items) {
+    for (size_t i = items->size(); i > 1; --i) {
+      const auto j = static_cast<size_t>(
+          rng.Range(0, static_cast<int64_t>(i) - 1));
+      std::swap((*items)[i - 1], (*items)[j]);
+    }
+  };
+  uint64_t first_bits = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    shuffle(&values);
+    std::vector<size_t> cuts = {0, values.size()};
+    const int partials = static_cast<int>(rng.Range(2, 16));
+    for (int p = 1; p < partials; ++p) {
+      cuts.push_back(static_cast<size_t>(
+          rng.Range(0, static_cast<int64_t>(values.size()))));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<AggState> states(cuts.size() - 1);
+    for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+      for (size_t i = cuts[p]; i < cuts[p + 1]; ++i) states[p].Add(values[i]);
+    }
+    shuffle(&states);
+    AggState total;
+    for (const AggState& state : states) total.Merge(state);
+    const double sum = total.Total();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &sum, 8);
+    if (trial == 0) first_bits = bits;
+    ASSERT_EQ(bits, first_bits) << "trial " << trial << ": " << sum;
+  }
+}
 
 TEST(GroupTableTest, ResetEmptiesASparseTable) {
   // 10k groups size the slot array; a later Reset with 100 groups takes

@@ -14,14 +14,15 @@
 namespace uot {
 namespace {
 
-// A block of (id INT32, price DOUBLE, day DATE, name CHAR(8)).
+// A block of (id INT32, price DOUBLE, day DATE, name CHAR(8), code CHAR(5)).
 class ExprTest : public ::testing::TestWithParam<Layout> {
  protected:
   ExprTest()
       : schema_({{"id", Type::Int32()},
                  {"price", Type::Double()},
                  {"day", Type::Date()},
-                 {"name", Type::Char(8)}}),
+                 {"name", Type::Char(8)},
+                 {"code", Type::Char(5)}}),
         block_(1, &schema_, GetParam(), 4096) {
     RowBuilder row(&schema_);
     const char* names[] = {"alpha", "beta", "gamma", "delta", "epsilon"};
@@ -30,6 +31,7 @@ class ExprTest : public ::testing::TestWithParam<Layout> {
       row.SetDouble(1, 10.0 * i);
       row.SetDate(2, MakeDate(1995, 1, 1) + i);
       row.SetChar(3, names[i % 5]);
+      row.SetChar(4, "c" + std::to_string(i % 13));
       block_.AppendRow(row.data());
     }
   }
@@ -268,6 +270,117 @@ TEST_P(ExprTest, ProjectionMaterializesExpressions) {
   EXPECT_EQ(out.GetValue(0, 0).AsInt32(), 1);
   EXPECT_DOUBLE_EQ(out.GetValue(1, 1).AsDouble(), 60.0);
   EXPECT_DOUBLE_EQ(out.GetValue(2, 1).AsDouble(), 100.0);
+}
+
+// --- Projection::AppendRows against a one-row packed-row oracle ---------
+
+// A projection covering every write path of AppendRows: bare column
+// references of widths 4 and 8 and an odd CHAR(n) width, and computed
+// Arithmetic, Substring and ExtractYear expressions.
+std::unique_ptr<Projection> WidePassProjection() {
+  std::vector<std::unique_ptr<Scalar>> exprs;
+  exprs.push_back(Col(4, Type::Char(5)));
+  exprs.push_back(Col(0, Type::Int32()));
+  exprs.push_back(Mul(Col(1, Type::Double()), LitDouble(0.5)));
+  exprs.push_back(std::make_unique<Substring>(Col(3, Type::Char(8)), 1, 3));
+  exprs.push_back(Col(1, Type::Double()));
+  exprs.push_back(std::make_unique<ExtractYear>(Col(2, Type::Date())));
+  exprs.push_back(Col(2, Type::Date()));
+  return std::make_unique<Projection>(
+      std::move(exprs),
+      std::vector<std::string>{"code", "id", "half", "sub", "price", "year",
+                               "day"});
+}
+
+// The reference: evaluates every expression one row at a time and stitches
+// a packed row per selected row.
+std::string OneRowOracle(const Projection& proj, const Block& block,
+                         const std::vector<uint32_t>& rows) {
+  const Schema& schema = proj.output_schema();
+  std::string out;
+  std::vector<std::byte> row(schema.row_width());
+  for (const uint32_t r : rows) {
+    for (int e = 0; e < proj.num_exprs(); ++e) {
+      std::vector<std::byte> value(schema.column(e).type.width());
+      proj.expr(e).Eval(block, &r, 1, value.data());
+      std::memcpy(row.data() + schema.offset(e), value.data(), value.size());
+    }
+    out.append(reinterpret_cast<const char*>(row.data()), row.size());
+  }
+  return out;
+}
+
+std::string PackedRows(const Block& block, uint32_t first_row) {
+  std::string out;
+  std::vector<std::byte> row(block.schema().row_width());
+  for (uint32_t r = first_row; r < block.num_rows(); ++r) {
+    block.GetRow(r, row.data());
+    out.append(reinterpret_cast<const char*>(row.data()), row.size());
+  }
+  return out;
+}
+
+TEST_P(ExprTest, AppendRowsMatchesOneRowOracleInBothOutputLayouts) {
+  auto proj = WidePassProjection();
+  // Out of order and repeated rows are allowed.
+  const std::vector<uint32_t> rows = {0, 3, 6, 9, 12, 15, 18, 19, 3};
+  const std::vector<uint32_t> first = {5};
+  for (const Layout out_layout : {Layout::kRowStore, Layout::kColumnStore}) {
+    // A block that already holds one row: AppendRows writes after it.
+    Block out(2, &proj->output_schema(), out_layout, 4096);
+    proj->AppendRows(block_, first.data(), 1, &out);
+    proj->AppendRows(block_, rows.data(), static_cast<uint32_t>(rows.size()),
+                     &out);
+    ASSERT_EQ(out.num_rows(), rows.size() + 1);
+    EXPECT_EQ(PackedRows(out, 0),
+              OneRowOracle(*proj, block_, first) +
+                  OneRowOracle(*proj, block_, rows))
+        << LayoutName(out_layout);
+  }
+}
+
+TEST_P(ExprTest, AppendRowsFillsOutputBlocksMidSelection) {
+  auto proj = WidePassProjection();
+  const std::vector<uint32_t> head = {1, 2};
+  const std::vector<uint32_t> tail = {4, 5, 7, 8, 10, 11, 13, 14, 16, 17};
+  for (const Layout out_layout : {Layout::kRowStore, Layout::kColumnStore}) {
+    StorageManager storage;
+    // Three rows per output block: the 12 rows span four blocks, and the
+    // second selection starts in a block the first left one row free.
+    Table out("out", proj->output_schema(), out_layout,
+              3 * proj->output_schema().row_width(), &storage,
+              MemoryCategory::kTemporaryTable);
+    InsertDestination dest(&storage, &out, nullptr);
+    {
+      InsertDestination::Writer writer(&dest);
+      proj->MaterializeInto(block_, head, &writer);
+      proj->MaterializeInto(block_, tail, &writer);
+    }
+    dest.Flush();
+    ASSERT_EQ(out.blocks().size(), 4u);
+    std::string got;
+    for (const Block* b : out.blocks()) got += PackedRows(*b, 0);
+    EXPECT_EQ(got, OneRowOracle(*proj, block_, head) +
+                       OneRowOracle(*proj, block_, tail))
+        << LayoutName(out_layout);
+  }
+}
+
+TEST_P(ExprTest, AppendRowsOfEmptySelectionWritesNothing) {
+  auto proj = WidePassProjection();
+  StorageManager storage;
+  Table out("out", proj->output_schema(), Layout::kRowStore, 4096, &storage,
+            MemoryCategory::kTemporaryTable);
+  InsertDestination dest(&storage, &out, nullptr);
+  {
+    InsertDestination::Writer writer(&dest);
+    proj->MaterializeInto(block_, {}, &writer);
+  }
+  dest.Flush();
+  EXPECT_EQ(out.NumRows(), 0u);
+  Block block(2, &proj->output_schema(), Layout::kColumnStore, 4096);
+  proj->AppendRows(block_, nullptr, 0, &block);
+  EXPECT_TRUE(block.Empty());
 }
 
 TEST_P(ExprTest, IdentityProjectionPreservesNames) {

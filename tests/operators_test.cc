@@ -2,6 +2,8 @@
 
 #include "baseline/materializing_engine.h"
 #include "exec/query_executor.h"
+#include "operators/key_util.h"
+#include "operators/numeric_util.h"
 #include "operators/nested_loops_join_operator.h"
 #include "operators/select_operator.h"
 #include "operators/sort_merge_join_operator.h"
@@ -581,6 +583,110 @@ TEST_F(OperatorsTest, BatchedKernelParityEmptyInputs) {
   spec.probe_out = {0, 1};
   ExpectKernelParity(&storage_, *empty, *nonempty, spec, "empty probe");
   ExpectKernelParity(&storage_, *nonempty, *empty, spec, "empty build");
+}
+
+/// The one-row oracle of probe emission: probes each row of `probe` on
+/// its own, applies the residuals, and stitches every output row as a
+/// packed row (probe columns, then an inner join's payload).
+std::string OneRowProbeOracle(const Table& probe, const JoinHashTable& table,
+                              const std::vector<int>& probe_keys,
+                              const std::vector<int>& probe_out,
+                              JoinKind kind,
+                              const std::vector<ResidualCondition>& residuals) {
+  const Schema& payload = table.payload_schema();
+  const Schema probe_part = SubSchema(probe.schema(), probe_out);
+  const size_t payload_width =
+      kind == JoinKind::kInner ? payload.row_width() : 0;
+  std::vector<std::byte> row(probe_part.row_width() + payload_width);
+  std::string out;
+  auto emit = [&] {
+    out.append(reinterpret_cast<const char*>(row.data()), row.size());
+  };
+  std::vector<uint64_t> hashes;
+  std::vector<JoinMatch> matches;
+  for (const Block* block : probe.blocks()) {
+    for (uint32_t r = 0; r < block->num_rows(); ++r) {
+      uint64_t key[2] = {};
+      ExtractKeys(*block, probe_keys, r, 1, key);
+      matches.clear();
+      table.ProbeBatch(key, 1, 0, &hashes, &matches);
+      ExtractColumns(*block, probe_out, probe_part, r, row.data());
+      bool any = false;
+      for (const JoinMatch& match : matches) {
+        bool ok = true;
+        for (const ResidualCondition& cond : residuals) {
+          const double probe_val =
+              LoadNumeric(probe.schema().column(cond.probe_col).type,
+                          block->Column(cond.probe_col).at(r));
+          const double build_val =
+              cond.scale *
+              LoadNumeric(payload.column(cond.payload_col).type,
+                          match.payload + payload.offset(cond.payload_col));
+          ok = ok && CompareValues(cond.op, probe_val, build_val);
+        }
+        if (!ok) continue;
+        any = true;
+        if (kind == JoinKind::kInner) {
+          std::memcpy(row.data() + probe_part.row_width(), match.payload,
+                      payload_width);
+          emit();
+        }
+      }
+      if ((kind == JoinKind::kLeftSemi && any) ||
+          (kind == JoinKind::kLeftAnti && !any)) {
+        emit();
+      }
+    }
+  }
+  return out;
+}
+
+TEST_F(OperatorsTest, ProbeEmissionMatchesOneRowOracleAcrossOutputBlocks) {
+  // Three build rows per key; probe keys 40..49 never match.
+  auto build = MakeKvTable(&storage_, "build", 120, 40);
+  auto probe = MakeKvTable(&storage_, "probe", 700, 50, Layout::kColumnStore,
+                           /*block_bytes=*/2048);
+  BuildHashOperator build_op("build", {0}, {1, 0}, 0.75, &storage_.tracker());
+  OperatorExecContext ctx;
+  ctx.join.batch_size = 64;
+  build_op.BindExecContext(ctx);
+  build_op.InitHashTable(build->schema());
+  build_op.AttachBaseTable(build.get());
+  MaterializingEngine::Drive(&build_op);
+  const std::vector<int> probe_out = {1, 0};
+  const std::vector<ResidualCondition> keep_larger = {
+      ResidualCondition{1, 0, CompareOp::kGt, 1.0}};  // probe v > build v
+
+  for (const JoinKind kind :
+       {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+    for (const bool residual : {false, true}) {
+      for (const Layout layout : {Layout::kRowStore, Layout::kColumnStore}) {
+        const std::vector<ResidualCondition> residuals =
+            residual ? keep_larger : std::vector<ResidualCondition>{};
+        Schema out_schema = ProbeHashOperator::OutputSchema(
+            probe->schema(), probe_out, build_op.hash_table()->payload_schema(),
+            {0, 1}, kind);
+        // Five rows per output block: every 64-row batch crosses blocks.
+        Table out("out", out_schema, layout, 5 * out_schema.row_width(),
+                  &storage_, MemoryCategory::kTemporaryTable);
+        InsertDestination dest(&storage_, &out, nullptr);
+        ProbeHashOperator probe_op("probe", &build_op, {0}, probe_out, kind,
+                                   residuals, &dest);
+        probe_op.BindExecContext(ctx);
+        probe_op.AttachBaseTable(probe.get());
+        MaterializingEngine::Drive(&probe_op);
+        const std::string want =
+            OneRowProbeOracle(*probe, *build_op.hash_table(), {0}, probe_out,
+                              kind, residuals);
+        const std::string label = std::to_string(static_cast<int>(kind)) +
+                                  (residual ? " residual " : " plain ") +
+                                  LayoutName(layout);
+        ASSERT_FALSE(want.empty()) << label;
+        EXPECT_GT(out.blocks().size(), 1u) << label;
+        EXPECT_EQ(TableBytes(out), want) << label;
+      }
+    }
+  }
 }
 
 TEST_F(OperatorsTest, ProbeOutputSchemaComposition) {

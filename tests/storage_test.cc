@@ -76,19 +76,39 @@ TEST_P(BlockLayoutTest, FillsToCapacityThenRejects) {
   EXPECT_EQ(block.num_rows(), cap);
 }
 
-TEST_P(BlockLayoutTest, BulkAppendRespectsCapacity) {
+TEST_P(BlockLayoutTest, CursorAppendFillsToCapacityAndPublishesOnCommit) {
   const Schema schema = TestSchema();
   Block block(1, &schema, GetParam(), 10 * schema.row_width());
-  std::vector<std::byte> rows;
-  for (int i = 0; i < 25; ++i) {
-    const auto r = PackRow(schema, i, i, "b");
-    rows.insert(rows.end(), r.begin(), r.end());
+  ASSERT_TRUE(block.AppendRow(PackRow(schema, 0, 0.0, "a").data()));
+  ASSERT_EQ(block.free_rows(), 9u);
+  // Write the 9 free rows column by column through the cursors.
+  uint32_t stride[3] = {};
+  std::byte* cursor[3] = {};
+  for (int c = 0; c < 3; ++c) cursor[c] = block.AppendCursor(c, &stride[c]);
+  EXPECT_EQ(stride[0], GetParam() == Layout::kRowStore ? schema.row_width()
+                                                       : 4u);
+  for (uint32_t i = 0; i < 9; ++i) {
+    const auto row = PackRow(schema, static_cast<int32_t>(i + 1), i + 1.5,
+                             "c" + std::to_string(i));
+    for (int c = 0; c < 3; ++c) {
+      std::memcpy(cursor[c] + i * stride[c], row.data() + schema.offset(c),
+                  schema.column(c).type.width());
+    }
   }
-  EXPECT_EQ(block.AppendRows(rows.data(), 25), 10u);
+  EXPECT_EQ(block.num_rows(), 1u);  // nothing published before the commit
+  block.CommitRows(9);
   EXPECT_TRUE(block.Full());
-  int32_t v;
-  std::memcpy(&v, block.Column(0).at(9), 4);
-  EXPECT_EQ(v, 9);
+  EXPECT_EQ(block.free_rows(), 0u);
+  std::vector<std::byte> out(schema.row_width());
+  for (uint32_t r = 0; r < 10; ++r) {
+    block.GetRow(r, out.data());
+    const auto want =
+        r == 0 ? PackRow(schema, 0, 0.0, "a")
+               : PackRow(schema, static_cast<int32_t>(r), r + 0.5,
+                         "c" + std::to_string(r - 1));
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), schema.row_width()), 0)
+        << "row " << r;
+  }
 }
 
 TEST_P(BlockLayoutTest, ClearResets) {
