@@ -74,13 +74,12 @@ int main(int argc, char** argv) {
 
   std::printf("Profile %s: query \"%s\" (id %llu), %zu operators, %zu "
               "edges (%zu predicted), %zu UoT decisions, %zu budget "
-              "events%s\n\n",
+              "events\n\n",
               path.c_str(), summary.query_name.c_str(),
               static_cast<unsigned long long>(summary.query_id),
               summary.num_operators, summary.num_edges,
               summary.num_predicted_edges, summary.num_uot_decisions,
-              summary.num_budget_events,
-              summary.profiled ? "" : " [profile logs were off]");
+              summary.num_budget_events);
 
   // p99 work-order latency per operator.
   std::printf("Per-operator work-order latency (p50 / p95 / p99 ms):\n");

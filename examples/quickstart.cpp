@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "exec/query_executor.h"
+#include "obs/query_profile.h"
 #include "operators/build_hash_operator.h"
 #include "operators/probe_hash_operator.h"
 #include "operators/select_operator.h"
@@ -91,7 +92,8 @@ int main() {
     const ExecutionStats stats = QueryExecutor::Execute(&plan, config);
 
     std::printf("=== %s ===\n", config.uot.ToString().c_str());
-    std::printf("%s", stats.ToString().c_str());
+    std::printf("%s",
+                obs::QueryProfile::FromRun(&plan, stats).ToString().c_str());
     std::printf("result rows: %llu, transfers on the select->probe edge: "
                 "%llu\n",
                 static_cast<unsigned long long>(join_out->NumRows()),

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "exec/query_executor.h"
+#include "obs/query_profile.h"
 #include "tpch/tpch_generator.h"
 #include "tpch/tpch_queries.h"
 
@@ -59,6 +60,7 @@ int main() {
   std::printf("\nQ7 per-operator breakdown (the paper's running example):\n");
   auto q7 = BuildTpchPlan(7, db, plan_config);
   const ExecutionStats stats = QueryExecutor::Execute(q7.get(), exec);
-  std::printf("%s", stats.ToString().c_str());
+  std::printf("%s",
+              obs::QueryProfile::FromRun(q7.get(), stats).ToString().c_str());
   return 0;
 }

@@ -11,8 +11,8 @@
 // With `--profile`, the run additionally closes the observe-model-act
 // loop: a calibration pass measures oracle per-edge cardinalities, the
 // cost model's predictions are attached to the plan, the traced run
-// executes with ExecConfig::profile on and a background metrics sampler,
-// and the tool writes `<out_prefix>.profile.json` (validated),
+// executes under a background metrics sampler, and the tool writes
+// `<out_prefix>.profile.json` (validated),
 // `<out_prefix>.profile.txt` (the annotated plan + calibration report),
 // and `<out_prefix>.timeseries.json` / `.csv` — with the
 // `model.residual.edge.*` gauges exported into the metrics files.
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
     CostModelUotChooser chooser;
     CostModelUotChooser::AnnotatePredictions(
         plan.get(), chooser.ChoosePlan(*plan, estimates));
-    exec.profile = true;
   }
 
   obs::MetricsSampler::Options sampler_options;
@@ -98,13 +97,12 @@ int main(int argc, char** argv) {
               query, sf, profile_mode ? " and profiling" : "");
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
   if (profile_mode) sampler.Stop();
-  std::printf("%s\n", stats.ToString().c_str());
+  const obs::QueryProfile profile = obs::QueryProfile::FromRun(
+      plan.get(), stats, {"q" + std::to_string(query)});
+  std::printf("%s\n", profile.ToString().c_str());
 
   if (profile_mode) {
-    const obs::QueryProfile profile = obs::QueryProfile::FromRun(
-        plan.get(), stats, {"q" + std::to_string(query)});
     profile.ExportResidualMetrics(&metrics);
-    std::printf("%s\n", profile.ToString().c_str());
     const std::string report = profile.CalibrationReport();
     if (!report.empty()) std::printf("%s\n", report.c_str());
 

@@ -84,8 +84,8 @@ struct EngineConfig {
 /// starts.
 ///
 /// Observability stays per-query: give each session its own TraceSession /
-/// MetricsRegistry via ExecConfig (or a shared registry with distinct
-/// `metrics_prefix` values); work-order spans land in the owning session's
+/// MetricsRegistry via ExecConfig (a shared registry accumulates the
+/// sessions' counters); work-order spans land in the owning session's
 /// trace no matter which pool worker ran them.
 ///
 /// Per-session memory peaks (ExecutionStats::peak_bytes) are read from the

@@ -18,8 +18,6 @@ std::string UotChoice::ToString() const {
 CostModelUotChooser::CostModelUotChooser(Options options)
     : options_(options), model_(options.cost_params) {
   UOT_CHECK(options_.threads >= 1);
-  UOT_CHECK(options_.max_blocks >= 1);
-  UOT_CHECK(options_.budget_cap_fraction > 0.0);
 }
 
 std::string RadixChoice::ToString() const {
@@ -59,7 +57,7 @@ UotChoice CostModelUotChooser::ChooseEdge(const EdgeEstimate& estimate,
   // The budget cap on one edge's live transfer granule.
   const double cap =
       options_.memory_budget_bytes > 0
-          ? options_.budget_cap_fraction *
+          ? kBudgetCapFraction *
                 static_cast<double>(options_.memory_budget_bytes)
           : 0.0;
 
@@ -68,7 +66,7 @@ UotChoice CostModelUotChooser::ChooseEdge(const EdgeEstimate& estimate,
   double best_cost = 0.0;
   uint64_t best_k = 0;
   bool capped = false;
-  for (uint64_t k = 1; k <= options_.max_blocks; k *= 2) {
+  for (uint64_t k = 1; k <= kMaxBlocks; k *= 2) {
     const double uot_bytes = static_cast<double>(k * block_bytes);
     if (cap > 0.0 && uot_bytes > cap && k > 1) {
       capped = true;  // larger granules would breach the per-edge cap

@@ -110,13 +110,14 @@ class CostModelUotChooser {
     /// granules against this number, and bytes it cannot reclaim would
     /// only inflate every cap.
     int64_t memory_budget_bytes = 0;
-    /// Fraction of the budget one edge's live transfer granule may occupy;
-    /// whole-table is only eligible when the edge's full materialized
-    /// footprint fits under this cap.
-    double budget_cap_fraction = 0.25;
-    /// Largest finite candidate, in blocks.
-    uint64_t max_blocks = 64;
   };
+
+  /// Fraction of the budget one edge's live transfer granule may occupy;
+  /// whole-table is only eligible when the edge's full materialized
+  /// footprint fits under this cap.
+  static constexpr double kBudgetCapFraction = 0.25;
+  /// Largest finite candidate, in blocks.
+  static constexpr uint64_t kMaxBlocks = 64;
 
   CostModelUotChooser() : CostModelUotChooser(Options{}) {}
   explicit CostModelUotChooser(Options options);

@@ -210,12 +210,14 @@ std::string QueryProfile::ToString() const {
   std::string out;
   std::snprintf(buf, sizeof(buf),
                 "QueryProfile{%s, query_id=%" PRIu64
-                ", %.2f ms, admission_wait=%.2f ms, %zu work orders%s}\n",
+                ", %.2f ms, admission_wait=%.2f ms, %zu work orders}\n",
                 query_name_.c_str(), stats_.query_id, stats_.QueryMillis(),
                 static_cast<double>(stats_.admission_wait_ns) / 1e6,
-                stats_.records.size(),
-                stats_.profiled ? "" : " [profile logs off]");
+                stats_.records.size());
   out += buf;
+  if (!stats_.config_summary.empty()) {
+    out += "  config: " + stats_.config_summary + "\n";
+  }
   if (stats_.coordinator_events > 0 || queue_wait_.count > 0) {
     std::snprintf(buf, sizeof(buf),
                   "  scheduler: coordinator busy %.2f ms over %" PRIu64
@@ -370,8 +372,6 @@ std::string QueryProfile::ToJson() const {
     out += '{';
     AppendFieldS(&out, "name", query_name_, &first);
     AppendFieldU(&out, "id", stats_.query_id, &first);
-    out += ", \"profiled\": ";
-    out += stats_.profiled ? "true" : "false";
     AppendField(&out, "start_ns", stats_.query_start_ns, &first);
     AppendField(&out, "end_ns", stats_.query_end_ns, &first);
     AppendFieldD(&out, "duration_ms", stats_.QueryMillis(), &first);
@@ -652,11 +652,6 @@ Status ParseQueryProfileJson(std::string_view json,
         "work_orders"}) {
     UOT_RETURN_IF_ERROR(RequireNumber(*query, key, "query"));
   }
-  const JsonValue* profiled = query->Find("profiled");
-  if (profiled == nullptr || !profiled->is_bool()) {
-    return ProfileError("missing \"query.profiled\" bool");
-  }
-  summary->profiled = profiled->AsBool();
   const JsonValue* query_latency = query->Find("latency");
   if (query_latency == nullptr || !query_latency->is_object()) {
     return ProfileError("missing \"query.latency\" object");

@@ -89,10 +89,11 @@ class QueryProfile {
   /// over the work orders that carry a dispatch time.
   const HistogramSnapshot& queue_wait() const { return queue_wait_; }
 
-  /// The EXPLAIN-ANALYZE-style annotated plan: the coordinator/queue-wait
-  /// split, operators with work-order counts/time/DoP/latency percentiles, edges with measured vs
-  /// predicted transfers/bytes/footprint and residuals, memory peaks,
-  /// budget events, and the UoT decision log.
+  /// The EXPLAIN-ANALYZE-style annotated plan, the one text rendering of
+  /// a run: the resolved ExecConfig, the coordinator/queue-wait split,
+  /// operators with work-order counts/time/DoP/latency percentiles, edges
+  /// with measured vs predicted transfers/bytes/footprint and residuals,
+  /// memory peaks, budget events, and the UoT decision log.
   std::string ToString() const;
 
   /// The model-calibration report: only edges with predictions, ranked by
@@ -138,7 +139,6 @@ struct QueryProfileSummary {
   size_t num_budget_events = 0;
   uint64_t coordinator_events = 0;  // 0 when the optional keys are absent
   uint64_t completion_events = 0;
-  bool profiled = false;
 };
 
 /// Validates that `json` is a well-formed profile document — top-level

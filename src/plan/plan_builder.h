@@ -23,9 +23,6 @@ struct PlanBuilderConfig {
   size_t block_bytes = 1 << 20;
   /// Join hash-table load factor (the model's `f`).
   double load_factor = 0.75;
-  /// Temporary tables use the row-store format irrespective of the base
-  /// tables (paper Section IV-B).
-  Layout temp_layout = Layout::kRowStore;
   /// Attach LIP Bloom filters (Zhu et al. [42]) from selective hash-table
   /// builds to probe-side selections — the paper's selectivity-lowering
   /// technique (Section VI-C). Results are unchanged; intermediates
@@ -44,6 +41,10 @@ struct PlanBuilderConfig {
 /// and usable for ad-hoc plans in examples/tests.
 class PlanBuilder {
  public:
+  /// Temporary tables use the row-store format irrespective of the base
+  /// tables (paper Section IV-B).
+  static constexpr Layout kTempLayout = Layout::kRowStore;
+
   PlanBuilder(StorageManager* storage, const PlanBuilderConfig& config)
       : storage_(storage),
         config_(config),
@@ -68,7 +69,7 @@ class PlanBuilder {
              std::vector<std::pair<BuildHashOperator*, int>> lip = {}) {
     Table* out =
         plan_->CreateTempTable(name + ".out", proj->output_schema(),
-                               config_.temp_layout, config_.block_bytes);
+                               kTempLayout, config_.block_bytes);
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<SelectOperator>(name, std::move(pred),
                                                std::move(proj), dest);
@@ -94,8 +95,7 @@ class PlanBuilder {
   Src Exchange(const std::string& name, const Src& in,
                std::vector<int> key_cols, int radix_bits) {
     Table* out = plan_->CreateTempTable(name + ".out", SchemaOf(in),
-                                        config_.temp_layout,
-                                        config_.block_bytes);
+                                        kTempLayout, config_.block_bytes);
     const uint32_t parts = NumPartitions(radix_bits);
     std::vector<InsertDestination*> dests;
     dests.reserve(parts);
@@ -157,7 +157,7 @@ class PlanBuilder {
         SchemaOf(input), out_cols, payload, payload_cols, kind);
     Table* out =
         plan_->CreateTempTable(name + ".out", std::move(out_schema),
-                               config_.temp_layout, config_.block_bytes);
+                               kTempLayout, config_.block_bytes);
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<ProbeHashOperator>(
         name, build, std::move(key_cols), std::move(out_cols), kind,
@@ -177,7 +177,7 @@ class PlanBuilder {
         AggregateOperator::OutputSchema(SchemaOf(in), group_cols, aggs);
     Table* out =
         plan_->CreateTempTable(name + ".out", std::move(out_schema),
-                               config_.temp_layout, config_.block_bytes);
+                               kTempLayout, config_.block_bytes);
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<AggregateOperator>(
         name, SchemaOf(in), std::move(group_cols), std::move(aggs),
@@ -192,8 +192,7 @@ class PlanBuilder {
   Src Sort(const std::string& name, const Src& in, std::vector<SortKey> keys,
            uint64_t limit = 0) {
     Table* out = plan_->CreateTempTable("sort.out", SchemaOf(in),
-                                        config_.temp_layout,
-                                        config_.block_bytes);
+                                        kTempLayout, config_.block_bytes);
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<SortOperator>(name, SchemaOf(in),
                                              std::move(keys), dest, limit);

@@ -54,9 +54,7 @@ struct OperatorStats {
 };
 
 /// Measured per-edge execution detail, collected by the session for every
-/// streaming edge (the integer accounting is cheap and cannot influence
-/// transfer behavior, so it is always on; see ExecConfig::profile for the
-/// event logs that are not).
+/// streaming edge.
 struct EdgeStats {
   int producer = -1;
   int consumer = -1;
@@ -131,7 +129,7 @@ struct ExchangeStats {
 };
 
 /// One entry of the adaptive-decision log: the policy layer (re)resolved
-/// an edge's effective UoT. Recorded only when ExecConfig::profile is set.
+/// an edge's effective UoT.
 struct UotDecisionRecord {
   int64_t t_ns = 0;  // absolute monotonic, same clock as query_start_ns
   int edge = -1;
@@ -141,7 +139,7 @@ struct UotDecisionRecord {
 };
 
 /// One memory-budget deferral or release, with the tracked bytes that
-/// motivated it. Recorded only when ExecConfig::profile is set.
+/// motivated it.
 struct BudgetEventRecord {
   int64_t t_ns = 0;
   int op = -1;
@@ -185,13 +183,11 @@ struct ExecutionStats {
   /// Every fused pipeline the session executed (empty under
   /// PipelineMode::kVectorized or when no chain was fusable).
   std::vector<FusedChainStats> fused_chains;
-  /// True when the session ran with ExecConfig::profile: the decision and
-  /// budget-event logs below were collected.
-  bool profiled = false;
   /// Every effective-UoT resolution in time order (the per-edge UoT
-  /// timeline); empty unless profiled.
+  /// timeline): one seed decision per non-fused streaming edge, plus one
+  /// per mid-query change.
   std::vector<UotDecisionRecord> uot_decisions;
-  /// Every budget deferral/release in time order; empty unless profiled.
+  /// Every budget deferral/release in time order.
   std::vector<BudgetEventRecord> budget_events;
   /// Peak memory during execution, per category.
   int64_t peak_bytes[kNumMemoryCategories] = {};
@@ -224,9 +220,6 @@ struct ExecutionStats {
   /// Average degree of parallelism of operator `op` over the interval in
   /// which any of its work orders ran (integral of #running / span).
   double AverageDop(int op) const;
-
-  /// Renders a per-operator summary table.
-  std::string ToString() const;
 };
 
 }  // namespace uot

@@ -34,10 +34,6 @@ QuerySession::QuerySession(QueryPlan* plan, ExecConfig config,
   UOT_CHECK(pool_workers_ >= 1);
 }
 
-std::string QuerySession::MetricName(const char* name) const {
-  return config_.metrics_prefix + name;
-}
-
 void QuerySession::InitObservability() {
   trace_ = config_.trace;
   metrics_ = config_.metrics;
@@ -62,58 +58,48 @@ void QuerySession::InitObservability() {
     event_queue_depth_ = nullptr;
     return;
   }
-  op_ctx_.join_probe_batches =
-      metrics_->GetCounter(MetricName("join.probe.batches"));
+  op_ctx_.join_probe_batches = metrics_->GetCounter("join.probe.batches");
   op_ctx_.join_probe_prefetch_issued =
-      metrics_->GetCounter(MetricName("join.probe.prefetch_issued"));
-  op_ctx_.join_build_batches =
-      metrics_->GetCounter(MetricName("join.build.batches"));
+      metrics_->GetCounter("join.probe.prefetch_issued");
+  op_ctx_.join_build_batches = metrics_->GetCounter("join.build.batches");
   op_ctx_.join_build_prefetch_issued =
-      metrics_->GetCounter(MetricName("join.build.prefetch_issued"));
-  work_queue_depth_ =
-      metrics_->GetGauge(MetricName("scheduler.queue.work_orders.depth"));
-  event_queue_depth_ =
-      metrics_->GetGauge(MetricName("scheduler.queue.events.depth"));
+      metrics_->GetCounter("join.build.prefetch_issued");
+  work_queue_depth_ = metrics_->GetGauge("scheduler.queue.work_orders.depth");
+  event_queue_depth_ = metrics_->GetGauge("scheduler.queue.events.depth");
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
     edge_uot_gauge_.push_back(metrics_->GetGauge(
-        MetricName("uot.edge.") + std::to_string(e) + ".effective_blocks"));
+        "uot.edge." + std::to_string(e) + ".effective_blocks"));
   }
 }
 
 void QuerySession::PublishMetrics() {
-  metrics_->GetCounter(MetricName("scheduler.work_orders"))
-      ->Add(stats_.records.size());
+  metrics_->GetCounter("scheduler.work_orders")->Add(stats_.records.size());
   obs::Histogram* latency =
-      metrics_->GetHistogram(MetricName("scheduler.work_order_latency_ns"));
+      metrics_->GetHistogram("scheduler.work_order_latency_ns");
   for (const WorkOrderRecord& r : stats_.records) {
     latency->Record(r.duration_ns());
   }
   for (size_t i = 0; i < stats_.operators.size(); ++i) {
     const OperatorStats& os = stats_.operators[i];
-    const std::string prefix =
-        MetricName("scheduler.op.") + std::to_string(i);
+    const std::string prefix = "scheduler.op." + std::to_string(i);
     metrics_->GetCounter(prefix + ".task_ns")
         ->Add(static_cast<uint64_t>(os.total_task_ns));
     metrics_->GetCounter(prefix + ".work_orders")->Add(os.num_work_orders);
   }
   for (size_t e = 0; e < stats_.edges.size(); ++e) {
     const EdgeStats& es = stats_.edges[e];
-    const std::string prefix =
-        MetricName("scheduler.edge.") + std::to_string(e);
+    const std::string prefix = "scheduler.edge." + std::to_string(e);
     metrics_->GetCounter(prefix + ".transfers")->Add(es.transfers);
     metrics_->GetCounter(prefix + ".blocks")->Add(es.blocks_delivered);
   }
-  metrics_->GetCounter(MetricName("scheduler.budget.deferrals"))
+  metrics_->GetCounter("scheduler.budget.deferrals")
       ->Add(stats_.budget_deferrals);
-  metrics_->GetCounter(MetricName("scheduler.budget.stalls"))
-      ->Add(stats_.budget_stalls);
-  metrics_->GetCounter(MetricName("uot.adaptations"))
-      ->Add(stats_.uot_adaptations);
+  metrics_->GetCounter("scheduler.budget.stalls")->Add(stats_.budget_stalls);
+  metrics_->GetCounter("uot.adaptations")->Add(stats_.uot_adaptations);
   // Exchange skew: rows per partition, plus max/mean x100 as a single
   // imbalance number.
   for (const ExchangeStats& x : stats_.exchanges) {
-    const std::string prefix =
-        MetricName("exchange.op.") + std::to_string(x.op);
+    const std::string prefix = "exchange.op." + std::to_string(x.op);
     for (size_t p = 0; p < x.partition_rows.size(); ++p) {
       metrics_->GetGauge(prefix + ".partition." + std::to_string(p) + ".rows")
           ->Set(static_cast<int64_t>(x.partition_rows[p]));
@@ -153,6 +139,8 @@ ExecutionStats QuerySession::Run() {
   stats_.query_id = query_id_;
   stats_.config_summary = config_.ToString();
   stats_.operators.resize(static_cast<size_t>(n));
+  // Every non-fused edge records its seed decision; adaptations append.
+  stats_.uot_decisions.reserve(plan_->streaming_edges().size());
 
   // Resolve the UoT policy chain: plan annotations pin individual edges;
   // otherwise the config's policy decides; otherwise the scalar session
@@ -300,7 +288,6 @@ ExecutionStats QuerySession::Run() {
   for (int c = 0; c < kNumMemoryCategories; ++c) {
     stats_.peak_bytes[c] = tracker.Peak(static_cast<MemoryCategory>(c));
   }
-  stats_.profiled = config_.profile;
   stats_.fused_chains.clear();
   for (const auto& chain : fused_chains_) {
     FusedChainStats cs;
@@ -525,7 +512,8 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
                               op, -1, tracked);
         }
         ++stats_.budget_deferrals;
-        RecordBudgetEvent(op, /*release=*/false, tracked);
+        stats_.budget_events.push_back(
+            BudgetEventRecord{NowNanos(), op, /*release=*/false, tracked});
       }
       deferred_.push_back(DeferredWorkOrder{op, over_budget, std::move(wo)});
       deferred_waiting_.store(deferred_.size());
@@ -579,7 +567,8 @@ void QuerySession::ReleaseDeferred() {
         trace_->EmitInstant(obs::TraceEventType::kBudgetRelease, /*tid=*/0,
                             deferred.op, -1, tracked);
       }
-      RecordBudgetEvent(deferred.op, /*release=*/true, tracked);
+      stats_.budget_events.push_back(BudgetEventRecord{
+          NowNanos(), deferred.op, /*release=*/true, tracked});
     }
     // Producers queue behind consumers: never high priority.
     Submit(std::move(deferred.work_order), /*high_priority=*/false);
@@ -675,29 +664,11 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
       trace_->EmitInstant(obs::TraceEventType::kUotDecision, /*tid=*/0,
                           edge_index, static_cast<int32_t>(cause), plotted);
     }
-    if (config_.profile) {
-      UotDecisionRecord decision;
-      decision.t_ns = NowNanos();
-      decision.edge = edge_index;
-      decision.from_blocks = effective_uot;
-      decision.to_blocks = blocks;
-      decision.cause = cause;
-      stats_.uot_decisions.push_back(decision);
-    }
+    stats_.uot_decisions.push_back(UotDecisionRecord{
+        NowNanos(), edge_index, effective_uot, blocks, cause});
     effective_uot = blocks;
   }
   return blocks;
-}
-
-void QuerySession::RecordBudgetEvent(int op, bool release,
-                                     int64_t tracked_bytes) {
-  if (!config_.profile) return;
-  BudgetEventRecord event;
-  event.t_ns = NowNanos();
-  event.op = op;
-  event.release = release;
-  event.tracked_bytes = tracked_bytes;
-  stats_.budget_events.push_back(event);
 }
 
 void QuerySession::HandleBlockReady(int op, Block* block) {

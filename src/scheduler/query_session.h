@@ -152,8 +152,6 @@ class QuerySession {
   /// histogram and the exchange skew gauges from the finished `stats_`.
   /// Counters are added to, so a registry shared across runs accumulates.
   void PublishMetrics();
-  /// The session-tagged metric name (config.metrics_prefix + name).
-  std::string MetricName(const char* name) const;
   /// Samples queue-depth gauges/counter tracks (observability only).
   void SampleQueueDepths();
   /// Consults the UoT policy layer for `edge_index` (plan annotation >
@@ -161,9 +159,6 @@ class QuerySession {
   /// blocks-per-transfer threshold. Records effective-UoT gauges/counter
   /// tracks and counts/traces mid-query changes as adaptations.
   uint64_t ResolveEdgeUot(int edge_index);
-  /// Appends to the profile's budget-event log (and mirrors the existing
-  /// trace instants); no-op unless config.profile is set.
-  void RecordBudgetEvent(int op, bool release, int64_t tracked_bytes);
   /// Builds the session's fused pipelines (PipelineMode::kFused only):
   /// plan annotations when present (each re-validated and required to be
   /// disjoint; invalid ones fall back to vectorized execution), otherwise

@@ -89,17 +89,6 @@ struct ExecConfig {
   /// counters/gauges/histograms (per-operator task time, per-edge
   /// transfers, queue depths, work-order latency distribution).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Prepended to every metric name this session registers (e.g. "q3.").
-  /// Lets concurrent sessions share one MetricsRegistry without their
-  /// counters colliding; empty (the default) keeps the historical names.
-  std::string metrics_prefix;
-  /// Collect the per-query profile logs (effective-UoT decision timeline
-  /// with causes, budget defer/release events) in ExecutionStats so
-  /// obs::QueryProfile can assemble an EXPLAIN-ANALYZE-style report.
-  /// Off (the default) keeps the coordinator loop allocation-free; cheap
-  /// per-edge integer accounting (EdgeStats) is always collected because
-  /// it cannot change transfer behavior.
-  bool profile = false;
   /// Pipeline execution mode: vectorized block-at-a-time (default) or
   /// fused single-work-order chains. Fused falls back to vectorized
   /// per-pipeline wherever no fusable chain exists, so it is always safe

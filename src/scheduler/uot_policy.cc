@@ -18,8 +18,6 @@ std::string ExecConfig::ToString() const {
     out += ", pipeline_mode=";
     out += PipelineModeName(pipeline_mode);
   }
-  if (!metrics_prefix.empty()) out += ", metrics_prefix=" + metrics_prefix;
-  if (profile) out += ", profile";
   out += "}";
   return out;
 }

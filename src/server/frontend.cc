@@ -50,6 +50,9 @@ std::string TakeWord(std::string_view* rest) {
   return word;
 }
 
+/// Statement templates the plan cache holds before it evicts.
+constexpr size_t kPlanCacheCapacity = 128;
+
 Response ErrorResponse(const Status& status) {
   Response resp;
   resp.ok = false;
@@ -94,7 +97,7 @@ FrontEnd::FrontEnd(FrontEndConfig config, const Catalog* catalog)
       catalog_(catalog),
       compiler_(catalog, config_.plan),
       chooser_(config_.chooser),
-      plan_cache_(config_.plan_cache_capacity) {
+      plan_cache_(kPlanCacheCapacity) {
   EngineConfig engine_config = config_.engine;
   engine_config.metrics = &metrics_;  // server.* and engine.* side by side
   engine_ = std::make_unique<Engine>(engine_config);
@@ -272,8 +275,7 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
     radix_bits = chooser_
                      .ChooseRadixBits(build_est, probe_est,
                                       SlotBytes(build_est.row_bytes),
-                                      config_.plan.load_factor,
-                                      config_.max_radix_bits)
+                                      config_.plan.load_factor)
                      .radix_bits;
     model_evaluations_counter_->Increment();
   }
@@ -293,7 +295,6 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
   }
 
   ExecConfig exec;
-  exec.join = config_.join;
   exec.pipeline_mode = mode;
   ExecutionStats stats;
   const Status exec_status =
@@ -377,8 +378,6 @@ Response FrontEnd::Stats() const {
 
 std::string FrontEnd::KnobFingerprint(PipelineMode pipeline_mode) const {
   return "|pmode=" + std::to_string(static_cast<int>(pipeline_mode)) +
-         ";batch=" + std::to_string(config_.join.batch_size) +
-         ";prefetch=" + std::to_string(config_.join.prefetch_distance) +
          ";block=" + std::to_string(config_.plan.block_bytes) +
          ";radix=" + std::to_string(config_.plan.join_radix_bits) +
          ";lip=" + std::to_string(config_.plan.use_lip ? 1 : 0) +

@@ -27,11 +27,6 @@ struct FrontEndConfig {
   PlanBuilderConfig plan;
   /// Cost-model options behind the plan+annotation cache.
   CostModelUotChooser::Options chooser;
-  /// Join kernel knobs applied to every query.
-  JoinKernelConfig join;
-  size_t plan_cache_capacity = 128;
-  /// Upper bound handed to ChooseRadixBits for ad-hoc joins.
-  int max_radix_bits = 6;
 };
 
 struct Request {
@@ -94,12 +89,12 @@ class FrontEnd {
     return model_evaluations_counter_->Value();
   }
 
-  /// The knob component of the cache fingerprint (join batching, block size,
-  /// radix config, budgets, pipeline mode). Every knob that shapes the
-  /// plan or its annotations must be in here — an unfingerprinted knob
-  /// silently serves stale plans after the knob changes. Public so tests
-  /// can assert that knob changes produce distinct fingerprints and
-  /// therefore invalidate cached plans.
+  /// The knob component of the cache fingerprint (block size, radix
+  /// config, LIP, budgets, chooser threads, pipeline mode). Every knob
+  /// that shapes the plan or its annotations must be in here — an
+  /// unfingerprinted knob silently serves stale plans after the knob
+  /// changes. Public so tests can assert that knob changes produce
+  /// distinct fingerprints and therefore invalidate cached plans.
   std::string KnobFingerprint(
       PipelineMode pipeline_mode = PipelineMode::kVectorized) const;
 

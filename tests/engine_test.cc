@@ -345,34 +345,6 @@ TEST(EngineTest, SharedMemoryBudgetHoldsSecondQueryAtAdmission) {
   EXPECT_GE(second.query_start_ns, first.query_end_ns);
 }
 
-TEST(EngineTest, MetricsPrefixKeepsSharedRegistryPerQuery) {
-  StorageManager storage;
-  auto input = MakeKvTable(&storage, "in", 2000, 8, Layout::kRowStore, 1024);
-
-  EngineConfig engine_config;
-  engine_config.num_workers = 2;
-  Engine engine(engine_config);
-
-  obs::MetricsRegistry registry;
-  for (const char* prefix : {"q1.", "q2."}) {
-    auto plan = MakeSelectAggPlan(&storage, *input, 0.0);
-    ExecConfig config;
-    config.uot = UotPolicy::LowUot(1);
-    config.metrics = &registry;
-    config.metrics_prefix = prefix;
-    engine.Execute(plan.get(), config);
-  }
-
-  const obs::Counter* q1 = registry.FindCounter("q1.scheduler.work_orders");
-  const obs::Counter* q2 = registry.FindCounter("q2.scheduler.work_orders");
-  ASSERT_NE(q1, nullptr);
-  ASSERT_NE(q2, nullptr);
-  EXPECT_GT(q1->Value(), 0u);
-  EXPECT_GT(q2->Value(), 0u);
-  // No untagged metrics leak out of prefixed sessions.
-  EXPECT_EQ(registry.FindCounter("scheduler.work_orders"), nullptr);
-}
-
 TEST(EngineTest, TraceStaysPerQueryUnderConcurrency) {
   StorageManager storage;
   auto input = MakeKvTable(&storage, "in", 8000, 16, Layout::kRowStore, 1024);

@@ -10,6 +10,7 @@
 #include "exec/adaptive_uot_policy.h"
 #include "exec/engine.h"
 #include "exec/query_executor.h"
+#include "obs/query_profile.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/uot_policy.h"
 #include "operators/select_operator.h"
@@ -205,7 +206,10 @@ TEST(ExecutorTest, PlanWithOnlyLeafOperator) {
   // show which policy actually ran.
   EXPECT_NE(stats.config_summary.find("fixed(UoT=1-block(s))"),
             std::string::npos);
-  EXPECT_NE(stats.ToString().find("ExecConfig{"), std::string::npos);
+  EXPECT_NE(obs::QueryProfile::FromRun(nullptr, stats)
+                .ToString()
+                .find("config: ExecConfig{"),
+            std::string::npos);
   // No records for nonexistent op: AverageDop of an op with no work.
   EXPECT_DOUBLE_EQ(stats.AverageDop(0), stats.AverageDop(0));
   EXPECT_GT(stats.AverageDop(0), 0.0);

@@ -178,7 +178,6 @@ TEST(UotChooserTest, UnconstrainedChoiceComesFromTheCostModel) {
 TEST(UotChooserTest, BudgetCapForcesSmallGranule) {
   CostModelUotChooser::Options options;
   options.memory_budget_bytes = 4096;  // cap = 1024 B per edge granule
-  options.budget_cap_fraction = 0.25;
   CostModelUotChooser chooser(options);
   // A 64 MiB edge in 64 KiB blocks: whole-table and every multi-block
   // granule breach the cap, so the chooser must fall back to 1 block.

@@ -589,8 +589,8 @@ TEST(ObsIntegrationTest, SharedRegistryAccumulatesAcrossQueries) {
     ASSERT_NE(c, nullptr) << name;
     EXPECT_EQ(c->Value(), 0u) << name;
   }
-  // The per-edge adaptation counter is gone; uot_decisions (with
-  // ExecConfig::profile) holds that history.
+  // The per-edge adaptation counter is gone; uot_decisions holds that
+  // history.
   EXPECT_EQ(metrics.FindCounter("uot.edge.0.adaptations"), nullptr);
 }
 

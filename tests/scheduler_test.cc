@@ -5,6 +5,7 @@
 #include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
+#include "obs/query_profile.h"
 #include "obs/trace_session.h"
 #include "operators/aggregate_operator.h"
 #include "operators/build_hash_operator.h"
@@ -282,7 +283,7 @@ TEST(SchedulerTest, StatsAggregatesAreConsistent) {
   }
   EXPECT_GT(stats.PeakTemporaryBytes(), 0);
   EXPECT_GT(stats.PeakHashTableBytes(), 0);
-  EXPECT_FALSE(stats.ToString().empty());
+  EXPECT_FALSE(obs::QueryProfile::FromRun(nullptr, stats).ToString().empty());
 }
 
 TEST(AverageDopTest, ZeroWorkOrdersIsZero) {
@@ -338,11 +339,12 @@ TEST(SchedulerTest, ToStringIncludesMemoryAndEdgeSummaries) {
   ExecConfig config;
   config.num_workers = 2;
   ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
-  const std::string rendered = stats.ToString();
+  const std::string rendered =
+      obs::QueryProfile::FromRun(nullptr, stats).ToString();
   EXPECT_NE(rendered.find("memory peaks:"), std::string::npos);
-  EXPECT_NE(rendered.find("MiB"), std::string::npos);
   EXPECT_NE(rendered.find("hash_table="), std::string::npos);
-  EXPECT_NE(rendered.find("edge transfers:"), std::string::npos);
+  EXPECT_NE(rendered.find("edge[0] op1 -> op2: uot="), std::string::npos);
+  EXPECT_NE(rendered.find("transfers="), std::string::npos);
 }
 
 TEST(SchedulerTest, EmptyProducerStillCompletesConsumers) {
@@ -651,9 +653,13 @@ TEST(PerEdgeUotTest, MixedPoliciesAreByteIdenticalAcrossChain) {
     EXPECT_EQ(CanonicalRows(*chain.plan->result_table()), expected)
         << "mix " << UotPolicy(mix.edge0).ToString() << " / "
         << UotPolicy(mix.edge1).ToString() << "\n"
-        << stats.ToString();
-    if (mix.edge0 == kWhole) EXPECT_EQ(stats.edges[0].transfers, 1u);
-    if (mix.edge1 == kWhole) EXPECT_EQ(stats.edges[1].transfers, 1u);
+        << obs::QueryProfile::FromRun(nullptr, stats).ToString();
+    if (mix.edge0 == kWhole) {
+      EXPECT_EQ(stats.edges[0].transfers, 1u);
+    }
+    if (mix.edge1 == kWhole) {
+      EXPECT_EQ(stats.edges[1].transfers, 1u);
+    }
   }
 }
 
@@ -758,8 +764,12 @@ TEST(PerEdgeUotTest, MultiInputConsumerWithMixedEdgeUot) {
     auto mixed = make_plan(mix.left, mix.right);
     ExecutionStats stats = QueryExecutor::Execute(mixed.plan.get(), config);
     EXPECT_EQ(CanonicalRows(*mixed.plan->result_table()), expected);
-    if (mix.left == kWhole) EXPECT_EQ(stats.edges[0].transfers, 1u);
-    if (mix.right == kWhole) EXPECT_EQ(stats.edges[1].transfers, 1u);
+    if (mix.left == kWhole) {
+      EXPECT_EQ(stats.edges[0].transfers, 1u);
+    }
+    if (mix.right == kWhole) {
+      EXPECT_EQ(stats.edges[1].transfers, 1u);
+    }
     EXPECT_TRUE(mixed.left_intermediate->blocks().empty());
     EXPECT_TRUE(mixed.right_intermediate->blocks().empty());
   }

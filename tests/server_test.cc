@@ -379,11 +379,6 @@ TEST_F(FrontEndTest, KnobChangesProduceDistinctFingerprints) {
   FrontEnd same(SmallConfig(), &catalog_);
   EXPECT_EQ(base.KnobFingerprint(), same.KnobFingerprint());
 
-  FrontEndConfig batch_config = SmallConfig();
-  batch_config.join.batch_size = 1;
-  FrontEnd batch_changed(batch_config, &catalog_);
-  EXPECT_NE(base.KnobFingerprint(), batch_changed.KnobFingerprint());
-
   FrontEndConfig radix_config = SmallConfig();
   radix_config.plan.join_radix_bits = 4;
   FrontEnd radix_changed(radix_config, &catalog_);

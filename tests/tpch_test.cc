@@ -378,7 +378,9 @@ TEST_F(TpchTest, Q2WinnersHaveMinimumCost) {
     const int32_t part = result.GetValue(r, 0).AsInt32();
     const double cost = result.GetValue(r, 2).AsDouble();
     auto [it, inserted] = min_cost.try_emplace(part, cost);
-    if (!inserted) EXPECT_DOUBLE_EQ(it->second, cost) << "part " << part;
+    if (!inserted) {
+      EXPECT_DOUBLE_EQ(it->second, cost) << "part " << part;
+    }
   }
 }
 
