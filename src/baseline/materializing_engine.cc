@@ -91,7 +91,8 @@ std::unique_ptr<Table> MaterializingEngine::GroupAggregate(
                         std::max<uint64_t>(1 << 20, out_schema.row_width()));
   InsertDestination dest(storage_, out.get(), nullptr);
   AggregateOperator op("baseline.agg", input.schema(), std::move(group_cols),
-                       std::move(aggs), std::move(pred), &dest);
+                       std::move(aggs), std::move(pred), &dest,
+                       &storage_->tracker());
   op.AttachBaseTable(&input);
   Drive(&op);
   return out;

@@ -28,6 +28,17 @@ MemoryModel::JoinTableFootprint MemoryModel::JoinTableBytes(
   return JoinTableFootprint{true, key_range, dense_bytes};
 }
 
+MemoryModel::AggregationFootprint MemoryModel::AggregationBytes(
+    uint64_t rows, uint64_t key_range, uint64_t workers,
+    uint64_t state_bytes) {
+  UOT_CHECK(workers >= 1 && state_bytes > 0);
+  const AggregationFootprint hash{false, rows * (24 + 8 + 2 * 8 + state_bytes)};
+  if (key_range == 0 || key_range > (uint64_t{1} << 32)) return hash;
+  const uint64_t array_bytes = key_range * state_bytes;
+  if (workers * array_bytes > hash.bytes) return hash;
+  return AggregationFootprint{true, array_bytes};
+}
+
 double MemoryModel::Selectivity(uint64_t selected_rows, uint64_t input_rows) {
   UOT_CHECK(input_rows > 0);
   return static_cast<double>(selected_rows) /

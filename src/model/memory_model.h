@@ -39,6 +39,30 @@ class MemoryModel {
                                            uint64_t slot_bytes,
                                            double load_factor);
 
+  /// Aggregation group storage and the layout that holds it.
+  struct AggregationFootprint {
+    bool dense = false;  // direct-indexed worker arrays (else hash groups)
+    uint64_t bytes = 0;  // dense: one worker's array; hash: `rows` groups
+  };
+
+  /// The footprint of an aggregation's groups, with `state_bytes` of
+  /// aggregate state per group, as the smaller of two layouts:
+  ///  - hash: `rows` groups of a GroupTable, each a 24-byte key, an 8-byte
+  ///    hash, two 8-byte slots (load <= 1/2) and its state. As a layout
+  ///    choice `rows` is the input row count (the worst case of one group
+  ///    per row); a GroupTable also sizes its own growth with it, passing
+  ///    its group capacity;
+  ///  - dense, only when a single integral key spans `key_range` values
+  ///    (0 = not eligible, at most 2^32): one state per key value in each
+  ///    of `workers` worker arrays, range * state_bytes per array.
+  /// Dense iff workers * range * state_bytes <= the hash bytes. The
+  /// aggregate picks its layout with this and charges the tracker exactly
+  /// these bytes per allocation.
+  static AggregationFootprint AggregationBytes(uint64_t rows,
+                                               uint64_t key_range,
+                                               uint64_t workers,
+                                               uint64_t state_bytes);
+
   /// Selectivity s = Ns / N (Section VI-A).
   static double Selectivity(uint64_t selected_rows, uint64_t input_rows);
 

@@ -24,6 +24,7 @@ const char* MemoryCategoryTrackName(int32_t category) {
     case 1: return "memory.temporary_table";
     case 2: return "memory.hash_table";
     case 3: return "memory.other";
+    case 4: return "memory.aggregation";
     default: return "memory.unknown";
   }
 }

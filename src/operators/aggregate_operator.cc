@@ -4,29 +4,110 @@
 #include <cstring>
 #include <numeric>
 
+#include "model/memory_model.h"
 #include "operators/key_util.h"
 #include "util/scratch_arena.h"
 
 namespace uot {
+AggLayout::AggLayout(const std::vector<AggSpec>& aggs) {
+  init_.push_back(AggWord{0});  // the row count
+  for (const AggSpec& spec : aggs) {
+    fns_.push_back(spec.fn);
+    switch (spec.fn) {
+      case AggFn::kCount:
+        offsets_.push_back(0);
+        break;
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        offsets_.push_back(static_cast<uint32_t>(init_.size()));
+        init_.push_back(AggWord{.value = 0.0});
+        init_.push_back(AggWord{.value = 0.0});
+        break;
+      case AggFn::kMin:
+        offsets_.push_back(static_cast<uint32_t>(init_.size()));
+        init_.push_back(AggWord{.value = 1e308});
+        break;
+      case AggFn::kMax:
+        offsets_.push_back(static_cast<uint32_t>(init_.size()));
+        init_.push_back(AggWord{.value = -1e308});
+        break;
+    }
+  }
+}
+
+void AggLayout::Merge(AggWord* dst, const AggWord* src) const {
+  dst[0].count += src[0].count;
+  for (size_t a = 0; a < fns_.size(); ++a) {
+    const uint32_t o = offsets_[a];
+    switch (fns_[a]) {
+      case AggFn::kCount:
+        break;
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        Add(dst + o, src[o].value);
+        dst[o + 1].value += src[o + 1].value;
+        break;
+      case AggFn::kMin:
+        if (src[o].value < dst[o].value) dst[o].value = src[o].value;
+        break;
+      case AggFn::kMax:
+        if (src[o].value > dst[o].value) dst[o].value = src[o].value;
+        break;
+    }
+  }
+}
+
+void AggLayout::WriteResult(size_t a, const AggWord* state,
+                            std::byte* out) const {
+  const int64_t count = state[0].count;
+  if (fns_[a] == AggFn::kCount) {
+    std::memcpy(out, &count, 8);
+    return;
+  }
+  const AggWord* s = state + offsets_[a];
+  double v = 0.0;
+  if (count != 0) {
+    switch (fns_[a]) {
+      case AggFn::kSum:
+        v = Total(s);
+        break;
+      case AggFn::kAvg:
+        v = Total(s) / static_cast<double>(count);
+        break;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        v = s->value;
+        break;
+      case AggFn::kCount:
+        break;
+    }
+  }
+  std::memcpy(out, &v, 8);
+}
 
 AggregateOperator::AggregateOperator(std::string name,
                                      const Schema& input_schema,
                                      std::vector<int> group_cols,
                                      std::vector<AggSpec> aggs,
                                      std::unique_ptr<Predicate> predicate,
-                                     InsertDestination* destination)
+                                     InsertDestination* destination,
+                                     MemoryTracker* tracker)
     : Operator(std::move(name)),
       input_schema_(input_schema),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
+      layout_(aggs_),
       predicate_(std::move(predicate)),
-      destination_(destination) {
+      destination_(destination),
+      tracker_(tracker) {
   UOT_CHECK(group_cols_.size() <= 3);
   for (int c : group_cols_) {
     UOT_CHECK(IsKeyableType(input_schema_.column(c).type));
   }
   UOT_CHECK(!aggs_.empty());
 }
+
+AggregateOperator::~AggregateOperator() { ReleaseGroups(); }
 
 void AggregateOperator::ReceiveInputBlocks(int input_index,
                                            const std::vector<Block*>& blocks) {
@@ -41,8 +122,32 @@ void AggregateOperator::InputDone(int input_index) {
   input_.MarkDone();
 }
 
+void AggregateOperator::ChooseLayout() {
+  layout_chosen_ = true;
+  int64_t min_key = 0;
+  int64_t max_key = 0;
+  if (base_table_ == nullptr || group_cols_.size() != 1 ||
+      !base_table_->IntegralRange(group_cols_[0], &min_key, &max_key)) {
+    return;
+  }
+  // Unsigned difference: exact for any signed pair; a span of 2^64 keys
+  // wraps to 0, which keeps the hash layout.
+  const uint64_t range =
+      static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key) + 1;
+  const MemoryModel::AggregationFootprint footprint =
+      MemoryModel::AggregationBytes(base_table_->NumRows(), range,
+                                    static_cast<uint64_t>(num_workers_),
+                                    layout_.bytes());
+  if (!footprint.dense) return;
+  dense_min_ = static_cast<uint64_t>(min_key);
+  dense_range_ = range;
+  dense_array_bytes_ = footprint.bytes;
+  dense_arrays_.resize(static_cast<size_t>(num_workers_));
+}
+
 bool AggregateOperator::GenerateWorkOrders(
     std::vector<std::unique_ptr<WorkOrder>>* out) {
+  if (!layout_chosen_) ChooseLayout();
   for (Block* block : input_.TakePending()) {
     auto wo = std::make_unique<AggregateWorkOrder>(block, this);
     if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
@@ -53,8 +158,65 @@ bool AggregateOperator::GenerateWorkOrders(
 
 GroupTable* AggregateOperator::ThreadPartial() const {
   thread_local GroupTable partial;
-  partial.Reset(aggs_.size());
+  partial.Reset(layout_);
   return &partial;
+}
+
+AggWord* AggregateOperator::DenseArray(int worker) {
+  UOT_CHECK(worker >= 0 &&
+            static_cast<size_t>(worker) < dense_arrays_.size());
+  std::unique_ptr<AggWord[]>& array =
+      dense_arrays_[static_cast<size_t>(worker)];
+  if (array == nullptr) {
+    const size_t words = layout_.words();
+    array = std::make_unique_for_overwrite<AggWord[]>(dense_range_ * words);
+    for (uint64_t g = 0; g < dense_range_; ++g) {
+      std::copy(layout_.init(), layout_.init() + words,
+                array.get() + g * words);
+    }
+    if (tracker_ != nullptr) {
+      tracker_->Allocate(MemoryCategory::kAggregation, dense_array_bytes_);
+    }
+  }
+  return array.get();
+}
+
+void AggregateOperator::ExecuteBlock(const Block& block, int worker) {
+  ScratchSelVector sel;
+  sel->resize(block.num_rows());
+  std::iota(sel->begin(), sel->end(), 0u);
+  if (!dense()) {
+    GroupTable* partial = ThreadPartial();
+    Accumulate(block, sel.get(), partial);
+    MergePartial(*partial);
+    return;
+  }
+  if (predicate_ != nullptr) predicate_->Filter(block, sel.get());
+  const uint32_t n = static_cast<uint32_t>(sel->size());
+  if (n == 0) return;
+  const uint32_t* rows = sel->data();
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(&arena);
+  // A key's group is its offset from the smallest key.
+  uint32_t* groups = arena.AllocArray<uint32_t>(n);
+  const int col = group_cols_[0];
+  const ColumnAccess access = block.Column(col);
+  if (block.schema().column(col).type.width() == 4) {
+    for (uint32_t i = 0; i < n; ++i) {
+      int32_t v;
+      std::memcpy(&v, access.at(rows[i]), 4);
+      groups[i] = static_cast<uint32_t>(
+          static_cast<uint64_t>(static_cast<int64_t>(v)) - dense_min_);
+    }
+  } else {
+    for (uint32_t i = 0; i < n; ++i) {
+      int64_t v;
+      std::memcpy(&v, access.at(rows[i]), 8);
+      groups[i] =
+          static_cast<uint32_t>(static_cast<uint64_t>(v) - dense_min_);
+    }
+  }
+  UpdateStates(block, rows, n, groups, DenseArray(worker));
 }
 
 void AggregateOperator::MergePartial(const GroupTable& partial) {
@@ -75,89 +237,96 @@ void AggregateOperator::MergePartial(const GroupTable& partial) {
     order[cursor[partial.hash(g) >> (64 - kPartitionBits)]++] = g;
   }
 
-  const size_t num_aggs = aggs_.size();
+  const size_t words = layout_.words();
   for (size_t p = 0; p < kNumPartitions; ++p) {
     if (begin[p] == begin[p + 1]) continue;
     Partition& part = partitions_[p];
     std::lock_guard<std::mutex> lock(part.mutex);
     if (part.table == nullptr) {
-      part.table = std::make_unique<GroupTable>();
-      part.table->Reset(num_aggs);
+      part.table = std::make_unique<GroupTable>(tracker_);
+      part.table->Reset(layout_);
     }
+    GroupTable& table = *part.table;
     for (uint32_t i = begin[p]; i < begin[p + 1]; ++i) {
       const uint32_t g = order[i];
       bool inserted = false;
-      AggState* states = part.table->states(
-          part.table->FindOrInsert(partial.key(g), partial.hash(g), &inserted));
-      const AggState* src = partial.states(g);
+      AggWord* states = table.states(
+          table.FindOrInsert(partial.key(g), partial.hash(g), &inserted));
+      const AggWord* src = partial.states(g);
       if (inserted) {
-        std::copy(src, src + num_aggs, states);
+        std::copy(src, src + words, states);
       } else {
-        for (size_t a = 0; a < num_aggs; ++a) states[a].Merge(src[a]);
+        layout_.Merge(states, src);
       }
     }
   }
 }
 
 void AggregateOperator::Finish() {
-  // Materialize final groups (single-threaded, partition by partition).
+  // Materialize final groups (single-threaded).
   {
     const Schema& out_schema = destination_->schema();
     std::vector<std::byte> row(out_schema.row_width());
     InsertDestination::Writer writer(destination_);
-    auto emit = [&](const GroupKey& key, const AggState* states) {
+    auto emit = [&](const GroupKey& key, const AggWord* state) {
       int col = 0;
       for (size_t g = 0; g < group_cols_.size(); ++g, ++col) {
         const Type& type = input_schema_.column(group_cols_[g]).type;
         UnwidenKeyValue(type, key[g], row.data() + out_schema.offset(col));
       }
       for (size_t a = 0; a < aggs_.size(); ++a, ++col) {
-        const AggState& s = states[a];
-        if (aggs_[a].fn == AggFn::kCount) {
-          std::memcpy(row.data() + out_schema.offset(col), &s.count, 8);
-          continue;
-        }
-        // Every function of an empty input (only a scalar aggregate has
-        // one) is 0.
-        double v = 0.0;
-        if (s.count != 0) {
-          switch (aggs_[a].fn) {
-            case AggFn::kSum:
-              v = s.Total();
-              break;
-            case AggFn::kAvg:
-              v = s.Total() / static_cast<double>(s.count);
-              break;
-            case AggFn::kMin:
-              v = s.min;
-              break;
-            case AggFn::kMax:
-              v = s.max;
-              break;
-            case AggFn::kCount:
-              break;
-          }
-        }
-        std::memcpy(row.data() + out_schema.offset(col), &v, 8);
+        layout_.WriteResult(a, state, row.data() + out_schema.offset(col));
       }
       writer.AppendRow(row.data());
     };
     bool any = false;
-    for (const Partition& part : partitions_) {
-      if (part.table == nullptr) continue;
-      const GroupTable& table = *part.table;
-      for (uint32_t g = 0; g < table.size(); ++g) {
-        emit(table.key(g), table.states(g));
+    if (dense()) {
+      // Add the worker arrays into the first one, element by element, in
+      // worker order; then emit the keys some row reached.
+      const size_t words = layout_.words();
+      AggWord* total = nullptr;
+      for (const std::unique_ptr<AggWord[]>& array : dense_arrays_) {
+        if (array == nullptr) continue;
+        if (total == nullptr) {
+          total = array.get();
+          continue;
+        }
+        for (uint64_t g = 0; g < dense_range_; ++g) {
+          const AggWord* src = array.get() + g * words;
+          if (src[0].count != 0) layout_.Merge(total + g * words, src);
+        }
       }
-      any = true;
+      for (uint64_t g = 0; total != nullptr && g < dense_range_; ++g) {
+        const AggWord* state = total + g * words;
+        if (state[0].count != 0) emit(GroupKey{dense_min_ + g, 0, 0}, state);
+      }
+      any = total != nullptr;
+    } else {
+      for (const Partition& part : partitions_) {
+        if (part.table == nullptr) continue;
+        const GroupTable& table = *part.table;
+        for (uint32_t g = 0; g < table.size(); ++g) {
+          emit(table.key(g), table.states(g));
+        }
+        any = true;
+      }
     }
     // Scalar aggregation over empty input still produces one row of zeros.
-    if (!any && group_cols_.empty()) {
-      const std::vector<AggState> empty(aggs_.size());
-      emit(GroupKey{0, 0, 0}, empty.data());
-    }
+    if (!any && group_cols_.empty()) emit(GroupKey{0, 0, 0}, layout_.init());
   }
   destination_->Flush();
+  ReleaseGroups();
+}
+
+void AggregateOperator::ReleaseGroups() {
+  for (std::unique_ptr<AggWord[]>& array : dense_arrays_) {
+    if (array == nullptr) continue;
+    array.reset();
+    if (tracker_ != nullptr) {
+      tracker_->Release(MemoryCategory::kAggregation, dense_array_bytes_);
+    }
+  }
+  for (Partition& part : partitions_) part.table.reset();
 }
 
 Schema AggregateOperator::OutputSchema(const Schema& input_schema,
@@ -203,39 +372,56 @@ void AggregateOperator::Accumulate(const Block& block,
       groups[i] = partial->FindOrInsert(keys[i], GroupTable::Hash(keys[i]));
     }
   }
+  UpdateStates(block, rows, n, groups, partial->states(0));
+}
 
-  // Then update the states one aggregate at a time, its input evaluated
+void AggregateOperator::UpdateStates(const Block& block, const uint32_t* rows,
+                                     uint32_t n, const uint32_t* groups,
+                                     AggWord* states) const {
+  // Row counts first, then one aggregate at a time, its input evaluated
   // column-at-a-time. Each group still sees its rows in row order.
-  const size_t stride = aggs_.size();
+  const size_t stride = layout_.words();
+  for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(&arena);
   double* inputs = arena.AllocArray<double>(n);
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    AggState* states = partial->states(0) + a;
-    if (aggs_[a].expr == nullptr) {
-      for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
-      continue;
-    }
+    const AggFn fn = aggs_[a].fn;
+    if (fn == AggFn::kCount) continue;  // reads the row count
     EvalAsDouble(*aggs_[a].expr, block, rows, n, inputs);
-    for (uint32_t i = 0; i < n; ++i) {
-      AggState& s = states[groups[i] * stride];
-      const double v = inputs[i];
-      ++s.count;
-      s.Add(v);
-      if (v < s.min) s.min = v;
-      if (v > s.max) s.max = v;
+    AggWord* base = states + layout_.offset(a);
+    switch (fn) {
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        for (uint32_t i = 0; i < n; ++i) {
+          AggLayout::Add(base + groups[i] * stride, inputs[i]);
+        }
+        break;
+      case AggFn::kMin:
+        for (uint32_t i = 0; i < n; ++i) {
+          double& m = base[groups[i] * stride].value;
+          if (inputs[i] < m) m = inputs[i];
+        }
+        break;
+      case AggFn::kMax:
+        for (uint32_t i = 0; i < n; ++i) {
+          double& m = base[groups[i] * stride].value;
+          if (inputs[i] > m) m = inputs[i];
+        }
+        break;
+      case AggFn::kCount:
+        break;
     }
   }
 }
 
-void AggregateWorkOrder::Execute() {
-  ScratchSelVector sel;
-  sel->resize(block_->num_rows());
-  std::iota(sel->begin(), sel->end(), 0u);
-  GroupTable* partial = op_->ThreadPartial();
-  op_->Accumulate(*block_, sel.get(), partial);
-  op_->MergePartial(*partial);
+GroupTable::~GroupTable() {
+  if (tracker_ != nullptr && charged_bytes_ > 0) {
+    tracker_->Release(MemoryCategory::kAggregation, charged_bytes_);
+  }
 }
 
-void GroupTable::Reset(size_t num_aggs) {
+void GroupTable::Reset(const AggLayout& layout) {
   if (static_cast<size_t>(size()) * 8 < slots_.size()) {
     // Sparse: empty just the occupied slots rather than the whole array
     // (a thread's table keeps the capacity its largest partial needed).
@@ -250,7 +436,7 @@ void GroupTable::Reset(size_t num_aggs) {
   keys_.clear();
   hashes_.clear();
   states_.clear();
-  num_aggs_ = num_aggs;
+  init_.assign(layout.init(), layout.init() + layout.words());
 }
 
 void GroupTable::Grow() {
@@ -261,6 +447,20 @@ void GroupTable::Grow() {
     size_t pos = hashes_[g] & mask_;
     while (slots_[pos].group_plus_one != 0) pos = (pos + 1) & mask_;
     slots_[pos] = Slot{static_cast<uint32_t>(hashes_[g] >> 32), g + 1};
+  }
+  // The slots admit capacity / 2 groups (load <= 1/2).
+  const size_t groups = capacity / 2;
+  keys_.reserve(groups);
+  hashes_.reserve(groups);
+  states_.reserve(groups * init_.size());
+  if (tracker_ != nullptr) {
+    const uint64_t bytes =
+        MemoryModel::AggregationBytes(groups, /*key_range=*/0,
+                                      /*workers=*/1,
+                                      init_.size() * sizeof(AggWord))
+            .bytes;
+    tracker_->Allocate(MemoryCategory::kAggregation, bytes - charged_bytes_);
+    charged_bytes_ = bytes;
   }
 }
 

@@ -13,6 +13,8 @@
 #include "expr/projection.h"
 #include "operators/operator.h"
 #include "storage/insert_destination.h"
+#include "util/macros.h"
+#include "util/memory_tracker.h"
 
 namespace uot {
 
@@ -26,49 +28,80 @@ struct AggSpec {
   std::string name;
 };
 
-/// Running state of one aggregate within one group.
+/// One 8-byte word of a group's aggregation state: the group's row count
+/// or one double of an aggregate's running value.
+union AggWord {
+  int64_t count;
+  double value;
+};
+
+/// Where each aggregate keeps its running state in a group's row of
+/// AggWords, so a group carries only what its functions need. Word 0
+/// counts the group's rows, which is all COUNT reads; SUM and AVG keep a
+/// (sum, comp) pair; MIN and MAX keep one value.
 ///
 /// Sums keep Neumaier's compensation: every addition adds its exact
 /// rounding error (TwoSum) to `comp`, and merging a partial adds its sum
-/// and then its compensation, so no merge loses an error. Total() is then
-/// the same for any order in which work orders' partials merge, short of
+/// and then its compensation, so no merge loses an error. The compensated
+/// total is then the same for any order in which partials merge, short of
 /// extreme cancellation — scheduling must not change query results.
-struct AggState {
-  double sum = 0.0;
-  double comp = 0.0;  // accumulated rounding error of `sum`
-  int64_t count = 0;
-  double min = 1e308;
-  double max = -1e308;
+class AggLayout {
+ public:
+  explicit AggLayout(const std::vector<AggSpec>& aggs);
 
-  void Add(double v) {
-    const double t = sum + v;
-    comp += std::fabs(sum) >= std::fabs(v) ? (sum - t) + v : (v - t) + sum;
-    sum = t;
+  /// Words per group, the row count included.
+  size_t words() const { return init_.size(); }
+  size_t bytes() const { return words() * sizeof(AggWord); }
+  /// The first word of aggregate `a` (0, the row count, for COUNT).
+  uint32_t offset(size_t a) const { return offsets_[a]; }
+  /// A fresh group's state: zero counts and sums, MIN/MAX sentinels.
+  const AggWord* init() const { return init_.data(); }
+
+  /// Adds `v` to the (sum, comp) pair at `sum`.
+  static void Add(AggWord* sum, double v) {
+    const double s = sum[0].value;
+    const double t = s + v;
+    sum[1].value += std::fabs(s) >= std::fabs(v) ? (s - t) + v : (v - t) + s;
+    sum[0].value = t;
+  }
+  /// The compensated sum of the pair at `sum`.
+  static double Total(const AggWord* sum) {
+    return sum[0].value + sum[1].value;
   }
 
-  void Merge(const AggState& other) {
-    Add(other.sum);
-    comp += other.comp;
-    count += other.count;
-    if (other.min < min) min = other.min;
-    if (other.max > max) max = other.max;
-  }
+  /// Folds group state `src` into `dst`.
+  void Merge(AggWord* dst, const AggWord* src) const;
 
-  /// The compensated sum.
-  double Total() const { return sum + comp; }
+  /// Writes aggregate `a`'s result for a group to `out`: an INT64 for
+  /// COUNT, a DOUBLE otherwise. Every function of a group without rows
+  /// (only a scalar aggregate has one) is 0.
+  void WriteResult(size_t a, const AggWord* state, std::byte* out) const;
+
+ private:
+  std::vector<AggFn> fns_;
+  std::vector<uint32_t> offsets_;
+  std::vector<AggWord> init_;
 };
 
 /// Composite group key: up to 3 widened column words (unused words are 0).
 using GroupKey = std::array<uint64_t, 3>;
 
-/// A flat open-addressing table of groups. Keys, hashes and AggState rows
-/// (`num_aggs` per group) live in dense arrays indexed by group number, in
-/// insertion order; a power-of-two array of (hash tag, group + 1) slots
-/// resolves lookups by linear probing at a load factor of at most 1/2.
-/// Reset() keeps every allocation, so a per-thread partial is reused by
-/// work order after work order without touching the allocator.
+/// A flat open-addressing table of groups. Keys, hashes and state rows
+/// (AggLayout::words() per group) live in dense arrays indexed by group
+/// number, in insertion order; a power-of-two array of (hash tag,
+/// group + 1) slots resolves lookups by linear probing at a load factor of
+/// at most 1/2. The arrays grow together, at every doubling of the slot
+/// array, to exactly the groups the slots admit; a table given a tracker
+/// charges each growth to MemoryCategory::kAggregation, sized by
+/// MemoryModel::AggregationBytes, and releases it when destroyed. Reset()
+/// keeps every allocation, so a per-thread partial is reused by work order
+/// after work order without touching the allocator.
 class GroupTable {
  public:
+  explicit GroupTable(MemoryTracker* tracker = nullptr) : tracker_(tracker) {}
+  ~GroupTable();
+  UOT_DISALLOW_COPY_AND_ASSIGN(GroupTable);
+
   /// Mixes a key into 64 bits: the top bits pick the result partition,
   /// the low bits the slot, the high word is the slot's tag.
   static uint64_t Hash(const GroupKey& key) {
@@ -78,12 +111,12 @@ class GroupTable {
     return h ^ (h >> 31);
   }
 
-  /// Drops every group and sets the number of AggStates per group.
-  void Reset(size_t num_aggs);
+  /// Drops every group; new groups start from `layout`'s fresh state.
+  void Reset(const AggLayout& layout);
 
   uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
 
-  /// Index of `key`'s group, inserting the group with fresh states (and
+  /// Index of `key`'s group, inserting the group with a fresh state (and
   /// setting `*inserted`, if given) when the key is new.
   uint32_t FindOrInsert(const GroupKey& key, uint64_t hash,
                         bool* inserted = nullptr) {
@@ -96,7 +129,7 @@ class GroupTable {
         slot = Slot{tag, group + 1};
         keys_.push_back(key);
         hashes_.push_back(hash);
-        states_.resize(states_.size() + num_aggs_);
+        states_.insert(states_.end(), init_.begin(), init_.end());
         if (inserted != nullptr) *inserted = true;
         return group;
       }
@@ -109,13 +142,12 @@ class GroupTable {
 
   const GroupKey& key(uint32_t group) const { return keys_[group]; }
   uint64_t hash(uint32_t group) const { return hashes_[group]; }
-  /// The `num_aggs` states of `group`; pointers stay valid until the next
-  /// insert.
-  AggState* states(uint32_t group) {
-    return states_.data() + static_cast<size_t>(group) * num_aggs_;
+  /// The state row of `group`; pointers stay valid until the next insert.
+  AggWord* states(uint32_t group) {
+    return states_.data() + static_cast<size_t>(group) * init_.size();
   }
-  const AggState* states(uint32_t group) const {
-    return states_.data() + static_cast<size_t>(group) * num_aggs_;
+  const AggWord* states(uint32_t group) const {
+    return states_.data() + static_cast<size_t>(group) * init_.size();
   }
 
  private:
@@ -124,29 +156,43 @@ class GroupTable {
     uint32_t group_plus_one = 0;  // 0 = empty
   };
 
-  /// Doubles the slot array (64 slots at first) and re-slots every group.
+  /// Doubles the slot array (64 slots at first), re-slots every group and
+  /// grows the group arrays to the slots' capacity.
   void Grow();
 
-  size_t num_aggs_ = 0;
+  MemoryTracker* const tracker_;
+  uint64_t charged_bytes_ = 0;
+  std::vector<AggWord> init_;
   std::vector<GroupKey> keys_;
   std::vector<uint64_t> hashes_;
-  std::vector<AggState> states_;
+  std::vector<AggWord> states_;
   std::vector<Slot> slots_;
   size_t mask_ = 0;
 };
 
-/// Hash-based (optionally grouped) aggregation with an optional fused
-/// filter predicate, so plans like TPC-H Q1/Q6 are a single leaf operator
-/// on the base table — matching the paper's Fig. 3 observation that those
-/// queries are dominated by one leaf operator.
+/// Grouped (or scalar) aggregation with an optional fused filter
+/// predicate, so plans like TPC-H Q1/Q6 are a single leaf operator on the
+/// base table — matching the paper's Fig. 3 observation that those queries
+/// are dominated by one leaf operator.
 ///
-/// Each work order aggregates one input block into its worker thread's
-/// reusable partial GroupTable and merges it into the shared result. The
-/// result is split into kNumPartitions partitions by the top hash bits,
-/// each with its own lock and table, so concurrent merges only contend on
-/// the partitions they share. Finish() materializes every partition's
-/// groups into the output destination. A fused pipeline runs the same
-/// accumulation (Accumulate) into one partial per fused work order.
+/// The groups live in one of two layouts, picked before the first work
+/// order by MemoryModel::AggregationBytes:
+///  - dense: the input is a base table and the one group key is integral
+///    over a narrow range. Each worker that runs a work order owns a state
+///    array indexed by `key - min` for the whole operator, so work orders
+///    hash nothing and merge nothing; Finish() adds the worker arrays
+///    element by element and emits the keys that were seen;
+///  - hash: each work order aggregates one input block into its worker
+///    thread's reusable partial GroupTable and merges it into the shared
+///    result. The result is split into kNumPartitions partitions by the top
+///    hash bits, each with its own lock and table, so concurrent merges
+///    only contend on the partitions they share. Finish() materializes
+///    every partition's groups.
+/// A fused pipeline's aggregate tail (a streamed input, so always the hash
+/// layout) runs the same Accumulate kernel into one partial per fused work
+/// order. Dense arrays and result partitions are charged to the tracker's
+/// kAggregation category and released by Finish(); thread partials hold
+/// at most one block's groups and stay uncharged.
 class AggregateOperator final : public Operator {
  public:
   static constexpr int kPartitionBits = 6;
@@ -154,14 +200,21 @@ class AggregateOperator final : public Operator {
 
   /// `group_cols` (0-3 columns, integral or CHAR<=8) may be empty for
   /// scalar aggregation. `input_schema` is the schema of the streamed or
-  /// attached input.
+  /// attached input. `tracker` (may be null) is charged for group state.
   AggregateOperator(std::string name, const Schema& input_schema,
                     std::vector<int> group_cols, std::vector<AggSpec> aggs,
                     std::unique_ptr<Predicate> predicate,
-                    InsertDestination* destination);
+                    InsertDestination* destination, MemoryTracker* tracker);
+  ~AggregateOperator() override;
 
-  void AttachBaseTable(const Table* table) { input_.AttachTable(table); }
+  void AttachBaseTable(const Table* table) {
+    base_table_ = table;
+    input_.AttachTable(table);
+  }
 
+  void BindExecContext(const OperatorExecContext& ctx) override {
+    num_workers_ = ctx.num_workers;
+  }
   void ReceiveInputBlocks(int input_index,
                           const std::vector<Block*>& blocks) override;
   void InputDone(int input_index) override;
@@ -174,6 +227,15 @@ class AggregateOperator final : public Operator {
   static Schema OutputSchema(const Schema& input_schema,
                              const std::vector<int>& group_cols,
                              const std::vector<AggSpec>& aggs);
+
+  const AggLayout& layout() const { return layout_; }
+  /// True once the dense layout is chosen (decided by the first
+  /// GenerateWorkOrders call).
+  bool dense() const { return dense_range_ != 0; }
+
+  /// Aggregates `block` on worker `worker`: into the worker's dense array,
+  /// or into the thread's partial, which is then merged.
+  void ExecuteBlock(const Block& block, int worker);
 
   /// The calling thread's partial table, emptied and shaped for this
   /// operator. A work order accumulates into it and merges it before the
@@ -198,24 +260,51 @@ class AggregateOperator final : public Operator {
     std::unique_ptr<GroupTable> table;  // allocated on first insert
   };
 
+  /// Picks the dense layout when the input is a base table with one
+  /// integral group key and the footprint rule allows it.
+  void ChooseLayout();
+
+  /// Adds the rows[0..n) of `block` into the state rows `states` (a group
+  /// table's or a dense array), row i into group `groups[i]`.
+  void UpdateStates(const Block& block, const uint32_t* rows, uint32_t n,
+                    const uint32_t* groups, AggWord* states) const;
+
+  /// Worker `worker`'s dense array, allocated (and charged) on first use.
+  AggWord* DenseArray(int worker);
+
+  /// Releases every dense array and result partition.
+  void ReleaseGroups();
+
   const Schema input_schema_;
   const std::vector<int> group_cols_;
   const std::vector<AggSpec> aggs_;
+  const AggLayout layout_;
   const std::unique_ptr<Predicate> predicate_;
   InsertDestination* const destination_;
+  MemoryTracker* const tracker_;
 
   StreamingInput input_;
+  const Table* base_table_ = nullptr;
+  int num_workers_ = 1;
+  bool layout_chosen_ = false;
+
+  // Dense layout (dense_range_ != 0): key - dense_min_ indexes each
+  // worker's array of dense_range_ groups.
+  uint64_t dense_min_ = 0;
+  uint64_t dense_range_ = 0;
+  uint64_t dense_array_bytes_ = 0;
+  std::vector<std::unique_ptr<AggWord[]>> dense_arrays_;
 
   std::array<Partition, kNumPartitions> partitions_;
 };
 
-/// Aggregates one input block into a partial group table.
+/// Aggregates one input block.
 class AggregateWorkOrder final : public WorkOrder {
  public:
   AggregateWorkOrder(const Block* block, AggregateOperator* op)
       : block_(block), op_(op) {}
 
-  void Execute() override;
+  void Execute() override { op_->ExecuteBlock(*block_, worker_id); }
 
  private:
   const Block* const block_;

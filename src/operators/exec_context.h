@@ -49,6 +49,9 @@ struct JoinKernelConfig {
 /// (the default context traces/counts nothing but runs the same kernels).
 struct OperatorExecContext {
   JoinKernelConfig join;
+  /// Workers that may run this execution's work orders; every
+  /// WorkOrder::worker_id is below it.
+  int num_workers = 1;
   obs::TraceSession* trace = nullptr;
   obs::Counter* join_probe_batches = nullptr;
   obs::Counter* join_probe_prefetch_issued = nullptr;

@@ -181,7 +181,7 @@ class PlanBuilder {
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<AggregateOperator>(
         name, SchemaOf(in), std::move(group_cols), std::move(aggs),
-        std::move(pred), dest);
+        std::move(pred), dest, &storage_->tracker());
     AggregateOperator* raw = op.get();
     const int idx = plan_->AddOperator(std::move(op));
     plan_->RegisterOutput(idx, dest);

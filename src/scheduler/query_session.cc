@@ -51,6 +51,7 @@ void QuerySession::InitObservability() {
   }
   op_ctx_ = OperatorExecContext{};
   op_ctx_.join = config_.join;
+  op_ctx_.num_workers = pool_workers_;
   op_ctx_.trace = trace_;
   edge_uot_gauge_.clear();
   if (metrics_ == nullptr) {

@@ -65,7 +65,9 @@ inline int32_t AddYears(int32_t date, int years) {
 inline std::string DateToString(int32_t date) {
   int y, m, d;
   CivilFromDays(date, &y, &m, &d);
-  char buf[16];
+  // Room for any three ints ("-2147483648" is 11 characters), so no
+  // year can truncate the text.
+  char buf[3 * 11 + 2 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

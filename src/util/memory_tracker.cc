@@ -13,6 +13,7 @@ const char* MemoryCategoryName(MemoryCategory category) {
     case MemoryCategory::kTemporaryTable: return "temporary_table";
     case MemoryCategory::kHashTable: return "hash_table";
     case MemoryCategory::kOther: return "other";
+    case MemoryCategory::kAggregation: return "aggregation";
   }
   return "unknown";
 }

@@ -19,15 +19,18 @@ class TraceSession;
 ///
 /// The paper's memory-footprint comparison (Section VI, Table II) is between
 /// join hash tables and materialized intermediate tables, so those are
-/// tracked separately from base-table storage.
+/// tracked separately from base-table storage. Aggregation group state
+/// (dense worker arrays and result partitions) has its own category, so it
+/// is visible to budgets without changing the temp + hash-table peak.
 enum class MemoryCategory : int {
   kBaseTable = 0,
   kTemporaryTable = 1,
   kHashTable = 2,
   kOther = 3,
+  kAggregation = 4,
 };
 
-inline constexpr int kNumMemoryCategories = 4;
+inline constexpr int kNumMemoryCategories = 5;
 
 /// Stable lower_snake_case name of a category (metric/trace track names).
 const char* MemoryCategoryName(MemoryCategory category);

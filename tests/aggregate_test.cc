@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "exec/query_executor.h"
+#include "model/memory_model.h"
 #include "expr/predicate.h"
 #include "expr/projection.h"
 #include "operators/aggregate_operator.h"
@@ -270,14 +271,195 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+/// A leaf-aggregate case: one integral group column over a base table,
+/// with group id `id` keyed a = a_base + id (INT32) and
+/// b = b_base + id * b_step (INT64); DATE keys span 977 days.
+struct LeafCase {
+  const char* name;
+  uint64_t groups;
+  uint64_t rows;
+  int group_col;
+  int64_t a_base;
+  int64_t b_base;
+  int64_t b_step;
+  bool dense;  // the layout the footprint rule must pick
+};
+
+std::vector<InputRow> LeafRows(const LeafCase& c) {
+  FuzzRng rng(c.groups);
+  std::vector<InputRow> out;
+  out.reserve(c.rows);
+  for (uint64_t r = 0; r < c.rows; ++r) {
+    const uint64_t id =
+        r < c.groups ? (r * 7919 + 1) % c.groups : rng.Next() % c.groups;
+    InputRow row = RowForGroup(id, &rng);
+    row.a = static_cast<int32_t>(c.a_base + static_cast<int64_t>(id));
+    row.b = c.b_base + static_cast<int64_t>(id) * c.b_step;
+    out.push_back(row);
+  }
+  return out;
+}
+
+/// Runs aggregate(v > min_v) straight over `input` (no select: the base
+/// table feeds the aggregate, as in TPC-H Q17) and returns the canonical
+/// rows; `*dense` reports the layout the operator chose.
+std::string RunLeaf(StorageManager* storage, const Table& input,
+                    int group_col, double min_v, int workers, bool* dense) {
+  PlanBuilderConfig config;
+  config.block_bytes = 16 * 1024;
+  PlanBuilder builder(storage, config);
+  PlanBuilder::Src agg = builder.Aggregate(
+      "agg", PlanBuilder::Base(input), {group_col}, AllAggs(),
+      Cmp(CompareOp::kGt, Col(kColV, Type::Double()), LitDouble(min_v)));
+  std::unique_ptr<QueryPlan> plan = builder.Finish(agg);
+  ExecConfig exec;
+  exec.num_workers = workers;
+  exec.uot = UotPolicy::LowUot(1);
+  QueryExecutor::Execute(plan.get(), exec);
+  *dense = dynamic_cast<const AggregateOperator&>(*plan->op(agg.op)).dense();
+  EXPECT_EQ(storage->tracker().Current(MemoryCategory::kAggregation), 0);
+  return CanonicalRows(*plan->result_table());
+}
+
+class LeafAggregateTest : public ::testing::TestWithParam<LeafCase> {};
+
+TEST_P(LeafAggregateTest, MatchesRowByRowReference) {
+  const LeafCase& c = GetParam();
+  StorageManager storage;
+  const std::vector<InputRow> rows = LeafRows(c);
+  std::unique_ptr<Table> input = MakeTable(&storage, rows);
+  // About 90% of the rows pass; then none (an empty grouped result).
+  for (const double min_v : {-8000.0, 1e9}) {
+    const std::string expected =
+        Oracle(&storage, rows, {c.group_col}, min_v);
+    EXPECT_EQ(expected.empty(), min_v > 0);
+    for (const int workers : {1, 4}) {
+      bool dense = false;
+      EXPECT_EQ(RunLeaf(&storage, *input, c.group_col, min_v, workers,
+                        &dense),
+                expected)
+          << c.name << " min_v=" << min_v << " workers=" << workers;
+      EXPECT_EQ(dense, c.dense) << c.name << " workers=" << workers;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NarrowKeys, LeafAggregateTest,
+    ::testing::Values(
+        LeafCase{"negative_int32", 1000, 30000, kColA, -1500, 0, 1, true},
+        LeafCase{"single_key", 1, 5000, kColA, -3, 0, 1, true},
+        LeafCase{"int32_min", 300, 20000, kColA, INT32_MIN, 0, 1, true},
+        LeafCase{"int64_max", 300, 20000, kColB, 0, INT64_MAX - 299, 1, true},
+        LeafCase{"date", 977, 20000, kColD, 0, 0, 1, true},
+        // A span past 2^32 keys keeps the hash layout on a base table.
+        LeafCase{"wide_int64", 2000, 8000, kColB, 0, -4000000000000LL,
+                 1000000007, false}),
+    [](const ::testing::TestParamInfo<LeafCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Whether a leaf `fn`(v) grouped by k over `input` picks the dense layout
+/// on `workers` workers.
+bool ChoosesDense(const Table& input, AggFn fn, int workers) {
+  StorageManager storage;
+  std::vector<AggSpec> aggs;
+  aggs.push_back({fn, Col(1, Type::Double()), "agg"});
+  const Schema out_schema =
+      AggregateOperator::OutputSchema(input.schema(), {0}, aggs);
+  Table out("out", out_schema, Layout::kRowStore, 4096, &storage,
+            MemoryCategory::kTemporaryTable);
+  InsertDestination dest(&storage, &out, nullptr);
+  AggregateOperator op("agg", input.schema(), {0}, std::move(aggs), nullptr,
+                       &dest, &storage.tracker());
+  OperatorExecContext ctx;
+  ctx.num_workers = workers;
+  op.BindExecContext(ctx);
+  op.AttachBaseTable(&input);
+  std::vector<std::unique_ptr<WorkOrder>> orders;
+  op.GenerateWorkOrders(&orders);
+  return op.dense();
+}
+
+TEST(AggregateLayoutTest, Q17ShapedInputGoesDenseAndQ18ShapedInputGoesHash) {
+  // At SF 0.5, Q17 averages l_quantity by l_partkey (100k values over 3M
+  // rows) and Q18 sums it by l_orderkey (about 3M values). Both states are
+  // 24 bytes: the row count and one (sum, comp) pair.
+  EXPECT_TRUE(MemoryModel::AggregationBytes(3000000, 100000, 4, 24).dense);
+  EXPECT_FALSE(MemoryModel::AggregationBytes(3000000, 3000000, 4, 24).dense);
+  EXPECT_EQ(MemoryModel::AggregationBytes(3000000, 100000, 4, 24).bytes,
+            2400000u);
+
+  // The same shapes at 1/100 scale, through the operator.
+  StorageManager storage;
+  std::unique_ptr<Table> q17 =
+      ::uot::testing::MakeKvTable(&storage, "q17", 30000, 1000);
+  std::unique_ptr<Table> q18 =
+      ::uot::testing::MakeKvTable(&storage, "q18", 30000, 30000);
+  EXPECT_TRUE(ChoosesDense(*q17, AggFn::kAvg, 4));
+  EXPECT_FALSE(ChoosesDense(*q18, AggFn::kSum, 4));
+  // One worker array is small enough even for the Q18 shape.
+  EXPECT_TRUE(ChoosesDense(*q18, AggFn::kSum, 1));
+}
+
+/// Leaf aggregate sum(v) over a base table of (k INT32, v DOUBLE) rows,
+/// k = 7 throughout (one group, so the dense layout), run as work orders
+/// handed to `workers` worker arrays in a random order with random worker
+/// ids; returns the sum's bits.
+uint64_t DenseSumBits(const std::vector<double>& values, int workers,
+                      FuzzRng* rng) {
+  StorageManager storage;
+  const Schema schema({{"k", Type::Int32()}, {"v", Type::Double()}});
+  Table input("in", schema, Layout::kRowStore, 2048, &storage,
+              MemoryCategory::kBaseTable);
+  RowBuilder row(&input.schema());
+  for (const double v : values) {
+    row.SetInt32(0, 7);
+    row.SetDouble(1, v);
+    input.AppendRow(row.data());
+  }
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kSum, Col(1, Type::Double()), "sum"});
+  const Schema out_schema = AggregateOperator::OutputSchema(schema, {0}, aggs);
+  Table out("out", out_schema, Layout::kRowStore, 4096, &storage,
+            MemoryCategory::kTemporaryTable);
+  InsertDestination dest(&storage, &out, nullptr);
+  AggregateOperator op("agg", schema, {0}, std::move(aggs), nullptr, &dest,
+                       &storage.tracker());
+  OperatorExecContext ctx;
+  ctx.num_workers = workers;
+  op.BindExecContext(ctx);
+  op.AttachBaseTable(&input);
+  std::vector<std::unique_ptr<WorkOrder>> orders;
+  EXPECT_TRUE(op.GenerateWorkOrders(&orders));
+  EXPECT_TRUE(op.dense());
+  for (size_t i = orders.size(); i > 1; --i) {
+    std::swap(orders[i - 1], orders[static_cast<size_t>(rng->Range(
+                                 0, static_cast<int64_t>(i) - 1))]);
+  }
+  for (const std::unique_ptr<WorkOrder>& wo : orders) {
+    wo->worker_id = static_cast<int>(rng->Range(0, workers - 1));
+    wo->Execute();
+  }
+  op.Finish();
+  EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
+  EXPECT_EQ(out.NumRows(), 1u);
+  const double sum = out.GetValue(0, 1).AsDouble();
+  uint64_t bits = 0;
+  std::memcpy(&bits, &sum, 8);
+  return bits;
+}
+
 TEST(AggStateTest, SumIsBitIdenticalForAnySplitAndMergeOrder) {
   // One multiset of TPC-H-like revenue terms,
   // extendedprice * (1 - discount) * (1 + tax), whose sum needs every
   // mantissa bit. Each trial shuffles it, splits it into 2-16 partials at
   // random cuts (one per work order), accumulates each partial in its
   // order and merges the partials in a random order; the compensated sum
-  // must not change in its last bit.
-  testing::FuzzRng rng(19);
+  // must not change in its last bit. The per-function state of every
+  // aggregate that sums (SUM and AVG, here next to the others) and the
+  // dense layout's cross-worker merge must give those same bits.
+  FuzzRng rng(19);
   std::vector<double> values(6000);
   for (double& v : values) {
     const double quantity = static_cast<double>(rng.Range(1, 50));
@@ -293,6 +475,15 @@ TEST(AggStateTest, SumIsBitIdenticalForAnySplitAndMergeOrder) {
       std::swap((*items)[i - 1], (*items)[j]);
     }
   };
+  std::vector<AggSpec> specs;
+  specs.push_back({AggFn::kMin, nullptr, "min"});
+  specs.push_back({AggFn::kSum, nullptr, "sum"});
+  specs.push_back({AggFn::kCount, nullptr, "cnt"});
+  specs.push_back({AggFn::kAvg, nullptr, "avg"});
+  const AggLayout layout(specs);
+  // Row count, (sum, comp) for SUM, one word for MIN, (sum, comp) for AVG.
+  ASSERT_EQ(layout.bytes(), 48u);
+  const size_t words = layout.words();
   uint64_t first_bits = 0;
   for (int trial = 0; trial < 200; ++trial) {
     shuffle(&values);
@@ -303,30 +494,48 @@ TEST(AggStateTest, SumIsBitIdenticalForAnySplitAndMergeOrder) {
           rng.Range(0, static_cast<int64_t>(values.size()))));
     }
     std::sort(cuts.begin(), cuts.end());
-    std::vector<AggState> states(cuts.size() - 1);
+    std::vector<std::vector<AggWord>> states(cuts.size() - 1);
     for (size_t p = 0; p + 1 < cuts.size(); ++p) {
-      for (size_t i = cuts[p]; i < cuts[p + 1]; ++i) states[p].Add(values[i]);
+      states[p].assign(layout.init(), layout.init() + words);
+      for (size_t i = cuts[p]; i < cuts[p + 1]; ++i) {
+        ++states[p][0].count;
+        AggLayout::Add(states[p].data() + layout.offset(1), values[i]);
+        AggLayout::Add(states[p].data() + layout.offset(3), values[i]);
+      }
     }
     shuffle(&states);
-    AggState total;
-    for (const AggState& state : states) total.Merge(state);
-    const double sum = total.Total();
+    std::vector<AggWord> total(layout.init(), layout.init() + words);
+    for (const std::vector<AggWord>& state : states) {
+      layout.Merge(total.data(), state.data());
+    }
+    ASSERT_EQ(total[0].count, static_cast<int64_t>(values.size()));
+    const double sum = AggLayout::Total(total.data() + layout.offset(1));
+    ASSERT_EQ(AggLayout::Total(total.data() + layout.offset(3)), sum);
     uint64_t bits = 0;
     std::memcpy(&bits, &sum, 8);
     if (trial == 0) first_bits = bits;
     ASSERT_EQ(bits, first_bits) << "trial " << trial << ": " << sum;
+    if (trial % 20 == 0) {
+      for (const int workers : {1, 4}) {
+        ASSERT_EQ(DenseSumBits(values, workers, &rng), first_bits)
+            << "dense, trial " << trial << ", workers " << workers;
+      }
+    }
   }
 }
 
 TEST(GroupTableTest, ResetEmptiesASparseTable) {
   // 10k groups size the slot array; a later Reset with 100 groups takes
   // the sparse path, which must empty exactly the slots those groups used.
+  std::vector<AggSpec> specs;
+  specs.push_back({AggFn::kCount, nullptr, "cnt"});
+  const AggLayout layout(specs);
   GroupTable table;
-  table.Reset(1);
+  table.Reset(layout);
   for (uint64_t k = 0; k < 10000; ++k) {
     table.FindOrInsert({k, 0, 0}, GroupTable::Hash({k, 0, 0}));
   }
-  table.Reset(1);
+  table.Reset(layout);
   for (int round = 0; round < 3; ++round) {
     for (uint64_t k = 0; k < 100; ++k) {
       const GroupKey key{k * 7 + 3, 0, 0};
@@ -335,7 +544,7 @@ TEST(GroupTableTest, ResetEmptiesASparseTable) {
       ASSERT_TRUE(inserted) << "round " << round << " key " << k;
     }
     ASSERT_EQ(table.size(), 100u);
-    table.Reset(1);
+    table.Reset(layout);
     ASSERT_EQ(table.size(), 0u);
   }
   const GroupKey key{0, 0, 0};
@@ -372,7 +581,8 @@ TEST(AggregatePartitionTest, PartitionGrowsWhileOtherThreadsMergeIntoIt) {
   Table out("out", out_schema, Layout::kRowStore, 64 * 1024, &storage,
             MemoryCategory::kTemporaryTable);
   InsertDestination dest(&storage, &out, nullptr);
-  AggregateOperator op("agg", input, {0}, std::move(aggs), nullptr, &dest);
+  AggregateOperator op("agg", input, {0}, std::move(aggs), nullptr, &dest,
+                       &storage.tracker());
 
   constexpr size_t kHot = 17;
   const std::vector<GroupKey> growing = KeysInPartition(kHot, 20000, 0);
@@ -388,11 +598,11 @@ TEST(AggregatePartitionTest, PartitionGrowsWhileOtherThreadsMergeIntoIt) {
   constexpr int kMergers = 3;
   constexpr int kRounds = 200;
 
-  auto add = [](GroupTable* t, const GroupKey& key, double v) {
-    AggState* s = t->states(t->FindOrInsert(key, GroupTable::Hash(key)));
+  const AggLayout& layout = op.layout();
+  auto add = [&layout](GroupTable* t, const GroupKey& key, double v) {
+    AggWord* s = t->states(t->FindOrInsert(key, GroupTable::Hash(key)));
     ++s[0].count;
-    ++s[1].count;
-    s[1].Add(v);
+    AggLayout::Add(s + layout.offset(1), v);
   };
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
@@ -401,7 +611,7 @@ TEST(AggregatePartitionTest, PartitionGrowsWhileOtherThreadsMergeIntoIt) {
     while (!go.load()) std::this_thread::yield();
     // Batches of 500 new keys: every merge grows the hot partition.
     for (size_t begin = 0; begin < growing.size(); begin += 500) {
-      partial.Reset(2);
+      partial.Reset(layout);
       for (size_t i = begin; i < begin + 500; ++i) add(&partial, growing[i], 1);
       op.MergePartial(partial);
     }
@@ -411,7 +621,7 @@ TEST(AggregatePartitionTest, PartitionGrowsWhileOtherThreadsMergeIntoIt) {
       GroupTable partial;
       while (!go.load()) std::this_thread::yield();
       for (int round = 0; round < kRounds; ++round) {
-        partial.Reset(2);
+        partial.Reset(layout);
         for (const GroupKey& k : shared_hot) add(&partial, k, 0.5);
         for (const GroupKey& k : shared_cold) add(&partial, k, 0.25);
         op.MergePartial(partial);
@@ -420,7 +630,9 @@ TEST(AggregatePartitionTest, PartitionGrowsWhileOtherThreadsMergeIntoIt) {
   }
   go.store(true);
   for (std::thread& t : threads) t.join();
+  EXPECT_GT(storage.tracker().Current(MemoryCategory::kAggregation), 0);
   op.Finish();
+  EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
 
   std::map<int64_t, std::pair<int64_t, double>> expected;
   for (const GroupKey& k : growing) {

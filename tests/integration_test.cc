@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "baseline/materializing_engine.h"
 #include "exec/query_executor.h"
 #include "model/memory_model.h"
+#include "operators/aggregate_operator.h"
 #include "operators/select_operator.h"
+#include "plan/plan_builder.h"
 #include "test_util.h"
 #include "tpch/tpch_generator.h"
 #include "tpch/tpch_queries.h"
@@ -45,6 +50,108 @@ TEST(IntegrationTest, HashTableFootprintMatchesModel) {
   EXPECT_TRUE(exact.dense);
   EXPECT_EQ(measured, static_cast<int64_t>(exact.bytes));
   (void)out;
+}
+
+/// Runs sum(v) grouped by k over `input` on `workers` workers, straight
+/// over the base table (`leaf`) or behind a select, and returns the stats.
+ExecutionStats RunGroupSum(StorageManager* storage, const Table& input,
+                           bool leaf, int workers, int* agg_op) {
+  PlanBuilderConfig config;
+  config.block_bytes = 16 * 1024;
+  PlanBuilder builder(storage, config);
+  PlanBuilder::Src in = PlanBuilder::Base(input);
+  if (!leaf) {
+    in = builder.Select("sel", in, std::make_unique<TruePredicate>(),
+                        Projection::Identity(input.schema(), {0, 1}));
+  }
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kSum, Col(1, Type::Double()), "sum"});
+  PlanBuilder::Src agg = builder.Aggregate("agg", in, {0}, std::move(aggs));
+  std::unique_ptr<QueryPlan> plan = builder.Finish(agg);
+  ExecConfig exec;
+  exec.num_workers = workers;
+  exec.uot = UotPolicy::LowUot(1);
+  *agg_op = agg.op;
+  return QueryExecutor::Execute(plan.get(), exec);
+}
+
+/// The aggregation bytes the tracker peaks at are exactly the footprint
+/// MemoryModel::AggregationBytes gives the chosen layout: one array per
+/// worker that ran a work order (dense), or every result partition's group
+/// table at its grown capacity (hash). Both are released by the query.
+TEST(IntegrationTest, AggregationFootprintMatchesModel) {
+  constexpr uint64_t kRows = 40000;
+  constexpr int32_t kKeys = 1000;
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", kRows, kKeys, Layout::kRowStore,
+                           16 * 1024);
+  constexpr uint64_t kStateBytes = 24;  // row count + (sum, comp)
+  const MemoryModel::AggregationFootprint dense =
+      MemoryModel::AggregationBytes(kRows, kKeys, 4, kStateBytes);
+  ASSERT_TRUE(dense.dense);
+  ASSERT_EQ(dense.bytes, kKeys * kStateBytes);
+  const int agg_index = static_cast<int>(MemoryCategory::kAggregation);
+  for (const int workers : {1, 4}) {
+    int agg_op = -1;
+    const ExecutionStats stats =
+        RunGroupSum(&storage, *input, /*leaf=*/true, workers, &agg_op);
+    std::set<int> ran;
+    for (const WorkOrderRecord& r : stats.records) {
+      if (r.op == agg_op) ran.insert(r.worker);
+    }
+    EXPECT_EQ(stats.peak_bytes[agg_index],
+              static_cast<int64_t>(ran.size() * dense.bytes))
+        << "workers " << workers;
+    EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
+  }
+
+  // Behind a select the input is streamed: hash layout. Each partition
+  // holding n groups grew to the smallest power-of-two slot array of at
+  // least max(64, 2n) slots, which admits half as many groups.
+  std::map<uint64_t, uint64_t> per_partition;
+  for (int32_t k = 0; k < kKeys; ++k) {
+    const GroupKey key{static_cast<uint64_t>(static_cast<int64_t>(k)), 0, 0};
+    ++per_partition[GroupTable::Hash(key) >>
+                    (64 - AggregateOperator::kPartitionBits)];
+  }
+  int64_t expected = 0;
+  for (const auto& [partition, groups] : per_partition) {
+    uint64_t slots = 64;
+    while (slots < 2 * groups) slots <<= 1;
+    const MemoryModel::AggregationFootprint hash =
+        MemoryModel::AggregationBytes(slots / 2, 0, 1, kStateBytes);
+    EXPECT_FALSE(hash.dense);
+    expected += static_cast<int64_t>(hash.bytes);
+  }
+  for (const int workers : {1, 4}) {
+    int agg_op = -1;
+    const ExecutionStats stats =
+        RunGroupSum(&storage, *input, /*leaf=*/false, workers, &agg_op);
+    EXPECT_EQ(stats.peak_bytes[agg_index], expected) << "workers " << workers;
+    EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
+  }
+}
+
+/// After TPC-H Q1 (hash, CHAR keys), Q17 (dense) and Q18 (hash, one group
+/// per order) every aggregation byte is released.
+TEST(IntegrationTest, AggregationMemoryReturnsToBaseline) {
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.01;
+  db.Generate(config);
+  ExecConfig exec;
+  exec.num_workers = 4;
+  exec.uot = UotPolicy::LowUot(1);
+  for (const int query : {1, 17, 18}) {
+    auto plan = BuildTpchPlan(query, db, TpchPlanConfig{});
+    const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
+    EXPECT_GT(stats.peak_bytes[static_cast<int>(MemoryCategory::kAggregation)],
+              0)
+        << "Q" << query;
+    EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0)
+        << "Q" << query;
+  }
 }
 
 /// Table II end-to-end: the low-UoT strategy's overhead is the co-resident
@@ -151,7 +258,7 @@ TEST(IntegrationTest, LowUotIntermediateFootprintIsTransient) {
     InsertDestination* agg_dest = plan.CreateDestination(agg_out);
     auto agg = std::make_unique<AggregateOperator>(
         "agg", sel_schema, std::vector<int>{}, std::move(aggs), nullptr,
-        agg_dest);
+        agg_dest, &plan.storage()->tracker());
     const int agg_op = plan.AddOperator(std::move(agg));
     plan.RegisterOutput(agg_op, agg_dest);
     plan.AddStreamingEdge(select_op, agg_op);

@@ -55,7 +55,7 @@ std::unique_ptr<QueryPlan> MakeSelectAggPlan(StorageManager* storage,
   InsertDestination* agg_dest = plan->CreateDestination(agg_out);
   auto agg = std::make_unique<AggregateOperator>(
       "agg", sel_schema, std::vector<int>{0}, std::move(aggs), nullptr,
-      agg_dest);
+      agg_dest, &plan->storage()->tracker());
   const int agg_op = plan->AddOperator(std::move(agg));
   plan->RegisterOutput(agg_op, agg_dest);
   plan->AddStreamingEdge(select_op, agg_op);

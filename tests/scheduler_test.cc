@@ -394,7 +394,7 @@ TEST(SchedulerTest, DiamondPlanFeedsTwoConsumers) {
     InsertDestination* agg_dest = plan.CreateDestination(agg_out);
     auto agg = std::make_unique<AggregateOperator>(
         "agg" + std::to_string(i), sel_schema, std::vector<int>{},
-        std::move(aggs), nullptr, agg_dest);
+        std::move(aggs), nullptr, agg_dest, &plan.storage()->tracker());
     const int agg_op = plan.AddOperator(std::move(agg));
     plan.RegisterOutput(agg_op, agg_dest);
     plan.AddStreamingEdge(select_op, agg_op);
@@ -574,7 +574,7 @@ ChainPlan MakeSelectProbeAggPlan(StorageManager* storage,
   InsertDestination* agg_dest = plan->CreateDestination(agg_out);
   auto agg = std::make_unique<AggregateOperator>(
       "agg", probe_schema, std::vector<int>{0}, std::move(aggs), nullptr,
-      agg_dest);
+      agg_dest, &plan->storage()->tracker());
   out.agg_op = plan->AddOperator(std::move(agg));
   plan->RegisterOutput(out.agg_op, agg_dest);
   plan->AddStreamingEdge(out.probe_op, out.agg_op);

@@ -283,7 +283,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0);
   // Busy-wait a little; elapsed must be monotonic non-decreasing.
   volatile int64_t x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(timer.ElapsedNanos(), t0);
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), 1.0);
