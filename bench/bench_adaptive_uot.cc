@@ -108,8 +108,6 @@ void RunSoloArm(int query, const TpchDatabase& db,
     // Fresh policy per run: per-(query_id, edge) state must not carry
     // over between what are independent queries to the policy.
     ApplyArm(spec, plan.get(), &exec, nullptr);
-    obs::MetricsRegistry metrics;
-    exec.metrics = &metrics;
     const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
 
     if (stats.QueryMillis() < arm->best_ms) {
@@ -118,9 +116,7 @@ void RunSoloArm(int query, const TpchDatabase& db,
       arm->stalls = stats.budget_stalls;
       arm->adaptations = stats.uot_adaptations;
       arm->transfers = TotalTransfers(stats);
-      const obs::Gauge* temp =
-          metrics.FindGauge("memory.temporary_table.bytes");
-      arm->peak_temp_bytes = temp != nullptr ? temp->Max() : 0;
+      arm->peak_temp_bytes = stats.PeakTemporaryBytes();
     }
   }
 }
@@ -248,7 +244,7 @@ int main() {
   double q3_low_ms = 0.0;
 
   for (const int query : {3, 7}) {
-    const std::string q = "q" + std::to_string(query);
+    const std::string q = std::string("q").append(std::to_string(query));
 
     // Calibration: one unconstrained materializing run with intermediates
     // kept, yielding (a) oracle per-edge cardinalities for the chooser and

@@ -2,10 +2,9 @@
 // operators for the TPC-H queries (column store, high UoT value), showing
 // the dominant and second-most-dominant operator shares.
 //
-// Per-operator task times come from the observability layer's
-// MetricsRegistry ("scheduler.op.<i>.task_ns" counters) rather than
-// hand-rolled ExecutionStats aggregation; set UOT_OBS_DIR to also dump
-// each query's Perfetto trace and metrics CSV.
+// Per-operator task times come from each query's ExecutionStats
+// (`operators[i].total_task_ns`); set UOT_OBS_DIR to also dump each
+// query's Perfetto trace.
 
 #include <algorithm>
 #include <cstdio>
@@ -44,7 +43,8 @@ int main() {
     std::vector<std::pair<double, int>> shares;
     double total = 0;
     for (int i = 0; i < plan.num_operators(); ++i) {
-      const double task_ms = run.OpTaskMillis(i);
+      const double task_ms =
+          run.stats.operators[static_cast<size_t>(i)].total_task_ms();
       shares.emplace_back(task_ms, i);
       total += task_ms;
     }

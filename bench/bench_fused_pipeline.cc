@@ -45,7 +45,8 @@ std::unique_ptr<Table> MakeFactTable(StorageManager* storage,
                                      size_t block_bytes) {
   std::vector<Column> cols = {{"k", Type::Int32()}, {"v", Type::Double()}};
   for (int p = 0; p < kPayloadCols; ++p) {
-    cols.push_back({"p" + std::to_string(p), Type::Double()});
+    cols.push_back({std::string("p").append(std::to_string(p)),
+                    Type::Double()});
   }
   Schema schema(std::move(cols));
   auto table = std::make_unique<Table>(name, schema, Layout::kColumnStore,

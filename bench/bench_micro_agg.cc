@@ -128,8 +128,11 @@ int main() {
     const std::unique_ptr<Table> input = MakeInput(&storage, rows, groups);
     for (const PipelineMode mode :
          {PipelineMode::kVectorized, PipelineMode::kFused}) {
-      const std::string prefix = "g" + std::to_string(groups) + "_" +
-                                 PipelineModeName(mode) + "_";
+      const std::string prefix = std::string("g")
+                                     .append(std::to_string(groups))
+                                     .append("_")
+                                     .append(PipelineModeName(mode))
+                                     .append("_");
       double ms[3];
       const int worker_counts[3] = {1, 2, 4};
       for (int i = 0; i < 3; ++i) {

@@ -3,11 +3,10 @@
 // cascade — low UoT must keep all probe-side hash tables live, high UoT
 // materializes the selection output instead.
 //
-// Peaks are read from the observability layer's memory gauges
-// ("memory.<category>.bytes", sampled on every tracked allocate/release)
-// rather than from raw ExecutionStats; set UOT_OBS_DIR to also dump each
-// run's Perfetto trace (whose memory counter tracks show the footprint
-// timeline) and metrics CSV.
+// Peaks are the memory tracker's per-category high-water marks during the
+// run (ExecutionStats::peak_bytes); set UOT_OBS_DIR to also dump each
+// run's Perfetto trace, whose memory counter tracks show the footprint
+// timeline.
 
 #include <cstdio>
 
@@ -36,8 +35,8 @@ int main() {
     std::printf("%-22s peak hash tables: %8.2f MB   peak intermediates: "
                 "%8.2f MB\n",
                 exec.uot.ToString().c_str(),
-                static_cast<double>(run.PeakBytes("hash_table")) / 1e6,
-                static_cast<double>(run.PeakBytes("temporary_table")) / 1e6);
+                static_cast<double>(run.stats.PeakHashTableBytes()) / 1e6,
+                static_cast<double>(run.stats.PeakTemporaryBytes()) / 1e6);
     MaybeExportObs(run, whole_table ? "table2_high_uot" : "table2_low_uot");
   }
 

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "exec/query_executor.h"
-#include "obs/metrics.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
 #include "tpch/tpch_generator.h"
@@ -129,67 +128,41 @@ inline QueryTiming TimeQuery(int query, const TpchDatabase& db,
   return out;
 }
 
-/// One query execution with the observability layer attached: the benches
-/// read per-operator/per-edge/memory figures from the metrics registry
-/// (the same exporters users consume) and can dump the trace for Perfetto.
-/// The per-query counters there are published once, when the query ends,
-/// from its ExecutionStats; the queue-depth, effective-UoT, memory and
-/// join-kernel metrics are the only ones updated while it runs.
+/// One query execution with a trace attached: the benches read
+/// per-operator and memory figures from its ExecutionStats and can dump
+/// the trace for Perfetto.
 struct ObservedRun {
   ExecutionStats stats;
   std::unique_ptr<QueryPlan> plan;
   std::unique_ptr<obs::TraceSession> trace;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-
-  /// Total task time (ms) the scheduler recorded for operator `op`.
-  double OpTaskMillis(int op) const {
-    const obs::Counter* c = metrics->FindCounter(
-        "scheduler.op." + std::to_string(op) + ".task_ns");
-    return c == nullptr ? 0.0 : static_cast<double>(c->Value()) / 1e6;
-  }
-
-  /// Sampled high-water mark (bytes) of a memory category gauge.
-  int64_t PeakBytes(const char* category) const {
-    const obs::Gauge* g = metrics->FindGauge(
-        std::string("memory.") + category + ".bytes");
-    return g == nullptr ? 0 : g->Max();
-  }
 };
 
-/// Runs one query with a fresh TraceSession + MetricsRegistry attached.
+/// Runs one query with a fresh TraceSession attached.
 inline ObservedRun RunObserved(int query, const TpchDatabase& db,
                                const TpchPlanConfig& plan_config,
                                ExecConfig exec_config) {
   ObservedRun out;
   out.trace = std::make_unique<obs::TraceSession>();
-  out.metrics = std::make_unique<obs::MetricsRegistry>();
   exec_config.trace = out.trace.get();
-  exec_config.metrics = out.metrics.get();
   out.plan = BuildTpchPlan(query, db, plan_config);
   out.stats = QueryExecutor::Execute(out.plan.get(), exec_config);
   return out;
 }
 
-/// When UOT_OBS_DIR is set, writes `<dir>/<prefix>.trace.json` and
-/// `<dir>/<prefix>.metrics.csv` and prints where they went. The trace is
-/// loadable in https://ui.perfetto.dev.
+/// When UOT_OBS_DIR is set, writes `<dir>/<prefix>.trace.json` and prints
+/// where it went. The trace is loadable in https://ui.perfetto.dev.
 inline void MaybeExportObs(const ObservedRun& run,
                            const std::string& prefix) {
   const char* dir = std::getenv("UOT_OBS_DIR");
   if (dir == nullptr || run.trace == nullptr) return;
   const std::string trace_path = std::string(dir) + "/" + prefix +
                                  ".trace.json";
-  const std::string csv_path = std::string(dir) + "/" + prefix +
-                               ".metrics.csv";
   const Status trace_status = run.trace->WriteChromeJson(trace_path);
-  const Status csv_status = run.metrics->WriteCsv(csv_path);
-  if (trace_status.ok() && csv_status.ok()) {
-    std::printf("  [obs] wrote %s and %s\n", trace_path.c_str(),
-                csv_path.c_str());
+  if (trace_status.ok()) {
+    std::printf("  [obs] wrote %s\n", trace_path.c_str());
   } else {
-    std::printf("  [obs] export failed: %s / %s\n",
-                trace_status.ToString().c_str(),
-                csv_status.ToString().c_str());
+    std::printf("  [obs] export failed: %s\n",
+                trace_status.ToString().c_str());
   }
 }
 

@@ -1,21 +1,18 @@
-// Runs one TPC-H query with the observability layer enabled and writes a
-// Chrome/Perfetto trace plus metrics exports:
+// Runs one TPC-H query with tracing enabled and writes a Chrome/Perfetto
+// trace:
 //
 //   UOT_SF=0.01 UOT_QUERY=7 ./build/examples/trace_explorer [out_prefix]
 //
 // produces `<out_prefix>.trace.json` (open it at https://ui.perfetto.dev
 // or chrome://tracing — work-order spans per worker, UoT transfer instants,
-// queue-depth and per-category memory counter tracks), plus
-// `<out_prefix>.metrics.csv` and `<out_prefix>.metrics.json`.
+// and queue-depth, per-edge effective-UoT and per-category memory counter
+// tracks).
 //
 // With `--profile`, the run additionally closes the observe-model-act
 // loop: a calibration pass measures oracle per-edge cardinalities, the
-// cost model's predictions are attached to the plan, the traced run
-// executes under a background metrics sampler, and the tool writes
-// `<out_prefix>.profile.json` (validated),
-// `<out_prefix>.profile.txt` (the annotated plan + calibration report),
-// and `<out_prefix>.timeseries.json` / `.csv` — with the
-// `model.residual.edge.*` gauges exported into the metrics files.
+// cost model's predictions are attached to the plan, and the tool writes
+// `<out_prefix>.profile.json` (validated, with per-edge residuals) and
+// `<out_prefix>.profile.txt` (the annotated plan + calibration report).
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +21,6 @@
 
 #include "exec/query_executor.h"
 #include "model/uot_chooser.h"
-#include "obs/metrics.h"
-#include "obs/metrics_sampler.h"
 #include "obs/query_profile.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
@@ -62,12 +57,10 @@ int main(int argc, char** argv) {
   auto plan = BuildTpchPlan(query, db, plan_config);
 
   obs::TraceSession trace;
-  obs::MetricsRegistry metrics;
   ExecConfig exec;
   exec.num_workers = 4;
   exec.uot = UotPolicy::LowUot(1);
   exec.trace = &trace;
-  exec.metrics = &metrics;
 
   if (profile_mode) {
     // Calibration pass: measure oracle per-edge cardinalities, then attach
@@ -76,7 +69,6 @@ int main(int argc, char** argv) {
     // the residuals grade the model, not a changed execution).
     ExecConfig calib = exec;
     calib.trace = nullptr;
-    calib.metrics = nullptr;
     calib.drop_consumed_blocks = false;
     auto calib_plan = BuildTpchPlan(query, db, plan_config);
     QueryExecutor::Execute(calib_plan.get(), calib);
@@ -87,22 +79,14 @@ int main(int argc, char** argv) {
         plan.get(), chooser.ChoosePlan(*plan, estimates));
   }
 
-  obs::MetricsSampler::Options sampler_options;
-  sampler_options.interval_ms = 1;
-  sampler_options.capacity = 4096;
-  obs::MetricsSampler sampler(&metrics, sampler_options);
-  if (profile_mode) sampler.Start();
-
   std::printf("Running TPC-H Q%d at SF %.3f with tracing%s enabled...\n",
               query, sf, profile_mode ? " and profiling" : "");
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
-  if (profile_mode) sampler.Stop();
   const obs::QueryProfile profile = obs::QueryProfile::FromRun(
       plan.get(), stats, {"q" + std::to_string(query)});
   std::printf("%s\n", profile.ToString().c_str());
 
   if (profile_mode) {
-    profile.ExportResidualMetrics(&metrics);
     const std::string report = profile.CalibrationReport();
     if (!report.empty()) std::printf("%s\n", report.c_str());
 
@@ -128,12 +112,6 @@ int main(int argc, char** argv) {
         std::fclose(txt);
       }
     }
-    if (profile_status.ok()) {
-      profile_status = sampler.WriteJson(prefix + ".timeseries.json");
-    }
-    if (profile_status.ok()) {
-      profile_status = sampler.WriteCsv(prefix + ".timeseries.csv");
-    }
     if (!profile_status.ok()) {
       std::fprintf(stderr, "profile export failed: %s\n",
                    profile_status.ToString().c_str());
@@ -145,9 +123,6 @@ int main(int argc, char** argv) {
                 profile_summary.num_edges,
                 profile_summary.num_predicted_edges,
                 profile_summary.num_uot_decisions, prefix.c_str());
-    std::printf("Time-series: %s.timeseries.json/.csv (%llu samples)\n",
-                prefix.c_str(),
-                static_cast<unsigned long long>(sampler.total_samples()));
   }
 
   const std::string trace_path = prefix + ".trace.json";
@@ -168,28 +143,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  status = metrics.WriteCsv(prefix + ".metrics.csv");
-  if (status.ok()) status = metrics.WriteJson(prefix + ".metrics.json");
-  if (!status.ok()) {
-    std::fprintf(stderr, "metrics export failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-
   std::printf("Trace: %s (%zu events: %zu spans, %zu instants, %zu counter "
               "samples; %.3f ms covered)\n",
               trace_path.c_str(), summary.num_events, summary.num_complete,
               summary.num_instant, summary.num_counter,
               (summary.last_ts_us - summary.first_ts_us) / 1000.0);
-  std::printf("Metrics: %s.metrics.csv, %s.metrics.json\n", prefix.c_str(),
-              prefix.c_str());
   std::printf("\nOpen the trace in https://ui.perfetto.dev (or "
               "chrome://tracing):\n"
               "  - each \"worker N\" track shows that worker's work-order "
               "spans (args carry the operator name);\n"
               "  - the coordinator track shows UoT transfers, edge flushes "
               "and budget events;\n"
-              "  - counter tracks plot queue depths and per-category "
-              "memory over time (Table II's timeline).\n");
+              "  - counter tracks plot queue depths, each edge's effective "
+              "UoT and per-category memory over time (Table II's "
+              "timeline).\n");
   return 0;
 }

@@ -57,7 +57,8 @@ struct EngineConfig {
   /// Engine-level telemetry registry. When set, the engine records its
   /// service metrics (engine.* gauges, counters, and latency histograms)
   /// into this shared registry; when null it owns a private one, readable
-  /// via metrics(). Distinct from the per-query ExecConfig::metrics.
+  /// via metrics(). This registry is process-level only: per-query figures
+  /// live in each query's ExecutionStats and, when traced, its trace.
   obs::MetricsRegistry* metrics = nullptr;
   /// Time-series sampling interval for the engine registry; 0 disables
   /// the background sampler. When enabled, a MetricsSampler snapshots
@@ -83,10 +84,9 @@ struct EngineConfig {
 /// a shared memory budget and per-class limits) decides when each query
 /// starts.
 ///
-/// Observability stays per-query: give each session its own TraceSession /
-/// MetricsRegistry via ExecConfig (a shared registry accumulates the
-/// sessions' counters); work-order spans land in the owning session's
-/// trace no matter which pool worker ran them.
+/// Observability stays per-query: each Execute() returns that query's
+/// ExecutionStats, and a session given its own TraceSession via ExecConfig
+/// records its work-order spans there no matter which pool worker ran them.
 ///
 /// Per-session memory peaks (ExecutionStats::peak_bytes) are read from the
 /// plan's storage-manager tracker and are only meaningful when concurrent

@@ -4,16 +4,13 @@
 #include <vector>
 
 #include "exec/engine.h"
-#include "obs/metrics.h"
-#include "obs/trace_session.h"
 
 namespace uot {
 
 ExecutionStats QueryExecutor::Execute(QueryPlan* plan,
                                       const ExecConfig& config) {
   MemoryTracker& tracker = plan->storage()->tracker();
-  const bool observed = config.trace != nullptr || config.metrics != nullptr;
-  if (observed) tracker.AttachObservers(config.trace, config.metrics);
+  if (config.trace != nullptr) tracker.AttachObservers(config.trace);
   // A one-session engine: the worker pool lives exactly as long as the
   // query, preserving the historical per-query threading behaviour. Use a
   // long-lived Engine directly to run queries concurrently.
@@ -21,7 +18,7 @@ ExecutionStats QueryExecutor::Execute(QueryPlan* plan,
   engine_config.num_workers = config.num_workers;
   Engine engine(engine_config);
   ExecutionStats stats = engine.Execute(plan, config);
-  if (observed) tracker.AttachObservers(nullptr, nullptr);
+  if (config.trace != nullptr) tracker.AttachObservers(nullptr);
   return stats;
 }
 

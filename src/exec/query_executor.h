@@ -21,12 +21,11 @@ class QueryExecutor {
   /// Runs `plan` to completion and returns execution statistics. The result
   /// rows are in `plan->result_table()`.
   ///
-  /// When `config.trace` / `config.metrics` are set, the storage manager's
-  /// memory tracker is additionally attached to them for the duration of
-  /// the run, so traces carry per-category memory counter tracks and the
-  /// registry gains `memory.<category>.bytes` gauges (their Max() is the
-  /// sampled high-water mark). Concurrent executions against the same
-  /// StorageManager must not mix traced and untraced runs.
+  /// When `config.trace` is set, the storage manager's memory tracker is
+  /// additionally attached to it for the duration of the run, so the
+  /// trace carries per-category memory counter tracks. Concurrent
+  /// executions against the same StorageManager must not mix traced and
+  /// untraced runs.
   static ExecutionStats Execute(QueryPlan* plan, const ExecConfig& config);
 };
 

@@ -19,7 +19,9 @@ void ColumnRef::Eval(const Block& block, const uint32_t* rows, uint32_t n,
 }
 
 std::string ColumnRef::ToString() const {
-  return "$" + std::to_string(col_);
+  std::string out = "$";
+  out += std::to_string(col_);
+  return out;
 }
 
 Literal::Literal(TypedValue value, Type type)
@@ -73,8 +75,12 @@ void Arithmetic::Eval(const Block& block, const uint32_t* rows, uint32_t n,
 
 std::string Arithmetic::ToString() const {
   static constexpr const char* kOps[] = {" + ", " - ", " * ", " / "};
-  return "(" + left_->ToString() + kOps[static_cast<int>(op_)] +
-         right_->ToString() + ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += kOps[static_cast<int>(op_)];
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 CaseWhen::CaseWhen(std::unique_ptr<Predicate> condition,

@@ -142,8 +142,12 @@ void Comparison::Filter(const Block& block, std::vector<uint32_t>* sel) const {
 std::string Comparison::ToString() const {
   static constexpr const char* kOps[] = {" = ", " <> ", " < ",
                                          " <= ", " > ", " >= "};
-  return "(" + left_->ToString() + kOps[static_cast<int>(op_)] +
-         right_->ToString() + ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += kOps[static_cast<int>(op_)];
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 void Conjunction::Filter(const Block& block,

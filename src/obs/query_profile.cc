@@ -234,7 +234,7 @@ std::string QueryProfile::ToString() const {
     std::snprintf(buf, sizeof(buf),
                   "  op[%d] %s: %" PRIu64
                   " work orders, task %.2f ms, span %.2f ms, finish %.2f ms, "
-                  "dop %.2f, p50/p95/p99 %.2f/%.2f/%.2f ms\n",
+                  "dop %.2f, p50/p95/p99 %.2f/%.2f/%.2f ms",
                   op.op, op.name.c_str(), op.num_work_orders,
                   static_cast<double>(op.total_task_ns) / 1e6,
                   static_cast<double>(op.last_end_ns - op.first_start_ns) /
@@ -244,6 +244,13 @@ std::string QueryProfile::ToString() const {
                   static_cast<double>(op.latency.p95) / 1e6,
                   static_cast<double>(op.latency.p99) / 1e6);
     out += buf;
+    if (op.join_batches > 0) {
+      std::snprintf(buf, sizeof(buf),
+                    ", join batches %" PRIu64 " (prefetches %" PRIu64 ")",
+                    op.join_batches, op.join_prefetches);
+      out += buf;
+    }
+    out += '\n';
   }
   for (const Edge& e : edges_) {
     std::snprintf(buf, sizeof(buf),
@@ -412,6 +419,11 @@ std::string QueryProfile::ToJson() const {
     // timing stay byte-identical; the validator accepts either.
     if (op.finish_ns != 0) {
       AppendField(&out, "finish_ns", op.finish_ns, &first);
+    }
+    // Optional: present only for operators that ran a join kernel.
+    if (op.join_batches != 0) {
+      AppendFieldU(&out, "join_batches", op.join_batches, &first);
+      AppendFieldU(&out, "join_prefetches", op.join_prefetches, &first);
     }
     AppendFieldD(&out, "avg_dop", op.avg_dop, &first);
     out += ", \"latency\": ";
@@ -589,20 +601,6 @@ Status QueryProfile::WriteJson(const std::string& path) const {
   return Status::OK();
 }
 
-void QueryProfile::ExportResidualMetrics(MetricsRegistry* registry,
-                                         const std::string& prefix) const {
-  UOT_CHECK(registry != nullptr);
-  for (const Edge& e : edges_) {
-    if (!e.has_prediction) continue;
-    const std::string base =
-        prefix + "model.residual.edge." + std::to_string(e.edge);
-    registry->GetGauge(base + ".transfers")->Set(e.residual_transfers);
-    registry->GetGauge(base + ".bytes")->Set(e.residual_bytes);
-    registry->GetGauge(base + ".footprint_bytes")
-        ->Set(e.residual_footprint_bytes);
-  }
-}
-
 namespace {
 
 Status ProfileError(const std::string& what) {
@@ -692,9 +690,12 @@ Status ParseQueryProfileJson(std::string_view json,
     if (!op.is_object()) return ProfileError("operator entry is not an object");
     UOT_RETURN_IF_ERROR(RequireNumber(op, "op", "operator"));
     UOT_RETURN_IF_ERROR(RequireNumber(op, "work_orders", "operator"));
-    const JsonValue* finish_ns = op.Find("finish_ns");
-    if (finish_ns != nullptr && !finish_ns->is_number()) {
-      return ProfileError("operator \"finish_ns\" must be a number");
+    for (const char* key : {"finish_ns", "join_batches", "join_prefetches"}) {
+      const JsonValue* optional = op.Find(key);
+      if (optional != nullptr && !optional->is_number()) {
+        return ProfileError(std::string("operator \"") + key +
+                            "\" must be a number");
+      }
     }
     const JsonValue* op_name = op.Find("name");
     if (op_name == nullptr || !op_name->is_string()) {

@@ -91,7 +91,8 @@ class QueryProfile {
 
   /// The EXPLAIN-ANALYZE-style annotated plan, the one text rendering of
   /// a run: the resolved ExecConfig, the coordinator/queue-wait split,
-  /// operators with work-order counts/time/DoP/latency percentiles, edges
+  /// operators with work-order counts/time/DoP/latency percentiles (and
+  /// join-kernel batches and prefetches for join operators), edges
   /// with measured vs predicted transfers/bytes/footprint and residuals,
   /// memory peaks, budget events, and the UoT decision log.
   std::string ToString() const;
@@ -106,13 +107,6 @@ class QueryProfile {
   /// stands for whole-table, 0 for "none/unresolved".
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
-
-  /// Exports `model.residual.edge.<i>.{transfers,bytes,footprint_bytes}`
-  /// gauges (actual minus predicted) for every predicted edge, prefixed
-  /// with `prefix`, so benches and the adaptive layer read calibration
-  /// ground truth from the registry they already consume.
-  void ExportResidualMetrics(MetricsRegistry* registry,
-                             const std::string& prefix = "") const;
 
  private:
   std::string query_name_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
 #include "storage/table.h"
@@ -176,12 +175,7 @@ void BuildHashWorkOrder::Execute() {
                      t0, m);
   }
 
-  if (ctx_->join_build_batches != nullptr) {
-    ctx_->join_build_batches->Add(num_batches);
-  }
-  if (ctx_->join_build_prefetch_issued != nullptr && prefetches > 0) {
-    ctx_->join_build_prefetch_issued->Add(prefetches);
-  }
+  ctx_->CountJoinKernel(worker_id, operator_index, num_batches, prefetches);
 }
 
 }  // namespace uot

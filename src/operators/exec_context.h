@@ -7,7 +7,6 @@
 namespace uot {
 
 namespace obs {
-class Counter;
 class TraceSession;
 enum class JoinBatchStage : uint8_t;
 }  // namespace obs
@@ -42,21 +41,40 @@ struct JoinKernelConfig {
   }
 };
 
+/// Join-kernel work one worker did for one operator: batches resolved
+/// and home-slot prefetches issued (probe batches for a probe operator,
+/// build batches for a build operator).
+struct JoinKernelCounts {
+  uint64_t batches = 0;
+  uint64_t prefetches = 0;
+};
+
 /// Per-execution context handed to operators by the scheduler (or by a
-/// standalone driver) before work-order generation: kernel knobs plus
-/// pre-resolved observability handles so work orders update metrics
-/// lock-free and emit per-batch trace spans. All pointers may be null
-/// (the default context traces/counts nothing but runs the same kernels).
+/// standalone driver) before work-order generation: kernel knobs plus the
+/// session's trace sink and join-kernel count slots, so work orders emit
+/// per-batch trace spans and count their batches without locks. Both
+/// pointers may be null (the default context traces and counts nothing
+/// but runs the same kernels).
 struct OperatorExecContext {
   JoinKernelConfig join;
   /// Workers that may run this execution's work orders; every
   /// WorkOrder::worker_id is below it.
   int num_workers = 1;
   obs::TraceSession* trace = nullptr;
-  obs::Counter* join_probe_batches = nullptr;
-  obs::Counter* join_probe_prefetch_issued = nullptr;
-  obs::Counter* join_build_batches = nullptr;
-  obs::Counter* join_build_prefetch_issued = nullptr;
+  /// `num_workers` rows of `num_operators` slots, row `w` written only by
+  /// worker `w`; the session sums the rows into OperatorStats after its
+  /// workers retire the last work order.
+  JoinKernelCounts* join_counts = nullptr;
+  int num_operators = 0;
+
+  /// Adds one work order's join-kernel counts for operator `op`.
+  void CountJoinKernel(int worker_id, int op, uint64_t batches,
+                       uint64_t prefetches) const {
+    if (join_counts == nullptr) return;
+    JoinKernelCounts& c = join_counts[worker_id * num_operators + op];
+    c.batches += batches;
+    c.prefetches += prefetches;
+  }
 
   /// Start timestamp of a kernel stage: 0 when untraced, so untraced runs
   /// never read the clock.

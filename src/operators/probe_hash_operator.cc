@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "operators/key_util.h"
 #include "operators/numeric_util.h"
@@ -193,12 +192,7 @@ uint64_t ProbeHashOperator::ProbeRows(const Block& block, uint32_t row_begin,
     ctx.TraceStage(worker_id, op_index, obs::JoinBatchStage::kEmit, t0, m);
   }
 
-  if (ctx.join_probe_batches != nullptr) {
-    ctx.join_probe_batches->Add(num_batches);
-  }
-  if (ctx.join_probe_prefetch_issued != nullptr && prefetches > 0) {
-    ctx.join_probe_prefetch_issued->Add(prefetches);
-  }
+  ctx.CountJoinKernel(worker_id, op_index, num_batches, prefetches);
   return emitted;
 }
 

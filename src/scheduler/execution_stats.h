@@ -37,6 +37,11 @@ struct OperatorStats {
   int64_t first_start_ns = 0;  // earliest work-order start
   int64_t last_end_ns = 0;     // latest work-order end
   int64_t finish_ns = 0;       // coordinator time in Operator::Finish()
+  // Join-kernel batches resolved and home-slot prefetches issued: probe
+  // batches for a probe operator (fused probe stages included), build
+  // batches for a build operator; 0 for every other operator.
+  uint64_t join_batches = 0;
+  uint64_t join_prefetches = 0;
 
   double total_task_ms() const {
     return static_cast<double>(total_task_ns) / 1e6;
@@ -150,8 +155,8 @@ struct BudgetEventRecord {
 /// Everything the benches need from one query execution: per-work-order
 /// timings, per-operator aggregates, per-edge transfer counts and memory
 /// peaks (paper Figs. 3/5/6/7, Table II). This is the one per-query
-/// telemetry record: the session publishes the registry's per-query
-/// counters from it when the query ends, and QueryProfile is built from it.
+/// telemetry record: QueryProfile, its one rendering, is built from it,
+/// and the trace is the only other per-query surface.
 struct ExecutionStats {
   /// Engine-assigned id of the session that produced these stats (0 for
   /// runs outside an engine). Tags trace events of concurrent queries.

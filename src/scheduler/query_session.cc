@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "fused/pipeline_fuser.h"
-#include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "operators/exchange_operator.h"
 #include "util/timer.h"
@@ -36,7 +35,6 @@ QuerySession::QuerySession(QueryPlan* plan, ExecConfig config,
 
 void QuerySession::InitObservability() {
   trace_ = config_.trace;
-  metrics_ = config_.metrics;
   const int n = plan_->num_operators();
   if (trace_ != nullptr) {
     std::vector<std::string> names;
@@ -49,80 +47,22 @@ void QuerySession::InitObservability() {
                             "worker " + std::to_string(w));
     }
   }
+  join_counts_.assign(static_cast<size_t>(pool_workers_) *
+                          static_cast<size_t>(n),
+                      JoinKernelCounts{});
   op_ctx_ = OperatorExecContext{};
   op_ctx_.join = config_.join;
   op_ctx_.num_workers = pool_workers_;
   op_ctx_.trace = trace_;
-  edge_uot_gauge_.clear();
-  if (metrics_ == nullptr) {
-    work_queue_depth_ = nullptr;
-    event_queue_depth_ = nullptr;
-    return;
-  }
-  op_ctx_.join_probe_batches = metrics_->GetCounter("join.probe.batches");
-  op_ctx_.join_probe_prefetch_issued =
-      metrics_->GetCounter("join.probe.prefetch_issued");
-  op_ctx_.join_build_batches = metrics_->GetCounter("join.build.batches");
-  op_ctx_.join_build_prefetch_issued =
-      metrics_->GetCounter("join.build.prefetch_issued");
-  work_queue_depth_ = metrics_->GetGauge("scheduler.queue.work_orders.depth");
-  event_queue_depth_ = metrics_->GetGauge("scheduler.queue.events.depth");
-  for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
-    edge_uot_gauge_.push_back(metrics_->GetGauge(
-        "uot.edge." + std::to_string(e) + ".effective_blocks"));
-  }
+  op_ctx_.join_counts = join_counts_.data();
+  op_ctx_.num_operators = n;
 }
 
-void QuerySession::PublishMetrics() {
-  metrics_->GetCounter("scheduler.work_orders")->Add(stats_.records.size());
-  obs::Histogram* latency =
-      metrics_->GetHistogram("scheduler.work_order_latency_ns");
-  for (const WorkOrderRecord& r : stats_.records) {
-    latency->Record(r.duration_ns());
-  }
-  for (size_t i = 0; i < stats_.operators.size(); ++i) {
-    const OperatorStats& os = stats_.operators[i];
-    const std::string prefix = "scheduler.op." + std::to_string(i);
-    metrics_->GetCounter(prefix + ".task_ns")
-        ->Add(static_cast<uint64_t>(os.total_task_ns));
-    metrics_->GetCounter(prefix + ".work_orders")->Add(os.num_work_orders);
-  }
-  for (size_t e = 0; e < stats_.edges.size(); ++e) {
-    const EdgeStats& es = stats_.edges[e];
-    const std::string prefix = "scheduler.edge." + std::to_string(e);
-    metrics_->GetCounter(prefix + ".transfers")->Add(es.transfers);
-    metrics_->GetCounter(prefix + ".blocks")->Add(es.blocks_delivered);
-  }
-  metrics_->GetCounter("scheduler.budget.deferrals")
-      ->Add(stats_.budget_deferrals);
-  metrics_->GetCounter("scheduler.budget.stalls")->Add(stats_.budget_stalls);
-  metrics_->GetCounter("uot.adaptations")->Add(stats_.uot_adaptations);
-  // Exchange skew: rows per partition, plus max/mean x100 as a single
-  // imbalance number.
-  for (const ExchangeStats& x : stats_.exchanges) {
-    const std::string prefix = "exchange.op." + std::to_string(x.op);
-    for (size_t p = 0; p < x.partition_rows.size(); ++p) {
-      metrics_->GetGauge(prefix + ".partition." + std::to_string(p) + ".rows")
-          ->Set(static_cast<int64_t>(x.partition_rows[p]));
-    }
-    if (x.TotalRows() > 0) {
-      metrics_->GetGauge(prefix + ".skew_x100")
-          ->Set(static_cast<int64_t>(100.0 * x.SkewRatio()));
-    }
-  }
-}
-
-void QuerySession::SampleQueueDepths() {
-  const int64_t work_depth = static_cast<int64_t>(sink_->WorkQueueDepth());
-  const int64_t event_depth = static_cast<int64_t>(event_queue_.Size());
-  if (work_queue_depth_ != nullptr) {
-    work_queue_depth_->Set(work_depth);
-    event_queue_depth_->Set(event_depth);
-  }
-  if (trace_ != nullptr) {
-    trace_->EmitCounter(obs::TraceEventType::kQueueDepth, 0, work_depth);
-    trace_->EmitCounter(obs::TraceEventType::kQueueDepth, 1, event_depth);
-  }
+void QuerySession::TraceQueueDepths() {
+  trace_->EmitCounter(obs::TraceEventType::kQueueDepth, 0,
+                      static_cast<int64_t>(sink_->WorkQueueDepth()));
+  trace_->EmitCounter(obs::TraceEventType::kQueueDepth, 1,
+                      static_cast<int64_t>(event_queue_.Size()));
 }
 
 ExecutionStats QuerySession::Run() {
@@ -227,14 +167,13 @@ ExecutionStats QuerySession::Run() {
   plan_->storage()->tracker().ResetPeaks();
   stats_.query_start_ns = NowNanos();
 
-  // Record each edge's starting UoT so metrics/traces show the full
+  // Record each edge's starting UoT so the trace shows the full
   // trajectory (adaptive policies may move it on later consultations).
   // Fused interior edges never consult the policy — no blocks ever cross
-  // them; their gauge/track value is the -1 sentinel (0 already means
-  // whole-table) so dashboards show "fused", not a stale UoT.
+  // them; their track value is the -1 sentinel (0 already means
+  // whole-table) so the timeline shows "fused", not a stale UoT.
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
     if (stats_.edges[e].fused) {
-      if (metrics_ != nullptr) edge_uot_gauge_[e]->Set(-1);
       if (trace_ != nullptr) {
         trace_->EmitCounter(obs::TraceEventType::kUotEffective,
                             static_cast<int>(e), -1);
@@ -255,7 +194,7 @@ ExecutionStats QuerySession::Run() {
     UOT_CHECK(event.has_value());  // queue is never closed mid-run
     const int64_t handle_start_ns = NowNanos();
     ++stats_.coordinator_events;
-    if (trace_ != nullptr || metrics_ != nullptr) SampleQueueDepths();
+    if (trace_ != nullptr) TraceQueueDepths();
     switch (event->kind) {
       case Event::Kind::kBlockReady:
         HandleBlockReady(event->op, event->block);
@@ -319,7 +258,6 @@ ExecutionStats QuerySession::Run() {
     }
     stats_.exchanges.push_back(std::move(xs));
   }
-  if (metrics_ != nullptr) PublishMetrics();
   return std::move(stats_);
 }
 
@@ -408,6 +346,12 @@ void QuerySession::CollectWorkerRecords() {
       os.first_start_ns = r.start_ns;
     }
     os.last_end_ns = std::max(os.last_end_ns, r.end_ns);
+  }
+  const size_t n = stats_.operators.size();
+  for (size_t i = 0; i < join_counts_.size(); ++i) {
+    OperatorStats& os = stats_.operators[i % n];
+    os.join_batches += join_counts_[i].batches;
+    os.join_prefetches += join_counts_[i].prefetches;
   }
 }
 
@@ -634,13 +578,12 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
     if (effective_uot == 0 && cause == UotAdaptCause::kNone) {
       cause = UotAdaptCause::kSeed;
     }
-    // Gauge/counter-track value: blocks per transfer, with 0 standing in
-    // for whole-table (0 is otherwise invalid, so the sentinel is
-    // unambiguous and keeps the track plottable).
+    // Counter-track value: blocks per transfer, with 0 standing in for
+    // whole-table (0 is otherwise invalid, so the sentinel is unambiguous
+    // and keeps the track plottable).
     const int64_t plotted =
         blocks == UotPolicy::kWholeTable ? 0
                                          : static_cast<int64_t>(blocks);
-    if (metrics_ != nullptr) edge_uot_gauge_[e]->Set(plotted);
     if (trace_ != nullptr) {
       trace_->EmitCounter(obs::TraceEventType::kUotEffective, edge_index,
                           plotted);

@@ -16,10 +16,6 @@
 
 namespace uot {
 
-namespace obs {
-class Gauge;
-}  // namespace obs
-
 class QuerySession;
 
 /// Where a session's ready work orders go. Implemented by Engine
@@ -62,7 +58,7 @@ class WorkOrderSink {
 /// ExecuteWorkOrder): the coordinator never hears about a completion that
 /// needs no decision. Work orders are executed by pool workers owned by
 /// the Engine; many sessions run concurrently on one pool, each tagged
-/// with its own `query_id` and (optionally) its own trace/metrics sinks.
+/// with its own `query_id` and (optionally) its own trace sink.
 class QuerySession {
  public:
   /// `pool_workers` is the size of the worker pool behind `sink` (used for
@@ -144,20 +140,16 @@ class QuerySession {
     std::unique_ptr<WorkOrder> work_order;
   };
 
-  /// Resolves observability sinks from the config and pre-registers the
-  /// live gauges (queue depths, per-edge effective UoT) and the join-kernel
-  /// counters so hot-path updates are lock-free.
+  /// Names the trace's operators and threads and builds the operator
+  /// execution context: kernel knobs, the trace sink and the per-worker
+  /// join-kernel count slots.
   void InitObservability();
-  /// Publishes the per-query registry counters, the work-order latency
-  /// histogram and the exchange skew gauges from the finished `stats_`.
-  /// Counters are added to, so a registry shared across runs accumulates.
-  void PublishMetrics();
-  /// Samples queue-depth gauges/counter tracks (observability only).
-  void SampleQueueDepths();
+  /// Emits the queue-depth counter tracks (traced runs only).
+  void TraceQueueDepths();
   /// Consults the UoT policy layer for `edge_index` (plan annotation >
   /// config.uot_policy > FixedUotPolicy(config.uot)) and returns the
-  /// blocks-per-transfer threshold. Records effective-UoT gauges/counter
-  /// tracks and counts/traces mid-query changes as adaptations.
+  /// blocks-per-transfer threshold. Records the effective-UoT counter
+  /// track and counts/traces mid-query changes as adaptations.
   uint64_t ResolveEdgeUot(int edge_index);
   /// Builds the session's fused pipelines (PipelineMode::kFused only):
   /// plan annotations when present (each re-validated and required to be
@@ -191,7 +183,8 @@ class QuerySession {
   bool AllFinished() const;
   /// The tail handshake: waits until every generated work order is
   /// retired by its worker, then builds `stats_.records` (by end time) and
-  /// the per-operator work-order aggregates from the worker slots.
+  /// the per-operator work-order aggregates and join-kernel counts from
+  /// the worker slots.
   void CollectWorkerRecords();
 
   QueryPlan* const plan_;
@@ -240,17 +233,14 @@ class QuerySession {
   int64_t baseline_tracked_bytes_ = 0;  // tracked bytes at session start
   std::vector<uint64_t> edge_pin_;
 
-  // Observability sinks and the pre-resolved live gauges, all null when
-  // the corresponding ExecConfig option is unset. Everything else the
-  // registry shows is published from `stats_` once, by PublishMetrics().
+  // The trace sink; null when ExecConfig::trace is unset.
   obs::TraceSession* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Gauge* work_queue_depth_ = nullptr;
-  obs::Gauge* event_queue_depth_ = nullptr;
-  std::vector<obs::Gauge*> edge_uot_gauge_;
+  // Join-kernel counts, one row of operators per pool worker: worker `w`
+  // writes only row `w`, and CollectWorkerRecords sums the rows once every
+  // work order is retired.
+  std::vector<JoinKernelCounts> join_counts_;
   // Execution context bound to every operator before generation: kernel
-  // knobs from the config plus the sinks above, pre-resolved so batched
-  // join work orders update counters lock-free.
+  // knobs from the config, the trace sink and `join_counts_`.
   OperatorExecContext op_ctx_;
 };
 

@@ -11,7 +11,6 @@
 namespace uot {
 
 namespace obs {
-class MetricsRegistry;
 class TraceSession;
 }  // namespace obs
 
@@ -85,10 +84,6 @@ struct ExecConfig {
   /// concurrent session its own TraceSession so exported traces stay
   /// per-query.
   obs::TraceSession* trace = nullptr;
-  /// Optional metrics sink: when set, the session maintains named
-  /// counters/gauges/histograms (per-operator task time, per-edge
-  /// transfers, queue depths, work-order latency distribution).
-  obs::MetricsRegistry* metrics = nullptr;
   /// Pipeline execution mode: vectorized block-at-a-time (default) or
   /// fused single-work-order chains. Fused falls back to vectorized
   /// per-pipeline wherever no fusable chain exists, so it is always safe

@@ -10,8 +10,6 @@
 namespace uot {
 
 namespace obs {
-class Gauge;
-class MetricsRegistry;
 class TraceSession;
 }  // namespace obs
 
@@ -99,14 +97,11 @@ class MemoryTracker {
     }
   }
 
-  /// Installs observability sinks (both may be null to detach): every
-  /// Allocate/Release then emits a per-category `memory_bytes` counter
-  /// sample into `trace` and updates a `memory.<category>.bytes` gauge in
-  /// `metrics` (whose Max() is the sampled high-water mark). Attach/detach
-  /// only while no thread is allocating — the executor installs observers
-  /// before workers start and detaches after they join.
-  void AttachObservers(obs::TraceSession* trace,
-                       obs::MetricsRegistry* metrics);
+  /// Installs a trace sink (null to detach): every Allocate/Release then
+  /// emits a per-category `memory_bytes` counter sample into `trace`.
+  /// Attach/detach only while no thread is allocating — the executor
+  /// installs the trace before workers start and detaches after they join.
+  void AttachObservers(obs::TraceSession* trace);
 
   /// The attached trace session (null when detached). Instrumented
   /// allocators (e.g. JoinHashTable) use it for richer typed events.
@@ -121,7 +116,6 @@ class MemoryTracker {
   std::atomic<int64_t> peak_[kNumMemoryCategories] = {};
   std::atomic<bool> observers_active_{false};
   obs::TraceSession* trace_ = nullptr;
-  obs::Gauge* gauges_[kNumMemoryCategories] = {};
 };
 
 }  // namespace uot

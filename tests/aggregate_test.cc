@@ -66,7 +66,7 @@ InputRow RowForGroup(uint64_t id, FuzzRng* rng) {
   row.a = static_cast<int32_t>(id) - 150000;
   row.b = static_cast<int64_t>(id / 8) * 1000000007LL - 4000000000000LL;
   row.d = 9000 + static_cast<int32_t>(id % 977);
-  row.s = "s" + std::to_string(id % 8);
+  row.s = std::string("s").append(std::to_string(id % 8));
   row.v = static_cast<double>(rng->Range(-40000, 40000)) / 4.0;
   row.w = static_cast<int32_t>(rng->Range(-1000, 1000));
   return row;

@@ -680,11 +680,9 @@ TEST(EngineTest, ConcurrentQueriesShareOneAdaptivePolicy) {
   Engine engine(engine_config);
 
   auto adaptive = std::make_shared<AdaptiveUotPolicy>();
-  obs::MetricsRegistry metrics;
   ExecConfig config;
   config.uot_policy = adaptive;
   config.memory_budget_bytes = 1;  // constant pressure: adaptation traffic
-  config.metrics = &metrics;
 
   constexpr int kQueries = 6;
   std::vector<std::unique_ptr<QueryPlan>> plans;
@@ -707,6 +705,50 @@ TEST(EngineTest, ConcurrentQueriesShareOneAdaptivePolicy) {
   // Every query narrowed its edge independently under the shared policy.
   EXPECT_GE(adaptive->adaptations(), static_cast<uint64_t>(kQueries));
   EXPECT_EQ(engine.queries_executed(), static_cast<uint64_t>(kQueries));
+}
+
+TEST(EngineTest, BackgroundSamplerRecordsEngineSeries) {
+  // The engine's background sampler is the one time-series of the
+  // process-level registry. It samples on its own thread while a query
+  // runs and once more when the engine stops. Runs under
+  // -fsanitize=thread in CI.
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 2000, 8, Layout::kRowStore, 1024);
+
+  EngineConfig engine_config;
+  engine_config.num_workers = 2;
+  engine_config.sampler_interval_ms = 1;
+  engine_config.sampler_capacity = 64;
+  Engine engine(engine_config);
+  ASSERT_NE(engine.sampler(), nullptr);
+
+  ExecConfig config;
+  config.uot = UotPolicy::LowUot(1);
+  auto plan = MakeSelectAggPlan(&storage, *input, 50.0);
+  engine.Execute(plan.get(), config);
+  // At least one background sample before the stop; Shutdown adds the
+  // final one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.sampler()->total_samples() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine.Shutdown();
+  EXPECT_FALSE(engine.sampler()->running());
+
+  const std::vector<obs::MetricsSample> ring = engine.sampler()->Snapshot();
+  ASSERT_GE(ring.size(), 2u);
+  for (const obs::MetricsSample& sample : ring) {
+    const std::map<std::string, int64_t> values(sample.values.begin(),
+                                                sample.values.end());
+    EXPECT_EQ(values.count("counter.engine.queries_executed"), 1u);
+    EXPECT_EQ(values.count("gauge.engine.inflight_queries"), 1u);
+  }
+  const std::map<std::string, int64_t> last(ring.back().values.begin(),
+                                            ring.back().values.end());
+  EXPECT_EQ(last.at("counter.engine.queries_executed"), 1);
+  EXPECT_EQ(last.at("gauge.engine.inflight_queries"), 0);
 }
 
 }  // namespace

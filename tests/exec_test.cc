@@ -262,8 +262,11 @@ TEST(CompletionEventTest, WakeupsStayWithinTransfersPlusOperators) {
       ExecConfig config;
       config.uot = UotPolicy::LowUot(kUot);
       const ExecutionStats stats = engine.Execute(plan.get(), config);
-      const std::string where = "Q" + std::to_string(query) + " at " +
-                                std::to_string(workers) + " worker(s)";
+      const std::string where = std::string("Q")
+                                    .append(std::to_string(query))
+                                    .append(" at ")
+                                    .append(std::to_string(workers))
+                                    .append(" worker(s)");
 
       uint64_t transfers = 0;
       for (const EdgeStats& edge : stats.edges) {
@@ -321,9 +324,13 @@ TEST(CompletionEventTest, BudgetDeferralsNeverLoseAWakeup) {
           ExecConfig config;
           config.memory_budget_bytes = 1;
           config.pipeline_mode = mode;
-          const std::string where = "Q" + std::to_string(query) + " " +
-                                    PipelineModeName(mode) + " at " +
-                                    std::to_string(workers) + " worker(s)";
+          const std::string where = std::string("Q")
+                                        .append(std::to_string(query))
+                                        .append(" ")
+                                        .append(PipelineModeName(mode))
+                                        .append(" at ")
+                                        .append(std::to_string(workers))
+                                        .append(" worker(s)");
           const ExecutionStats stats = ExecuteWithDeadline(
               &engine, plan.get(), config, std::chrono::seconds(120));
           EXPECT_GT(stats.budget_deferrals, 0u) << where;

@@ -31,7 +31,7 @@ class ExprTest : public ::testing::TestWithParam<Layout> {
       row.SetDouble(1, 10.0 * i);
       row.SetDate(2, MakeDate(1995, 1, 1) + i);
       row.SetChar(3, names[i % 5]);
-      row.SetChar(4, "c" + std::to_string(i % 13));
+      row.SetChar(4, std::string("c").append(std::to_string(i % 13)));
       block_.AppendRow(row.data());
     }
   }

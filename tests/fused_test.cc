@@ -17,7 +17,6 @@
 #include "expr/predicate.h"
 #include "expr/projection.h"
 #include "fused/pipeline_fuser.h"
-#include "obs/metrics.h"
 #include "obs/trace_session.h"
 #include "plan/plan_builder.h"
 #include "plan/query_plan.h"
@@ -266,29 +265,20 @@ TEST_F(FusedChainTest, EmptySelectionProducesIdenticalEmptyAggregates) {
 
 TEST(FusedChainTelemetryTest, FusedProbesFeedJoinCountersAndSpans) {
   // Fused probe stages run the operators' batched probe kernel, so they
-  // count batches and prefetches like vectorized probes, and their
-  // join-stage spans name the probe operator, not the chain head.
+  // count batches and prefetches into each probe operator's stats like
+  // vectorized probes, and their join-stage spans name the probe
+  // operator, not the chain head.
   StorageManager storage;
   std::unique_ptr<Table> probe = MakeKvTable(&storage, "probe", 5000, 96);
   std::unique_ptr<Table> dim1 = MakeKvTable(&storage, "dim1", 96, 96);
   std::unique_ptr<Table> dim2 = MakeKvTable(&storage, "dim2", 96, 96);
   std::unique_ptr<QueryPlan> plan =
       MakeChainPlan(&storage, *probe, *dim1, *dim2, 2500.0, false, false);
-  obs::MetricsRegistry metrics;
   obs::TraceSession trace;
   ExecConfig config = ModeConfig(PipelineMode::kFused);
-  config.metrics = &metrics;
   config.trace = &trace;
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
   ASSERT_EQ(stats.fused_chains.size(), 1u);
-
-  const obs::Counter* batches = metrics.FindCounter("join.probe.batches");
-  ASSERT_NE(batches, nullptr);
-  EXPECT_GT(batches->Value(), 0u);
-  const obs::Counter* prefetches =
-      metrics.FindCounter("join.probe.prefetch_issued");
-  ASSERT_NE(prefetches, nullptr);
-  EXPECT_GT(prefetches->Value(), 0u);
 
   std::set<int> probe_ops;
   for (int i = 0; i < plan->num_operators(); ++i) {
@@ -297,6 +287,11 @@ TEST(FusedChainTelemetryTest, FusedProbesFeedJoinCountersAndSpans) {
     }
   }
   ASSERT_EQ(probe_ops.size(), 2u);
+  for (const int op : probe_ops) {
+    const OperatorStats& os = stats.operators[static_cast<size_t>(op)];
+    EXPECT_GT(os.join_batches, 0u) << os.name;
+    EXPECT_GT(os.join_prefetches, 0u) << os.name;
+  }
   std::set<int> probe_span_ops;
   for (const obs::TraceEvent& e : trace.SortedEvents()) {
     if (e.type == obs::TraceEventType::kJoinBatchStage &&
@@ -333,7 +328,7 @@ TEST(FusedTpchTest, AllSupportedQueriesMatchVectorized) {
     const ExecutionStats fused_stats = QueryExecutor::Execute(
         fused_plan.get(), ModeConfig(PipelineMode::kFused));
     CheckFusedInvariants(*fused_plan, fused_stats,
-                         "Q" + std::to_string(query));
+                         std::string("Q").append(std::to_string(query)));
     fused_chain_ops += CountChainOps(fused_stats);
     EXPECT_TRUE(CanonicalRowsNear(
         CanonicalRows(*fused_plan->result_table()), expected));

@@ -528,7 +528,7 @@ TEST(DenseJoinTableTest, SizeRulePicksTheSmallerLayout) {
 TEST(DenseJoinTableTest, ReserveTraceNamesTheLayout) {
   obs::TraceSession trace;
   MemoryTracker tracker;
-  tracker.AttachObservers(&trace, nullptr);
+  tracker.AttachObservers(&trace);
   JoinHashTable dense(PayloadSchema(), 1, 0.75, &tracker);
   dense.Reserve(100, 0, 49);
   JoinHashTable hash(PayloadSchema(), 1, 0.75, &tracker);
@@ -539,7 +539,7 @@ TEST(DenseJoinTableTest, ReserveTraceNamesTheLayout) {
             std::string::npos);
   EXPECT_NE(json.str().find(R"("layout":"hash","slots":256,)"),
             std::string::npos);
-  tracker.AttachObservers(nullptr, nullptr);
+  tracker.AttachObservers(nullptr);
 }
 
 TEST(DenseJoinTableTest, MemoryAccountingLifecycle) {

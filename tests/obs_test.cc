@@ -13,6 +13,8 @@
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
+#include "operators/build_hash_operator.h"
+#include "operators/probe_hash_operator.h"
 #include "tpch/tpch_generator.h"
 #include "tpch/tpch_queries.h"
 #include "util/timer.h"
@@ -300,8 +302,7 @@ TEST(MetricsRegistryTest, CsvAndJsonExportCoverAllMetrics) {
 }
 
 /// End-to-end acceptance: a TPC-H query run with tracing enabled produces
-/// a valid Chrome/Perfetto trace and a populated metrics registry that
-/// agree with the execution stats.
+/// a valid Chrome/Perfetto trace that agrees with the execution stats.
 TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
   StorageManager storage;
   TpchDatabase db(&storage);
@@ -316,12 +317,10 @@ TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
   auto plan = BuildTpchPlan(7, db, plan_config);
 
   TraceSession trace;
-  MetricsRegistry metrics;
   ExecConfig exec;
   exec.num_workers = 4;
   exec.uot = UotPolicy::LowUot(1);
   exec.trace = &trace;
-  exec.metrics = &metrics;
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
   ASSERT_GT(stats.records.size(), 0u);
 
@@ -344,38 +343,33 @@ TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
   EXPECT_GT(summary.num_instant, 0u);   // transfers, flushes, finishes
   EXPECT_GT(summary.num_metadata, 0u);  // thread names
 
-  // Metrics agree with the stats the scheduler aggregated.
-  const Counter* wo = metrics.FindCounter("scheduler.work_orders");
-  ASSERT_NE(wo, nullptr);
-  EXPECT_EQ(wo->Value(), stats.records.size());
-  const Histogram* latency =
-      metrics.FindHistogram("scheduler.work_order_latency_ns");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->TotalCount(), stats.records.size());
-  for (size_t i = 0; i < stats.operators.size(); ++i) {
-    const Counter* per_op = metrics.FindCounter(
-        "scheduler.op." + std::to_string(i) + ".work_orders");
-    ASSERT_NE(per_op, nullptr);
-    EXPECT_EQ(per_op->Value(), stats.operators[i].num_work_orders);
+  // The per-operator work-order counts cover every record.
+  uint64_t op_work_orders = 0;
+  for (const OperatorStats& os : stats.operators) {
+    op_work_orders += os.num_work_orders;
   }
-  // Edge transfer counters match the stats' per-edge transfer counts.
-  for (size_t e = 0; e < stats.edges.size(); ++e) {
-    const Counter* transfers = metrics.FindCounter(
-        "scheduler.edge." + std::to_string(e) + ".transfers");
-    ASSERT_NE(transfers, nullptr);
-    EXPECT_EQ(transfers->Value(), stats.edges[e].transfers);
+  EXPECT_EQ(op_work_orders, stats.records.size());
+  // The tracker saw the hash-table high-water mark, and the trace carries
+  // its counter track.
+  EXPECT_GT(stats.PeakHashTableBytes(), 0);
+  EXPECT_NE(json.find("\"memory.hash_table\""), std::string::npos);
+  // The batched join kernels counted their batches in the operator stats:
+  // probe batches on probe operators, build batches on build operators.
+  uint64_t probe_batches = 0, build_batches = 0;
+  for (int i = 0; i < plan->num_operators(); ++i) {
+    const uint64_t batches =
+        stats.operators[static_cast<size_t>(i)].join_batches;
+    if (dynamic_cast<const ProbeHashOperator*>(plan->op(i)) != nullptr) {
+      probe_batches += batches;
+    } else if (dynamic_cast<const BuildHashOperator*>(plan->op(i)) !=
+               nullptr) {
+      build_batches += batches;
+    } else {
+      EXPECT_EQ(batches, 0u) << plan->op(i)->name();
+    }
   }
-  // The memory gauges saw the hash-table high-water mark.
-  const Gauge* ht = metrics.FindGauge("memory.hash_table.bytes");
-  ASSERT_NE(ht, nullptr);
-  EXPECT_GT(ht->Max(), 0);
-  // The batched join kernels counted their batches.
-  const Counter* probe_batches = metrics.FindCounter("join.probe.batches");
-  ASSERT_NE(probe_batches, nullptr);
-  EXPECT_GT(probe_batches->Value(), 0u);
-  const Counter* build_batches = metrics.FindCounter("join.build.batches");
-  ASSERT_NE(build_batches, nullptr);
-  EXPECT_GT(build_batches->Value(), 0u);
+  EXPECT_GT(probe_batches, 0u);
+  EXPECT_GT(build_batches, 0u);
 
   // Round-trip through a file, as the benches and trace_explorer write it.
   const std::string path = ::testing::TempDir() + "/uot_q7.trace.json";
@@ -412,13 +406,12 @@ TEST(ObsIntegrationTest, DisabledTracingLeavesNoFootprint) {
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
   EXPECT_GT(stats.records.size(), 0u);
   EXPECT_EQ(exec.trace, nullptr);
-  EXPECT_EQ(exec.metrics, nullptr);
 }
 
 TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   // Per-edge UoT observability: the exported trace carries one counter
   // track per edge (the UoT trajectory Perfetto renders as a step graph)
-  // and an instant per adaptation; metrics mirror both.
+  // and an instant per adaptation; the stats count the same adaptations.
   StorageManager storage;
   TpchDatabase db(&storage);
   TpchConfig config;
@@ -432,13 +425,11 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   auto plan = BuildTpchPlan(3, db, plan_config);
 
   TraceSession trace;
-  MetricsRegistry metrics;
   ExecConfig exec;
   exec.num_workers = 4;
   exec.uot_policy = std::make_shared<AdaptiveUotPolicy>();
   exec.memory_budget_bytes = 1;  // constant pressure -> adaptations
   exec.trace = &trace;
-  exec.metrics = &metrics;
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
 
   size_t effective_events = 0, adapt_events = 0;
@@ -463,135 +454,10 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   EXPECT_NE(json.find("uot_adapt"), std::string::npos);
   EXPECT_NE(json.find("from_blocks"), std::string::npos);
 
-  // Metrics mirror the trace: a gauge per edge plus adaptation counters.
+  // The stats hold each edge's resolved UoT, as the counter tracks do.
   for (size_t e = 0; e < stats.edges.size(); ++e) {
-    const Gauge* gauge = metrics.FindGauge(
-        "uot.edge." + std::to_string(e) + ".effective_blocks");
-    ASSERT_NE(gauge, nullptr);
-    EXPECT_GT(gauge->Max(), 0);
+    EXPECT_NE(stats.edges[e].final_uot_blocks, 0u) << "edge " << e;
   }
-  const Counter* adaptations = metrics.FindCounter("uot.adaptations");
-  ASSERT_NE(adaptations, nullptr);
-  EXPECT_EQ(adaptations->Value(), stats.uot_adaptations);
-}
-
-TEST(ObsIntegrationTest, ExchangeGaugesMatchExchangeStats) {
-  StorageManager storage;
-  TpchDatabase db(&storage);
-  TpchConfig config;
-  config.scale_factor = 0.002;
-  config.layout = Layout::kColumnStore;
-  config.block_bytes = 16 * 1024;
-  db.Generate(config);
-
-  TpchPlanConfig plan_config;
-  plan_config.block_bytes = 8 * 1024;
-  plan_config.join_radix_bits = 3;
-  auto plan = BuildTpchPlan(3, db, plan_config);
-
-  MetricsRegistry metrics;
-  ExecConfig exec;
-  exec.num_workers = 2;
-  exec.metrics = &metrics;
-  const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
-
-  ASSERT_FALSE(stats.exchanges.empty());
-  size_t exchanges_with_rows = 0;
-  for (const ExchangeStats& x : stats.exchanges) {
-    const std::string prefix = "exchange.op." + std::to_string(x.op);
-    ASSERT_EQ(x.partition_rows.size(), 8u);
-    for (size_t p = 0; p < x.partition_rows.size(); ++p) {
-      const Gauge* rows =
-          metrics.FindGauge(prefix + ".partition." + std::to_string(p) +
-                            ".rows");
-      ASSERT_NE(rows, nullptr) << prefix << " partition " << p;
-      EXPECT_EQ(rows->Value(), static_cast<int64_t>(x.partition_rows[p]));
-    }
-    const Gauge* skew = metrics.FindGauge(prefix + ".skew_x100");
-    if (x.TotalRows() == 0) {
-      EXPECT_EQ(skew, nullptr) << prefix;
-      continue;
-    }
-    ++exchanges_with_rows;
-    ASSERT_NE(skew, nullptr) << prefix;
-    EXPECT_EQ(skew->Value(), static_cast<int64_t>(100 * x.SkewRatio()));
-  }
-  EXPECT_GT(exchanges_with_rows, 0u);
-}
-
-TEST(ObsIntegrationTest, SharedRegistryAccumulatesAcrossQueries) {
-  // Per-query counters are published from ExecutionStats when a session
-  // ends, by adding: two queries into one unprefixed registry leave the
-  // sums of both runs.
-  StorageManager storage;
-  TpchDatabase db(&storage);
-  TpchConfig config;
-  config.scale_factor = 0.002;
-  config.layout = Layout::kColumnStore;
-  config.block_bytes = 16 * 1024;
-  db.Generate(config);
-
-  TpchPlanConfig plan_config;
-  plan_config.block_bytes = 8 * 1024;
-  MetricsRegistry metrics;
-  ExecConfig exec;
-  exec.num_workers = 2;
-  exec.uot = UotPolicy::LowUot(1);
-  exec.metrics = &metrics;
-  std::vector<ExecutionStats> runs;
-  for (int query : {3, 7}) {
-    auto plan = BuildTpchPlan(query, db, plan_config);
-    runs.push_back(QueryExecutor::Execute(plan.get(), exec));
-  }
-
-  uint64_t work_orders = 0;
-  for (const ExecutionStats& s : runs) work_orders += s.records.size();
-  const Counter* wo = metrics.FindCounter("scheduler.work_orders");
-  ASSERT_NE(wo, nullptr);
-  EXPECT_EQ(wo->Value(), work_orders);
-  const Histogram* latency =
-      metrics.FindHistogram("scheduler.work_order_latency_ns");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->TotalCount(), work_orders);
-
-  const size_t num_ops =
-      std::max(runs[0].operators.size(), runs[1].operators.size());
-  for (size_t i = 0; i < num_ops; ++i) {
-    uint64_t task_ns = 0;
-    for (const ExecutionStats& s : runs) {
-      if (i < s.operators.size()) {
-        task_ns += static_cast<uint64_t>(s.operators[i].total_task_ns);
-      }
-    }
-    const Counter* c =
-        metrics.FindCounter("scheduler.op." + std::to_string(i) + ".task_ns");
-    ASSERT_NE(c, nullptr) << "op " << i;
-    EXPECT_EQ(c->Value(), task_ns) << "op " << i;
-  }
-  const size_t num_edges =
-      std::max(runs[0].edges.size(), runs[1].edges.size());
-  ASSERT_GT(num_edges, 0u);
-  for (size_t e = 0; e < num_edges; ++e) {
-    uint64_t transfers = 0;
-    for (const ExecutionStats& s : runs) {
-      if (e < s.edges.size()) transfers += s.edges[e].transfers;
-    }
-    const Counter* c = metrics.FindCounter("scheduler.edge." +
-                                           std::to_string(e) + ".transfers");
-    ASSERT_NE(c, nullptr) << "edge " << e;
-    EXPECT_EQ(c->Value(), transfers) << "edge " << e;
-  }
-
-  // Counters that stayed zero are registered all the same.
-  for (const char* name : {"scheduler.budget.deferrals",
-                           "scheduler.budget.stalls", "uot.adaptations"}) {
-    const Counter* c = metrics.FindCounter(name);
-    ASSERT_NE(c, nullptr) << name;
-    EXPECT_EQ(c->Value(), 0u) << name;
-  }
-  // The per-edge adaptation counter is gone; uot_decisions holds that
-  // history.
-  EXPECT_EQ(metrics.FindCounter("uot.edge.0.adaptations"), nullptr);
 }
 
 }  // namespace

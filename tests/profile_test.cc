@@ -149,17 +149,6 @@ TEST(ProfileTest, OracleEstimatesGiveZeroByteResiduals) {
 
   const std::string report = profile.CalibrationReport();
   EXPECT_NE(report.find("rel_err"), std::string::npos);
-
-  // Residual gauges land in the registry under the documented names.
-  obs::MetricsRegistry registry;
-  profile.ExportResidualMetrics(&registry);
-  const obs::Gauge* bytes_gauge =
-      registry.FindGauge("model.residual.edge.0.bytes");
-  ASSERT_NE(bytes_gauge, nullptr);
-  EXPECT_EQ(bytes_gauge->Value(), 0);
-  ASSERT_NE(registry.FindGauge("model.residual.edge.0.transfers"), nullptr);
-  ASSERT_NE(registry.FindGauge("model.residual.edge.0.footprint_bytes"),
-            nullptr);
 }
 
 TEST(ProfileTest, AdaptiveRunRecordsDecisionLogWithCauses) {

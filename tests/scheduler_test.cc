@@ -4,7 +4,6 @@
 
 #include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
-#include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace_session.h"
 #include "operators/aggregate_operator.h"
@@ -502,41 +501,31 @@ TEST(SchedulerTest, BudgetDeferralsCountOnlyBudgetForcedDeferrals) {
 
   {
     // A budget far above anything the query allocates: zero deferrals.
-    obs::MetricsRegistry metrics;
     auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                   1024);
     config.memory_budget_bytes = int64_t{1} << 40;
-    config.metrics = &metrics;
-    QueryExecutor::Execute(sp.plan.get(), config);
-    const obs::Counter* deferrals =
-        metrics.FindCounter("scheduler.budget.deferrals");
-    ASSERT_NE(deferrals, nullptr);
-    EXPECT_EQ(deferrals->Value(), 0u);
+    const ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
+    EXPECT_EQ(stats.budget_deferrals, 0u);
     EXPECT_EQ(CanonicalRows(*sp.plan->result_table()), expected);
   }
 
   {
     // A budget below even the base tables: every producer admission is a
     // genuine budget deferral, and each one is traced exactly once.
-    obs::MetricsRegistry metrics;
     obs::TraceSession trace;
     auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                   1024);
     config.memory_budget_bytes = 1;
-    config.metrics = &metrics;
     config.trace = &trace;
-    QueryExecutor::Execute(sp.plan.get(), config);
-    const obs::Counter* deferrals =
-        metrics.FindCounter("scheduler.budget.deferrals");
-    ASSERT_NE(deferrals, nullptr);
-    EXPECT_GT(deferrals->Value(), 0u);
+    const ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
+    EXPECT_GT(stats.budget_deferrals, 0u);
     uint64_t defer_events = 0, release_events = 0;
     for (const obs::TraceEvent& e : trace.SortedEvents()) {
       if (e.type == obs::TraceEventType::kBudgetDefer) ++defer_events;
       if (e.type == obs::TraceEventType::kBudgetRelease) ++release_events;
     }
-    EXPECT_EQ(defer_events, deferrals->Value());
-    EXPECT_EQ(release_events, deferrals->Value());
+    EXPECT_EQ(defer_events, stats.budget_deferrals);
+    EXPECT_EQ(release_events, stats.budget_deferrals);
     EXPECT_EQ(CanonicalRows(*sp.plan->result_table()), expected);
   }
 }
@@ -865,27 +854,31 @@ TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
     expected = CanonicalRows(*free_run.plan->result_table());
   }
 
-  obs::MetricsRegistry metrics;
   auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                 1024);
   auto adaptive = std::make_shared<AdaptiveUotPolicy>();
   config.uot_policy = adaptive;
   config.memory_budget_bytes = 1;  // every consultation sees pressure
-  config.metrics = &metrics;
   ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
 
   EXPECT_EQ(CanonicalRows(*sp.plan->result_table()), expected);
   // Seeded at 4 blocks, pressure narrows toward 1: at least one adaptation,
-  // mirrored in the policy, the stats and the metrics registry.
+  // mirrored in the policy, the stats count and the decision log (every
+  // decision after edge 0's seed is an adaptation).
   EXPECT_GE(adaptive->adaptations(), 1u);
   EXPECT_GE(stats.uot_adaptations, 1u);
-  const obs::Counter* adaptations = metrics.FindCounter("uot.adaptations");
-  ASSERT_NE(adaptations, nullptr);
-  EXPECT_EQ(adaptations->Value(), stats.uot_adaptations);
-  const obs::Gauge* gauge =
-      metrics.FindGauge("uot.edge.0.effective_blocks");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->Value(), 1);  // narrowed all the way down
+  uint64_t edge0_decisions = 0;
+  uint64_t last_edge0_blocks = 0;
+  for (const UotDecisionRecord& d : stats.uot_decisions) {
+    if (d.edge != 0) continue;
+    ++edge0_decisions;
+    last_edge0_blocks = d.to_blocks;
+  }
+  ASSERT_EQ(stats.edges.size(), 1u);
+  EXPECT_EQ(edge0_decisions, stats.uot_adaptations + 1);
+  // Narrowed all the way down, and the edge flushed at that UoT.
+  EXPECT_EQ(last_edge0_blocks, 1u);
+  EXPECT_EQ(stats.edges[0].final_uot_blocks, 1u);
   EXPECT_NE(stats.config_summary.find("adaptive("), std::string::npos);
 }
 
@@ -896,25 +889,24 @@ TEST(PerEdgeUotTest, BudgetStallsCountDeniedReleases) {
   auto build_table = MakeKvTable(&storage, "build", 10, 10,
                                  Layout::kRowStore, 1024);
 
-  obs::MetricsRegistry metrics;
+  obs::TraceSession trace;
   auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                 1024);
   ExecConfig config;
   config.num_workers = 2;
   config.uot = UotPolicy::LowUot(1);
   config.memory_budget_bytes = 1;  // permanently over budget
-  config.metrics = &metrics;
+  config.trace = &trace;
   ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
 
-  const obs::Counter* stalls =
-      metrics.FindCounter("scheduler.budget.stalls");
-  ASSERT_NE(stalls, nullptr);
-  EXPECT_GT(stalls->Value(), 0u);
-  EXPECT_EQ(stalls->Value(), stats.budget_stalls);
-  const obs::Counter* deferrals =
-      metrics.FindCounter("scheduler.budget.deferrals");
-  ASSERT_NE(deferrals, nullptr);
-  EXPECT_EQ(deferrals->Value(), stats.budget_deferrals);
+  // Every stall is a release the budget denied; the trace records each
+  // deferral as one defer instant.
+  EXPECT_GT(stats.budget_stalls, 0u);
+  uint64_t defer_events = 0;
+  for (const obs::TraceEvent& e : trace.SortedEvents()) {
+    if (e.type == obs::TraceEventType::kBudgetDefer) ++defer_events;
+  }
+  EXPECT_EQ(defer_events, stats.budget_deferrals);
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ TEST_P(BlockLayoutTest, AppendAndReadBack) {
   EXPECT_TRUE(block.Empty());
 
   for (int i = 0; i < 10; ++i) {
-    auto row = PackRow(schema, i, i * 1.5, "t" + std::to_string(i));
+    auto row = PackRow(schema, i, i * 1.5,
+                       std::string("t").append(std::to_string(i)));
     ASSERT_TRUE(block.AppendRow(row.data()));
   }
   EXPECT_EQ(block.num_rows(), 10u);
@@ -89,7 +90,7 @@ TEST_P(BlockLayoutTest, CursorAppendFillsToCapacityAndPublishesOnCommit) {
                                                        : 4u);
   for (uint32_t i = 0; i < 9; ++i) {
     const auto row = PackRow(schema, static_cast<int32_t>(i + 1), i + 1.5,
-                             "c" + std::to_string(i));
+                             std::string("c").append(std::to_string(i)));
     for (int c = 0; c < 3; ++c) {
       std::memcpy(cursor[c] + i * stride[c], row.data() + schema.offset(c),
                   schema.column(c).type.width());
@@ -105,7 +106,7 @@ TEST_P(BlockLayoutTest, CursorAppendFillsToCapacityAndPublishesOnCommit) {
     const auto want =
         r == 0 ? PackRow(schema, 0, 0.0, "a")
                : PackRow(schema, static_cast<int32_t>(r), r + 0.5,
-                         "c" + std::to_string(r - 1));
+                         std::string("c").append(std::to_string(r - 1)));
     EXPECT_EQ(std::memcmp(out.data(), want.data(), schema.row_width()), 0)
         << "row " << r;
   }

@@ -176,7 +176,7 @@ class RandomJoinQuery {
     std::vector<Column> probe_cols;
     for (int j = 0; j < num_joins_; ++j) {
       key_is_int64_.push_back(rng.Chance(1, 2));
-      probe_cols.push_back({"k" + std::to_string(j),
+      probe_cols.push_back({std::string("k").append(std::to_string(j)),
                             key_is_int64_[static_cast<size_t>(j)]
                                 ? Type::Int64()
                                 : Type::Int32()});
@@ -236,8 +236,8 @@ class RandomJoinQuery {
            {"be", Type::Int32()},
            {"bv", Type::Double()}});
       auto build = std::make_unique<Table>(
-          "fuzz.build" + std::to_string(j), build_schema, Layout::kRowStore,
-          2048, storage, MemoryCategory::kBaseTable);
+          std::string("fuzz.build").append(std::to_string(j)), build_schema,
+          Layout::kRowStore, 2048, storage, MemoryCategory::kBaseTable);
       RowBuilder brow(&build->schema());
       for (uint64_t i = 0; i < build_rows; ++i) {
         const int64_t key = rng.Range(-m / 2 - 1, m);  // some always miss
