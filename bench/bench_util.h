@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "exec/query_executor.h"
+#include "obs/json_lite.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
 #include "tpch/tpch_generator.h"
@@ -186,7 +187,8 @@ inline std::string SourceGitSha() {
 /// Machine-readable bench output: ordered key -> value rows written as
 /// `BENCH_<name>.json` so CI can track a perf trajectory over commits.
 /// The directory comes from UOT_BENCH_JSON_DIR (default: current dir).
-/// Values are numbers (Set) or strings (SetString); insertion order is
+/// Values are numbers (Set; JSON has no NaN or infinity, so those are
+/// written as null) or strings (SetString); insertion order is
 /// preserved in the emitted object. Every file starts with the machine and
 /// build it was measured on (nproc, L3 bytes, compiler, build type, git
 /// sha): figures from different setups are not comparable.
@@ -201,30 +203,35 @@ class BenchJson {
   }
 
   void Set(const std::string& key, double value) {
-    char buf[48];
     // Counts and byte sizes print exactly; measurements keep 6 digits.
     // Range first: casting NaN, inf or an out-of-range double is undefined.
     const bool integral = std::isfinite(value) && std::abs(value) < 1e15 &&
                           value == static_cast<double>(
                                        static_cast<int64_t>(value));
-    std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.6g", value);
-    rows_.emplace_back(key, buf);
+    std::string text;
+    if (integral) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.0f", value);
+      text = buf;
+    } else {
+      obs::AppendJsonNumber(&text, value);
+    }
+    rows_.emplace_back(key, std::move(text));
   }
 
   void SetString(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (char c : value) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
+    std::string quoted;
+    obs::AppendJsonString(&quoted, value);
     rows_.emplace_back(key, std::move(quoted));
   }
 
   std::string ToJson() const {
-    std::string out = "{\n  \"bench\": \"" + name_ + "\"";
+    std::string out = "{\n  \"bench\": ";
+    obs::AppendJsonString(&out, name_);
     for (const auto& [key, value] : rows_) {
-      out += ",\n  \"" + key + "\": " + value;
+      out += ",\n  ";
+      obs::AppendJsonString(&out, key);
+      out += ": " + value;
     }
     out += "\n}\n";
     return out;
@@ -235,15 +242,12 @@ class BenchJson {
     const char* dir = std::getenv("UOT_BENCH_JSON_DIR");
     const std::string path =
         std::string(dir != nullptr ? dir : ".") + "/BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("  [bench] cannot write %s\n", path.c_str());
-      return;
+    const Status status = obs::WriteWholeFile(path, ToJson());
+    if (status.ok()) {
+      std::printf("  [bench] wrote %s\n", path.c_str());
+    } else {
+      std::printf("  [bench] %s\n", status.ToString().c_str());
     }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("  [bench] wrote %s\n", path.c_str());
   }
 
  private:

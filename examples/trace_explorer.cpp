@@ -21,6 +21,7 @@
 
 #include "exec/query_executor.h"
 #include "model/uot_chooser.h"
+#include "obs/json_lite.h"
 #include "obs/query_profile.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
@@ -101,16 +102,8 @@ int main(int argc, char** argv) {
     }
     profile_status = profile.WriteJson(prefix + ".profile.json");
     if (profile_status.ok()) {
-      std::FILE* txt =
-          std::fopen((prefix + ".profile.txt").c_str(), "w");
-      if (txt == nullptr) {
-        profile_status =
-            Status::InvalidArgument("cannot open " + prefix + ".profile.txt");
-      } else {
-        std::fputs(profile.ToString().c_str(), txt);
-        if (!report.empty()) std::fputs(report.c_str(), txt);
-        std::fclose(txt);
-      }
+      profile_status = obs::WriteWholeFile(prefix + ".profile.txt",
+                                           profile.ToString() + report);
     }
     if (!profile_status.ok()) {
       std::fprintf(stderr, "profile export failed: %s\n",

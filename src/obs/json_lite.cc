@@ -1,7 +1,9 @@
 #include "obs/json_lite.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
+#include <fstream>
 
 #include "util/macros.h"
 
@@ -35,12 +37,14 @@ const std::vector<JsonValue>& JsonValue::AsArray() const {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (!is_object()) return nullptr;
-  const auto it = members_.find(key);
-  return it == members_.end() ? nullptr : &it->second;
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == key) return &array_[i];
+  }
+  return nullptr;
 }
 
 size_t JsonValue::ObjectSize() const {
-  return is_object() ? members_.size() : 0;
+  return is_object() ? keys_.size() : 0;
 }
 
 const std::vector<std::string>& JsonValue::ObjectKeys() const {
@@ -60,13 +64,17 @@ std::string JsonValue::StringOr(const std::string& key,
   return (v != nullptr && v->is_string()) ? v->string_ : fallback;
 }
 
-/// Recursive-descent parser over the raw bytes; same strictness rules as
-/// the streaming validator in trace_json.cc, but builds a JsonValue tree.
+/// Recursive-descent parser over the raw bytes that builds a JsonValue
+/// tree, except for the one streamed member (ParseStreaming), whose array
+/// elements go to a callback as each is parsed.
 /// Namespace-scope (not anonymous) so the friend declaration in
 /// json_lite.h binds to it.
 class JsonLiteParser {
  public:
-  explicit JsonLiteParser(std::string_view input) : input_(input) {}
+  explicit JsonLiteParser(std::string_view input,
+                          std::string_view stream_key = {},
+                          const JsonValue::ElementCallback* on_element = nullptr)
+      : input_(input), stream_key_(stream_key), on_element_(on_element) {}
 
   Status ParseDocument(JsonValue* out) {
     SkipWhitespace();
@@ -135,20 +143,31 @@ class JsonLiteParser {
       ++pos_;
       return Status::OK();
     }
+    // Most objects (trace events, profile entries) have a handful of
+    // members: one allocation each instead of regrowing.
+    out->keys_.reserve(8);
+    out->array_.reserve(8);
     while (true) {
       SkipWhitespace();
       std::string key;
       UOT_RETURN_IF_ERROR(ParseString(&key));
+      if (out->Find(key) != nullptr) {
+        return Error("duplicate object key \"" + key + "\"");
+      }
       SkipWhitespace();
       UOT_RETURN_IF_ERROR(Expect(':'));
       SkipWhitespace();
       JsonValue member;
-      UOT_RETURN_IF_ERROR(ParseValue(&member, depth + 1));
-      if (out->members_.count(key) != 0) {
-        return Error("duplicate object key \"" + key + "\"");
+      if (depth == 0 && on_element_ != nullptr && key == stream_key_) {
+        if (AtEnd() || Peek() != '[') {
+          return Error("\"" + key + "\" is not an array");
+        }
+        UOT_RETURN_IF_ERROR(ParseArray(&member, depth + 1, on_element_));
+      } else {
+        UOT_RETURN_IF_ERROR(ParseValue(&member, depth + 1));
       }
-      out->keys_.push_back(key);
-      out->members_.emplace(std::move(key), std::move(member));
+      out->keys_.push_back(std::move(key));
+      out->array_.push_back(std::move(member));
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated object");
       if (Peek() == ',') {
@@ -159,7 +178,9 @@ class JsonLiteParser {
     }
   }
 
-  Status ParseArray(JsonValue* out, int depth) {
+  /// Stores the elements in `out`, or hands each to `on_element` when set.
+  Status ParseArray(JsonValue* out, int depth,
+                    const JsonValue::ElementCallback* on_element = nullptr) {
     UOT_RETURN_IF_ERROR(Expect('['));
     out->kind_ = JsonValue::Kind::kArray;
     SkipWhitespace();
@@ -171,7 +192,11 @@ class JsonLiteParser {
       SkipWhitespace();
       JsonValue element;
       UOT_RETURN_IF_ERROR(ParseValue(&element, depth + 1));
-      out->array_.push_back(std::move(element));
+      if (on_element != nullptr) {
+        UOT_RETURN_IF_ERROR((*on_element)(element));
+      } else {
+        out->array_.push_back(std::move(element));
+      }
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated array");
       if (Peek() == ',') {
@@ -186,16 +211,20 @@ class JsonLiteParser {
     UOT_RETURN_IF_ERROR(Expect('"'));
     out->clear();
     while (true) {
+      // Copy the run of plain characters before the next quote, escape or
+      // control character in one append.
+      size_t end = pos_;
+      while (end < input_.size() && input_[end] != '"' &&
+             input_[end] != '\\' &&
+             static_cast<unsigned char>(input_[end]) >= 0x20) {
+        ++end;
+      }
+      out->append(input_.substr(pos_, end - pos_));
+      pos_ = end;
       if (AtEnd()) return Error("unterminated string");
       const char c = input_[pos_++];
       if (c == '"') return Status::OK();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
+      if (c != '\\') return Error("unescaped control character in string");
       if (AtEnd()) return Error("unterminated escape");
       const char esc = input_[pos_++];
       switch (esc) {
@@ -318,15 +347,19 @@ class JsonLiteParser {
       }
       while (!AtEnd() && Peek() >= '0' && Peek() <= '9') ++pos_;
     }
-    const std::string text(input_.substr(start, pos_ - start));
     out->kind_ = JsonValue::Kind::kNumber;
-    out->number_ = std::strtod(text.c_str(), nullptr);
-    if (!std::isfinite(out->number_)) return Error("non-finite number");
+    if (std::from_chars(input_.data() + start, input_.data() + pos_,
+                        out->number_)
+            .ec != std::errc()) {
+      return Error("number out of range");
+    }
     return Status::OK();
   }
 
   std::string_view input_;
   size_t pos_ = 0;
+  const std::string_view stream_key_;
+  const JsonValue::ElementCallback* const on_element_;
 };
 
 Status JsonValue::Parse(std::string_view json, JsonValue* out) {
@@ -334,6 +367,57 @@ Status JsonValue::Parse(std::string_view json, JsonValue* out) {
   *out = JsonValue();
   JsonLiteParser parser(json);
   return parser.ParseDocument(out);
+}
+
+Status JsonValue::ParseStreaming(std::string_view json, std::string_view key,
+                                 const ElementCallback& on_element,
+                                 JsonValue* out) {
+  UOT_CHECK(out != nullptr);
+  *out = JsonValue();
+  JsonLiteParser parser(json, key, &on_element);
+  return parser.ParseDocument(out);
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+          *out += buf;
+        } else {
+          out->push_back(ch);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void AppendJsonNumber(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  *out += buf;
+}
+
+Status WriteWholeFile(const std::string& path, std::string_view contents) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file.is_open()) {
+    return Status::InvalidArgument("cannot open " + path + " for writing");
+  }
+  file.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  file.flush();
+  if (!file.good()) return Status::Internal("short write to " + path);
+  return Status::OK();
 }
 
 }  // namespace obs

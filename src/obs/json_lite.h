@@ -2,7 +2,7 @@
 #define UOT_OBS_JSON_LITE_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,13 +13,16 @@
 namespace uot {
 namespace obs {
 
-/// A minimal DOM for JSON documents the engine itself emits (query
-/// profiles, metrics exports, time-series dumps). Like the trace
-/// validator in trace_json.h it is dependency-free and strict — trailing
-/// garbage, duplicate escapes, and truncated documents are errors — but
-/// unlike the validator it materializes the document so tools such as
-/// profile_explorer can navigate it. Not a general-purpose JSON library:
-/// documents are expected to be small (profiles, not traces).
+// The one JSON reader and writer of the engine's exports (traces, query
+// profiles, metrics and time-series dumps, bench files). Dependency-free
+// and strict: trailing garbage, duplicate object keys, unpaired
+// surrogates, unescaped control characters, nesting deeper than 64 and
+// truncated documents are errors. Not a general-purpose JSON library.
+
+/// A minimal DOM. `Parse` materializes a whole document, which suits
+/// profiles and metrics dumps; `ParseStreaming` walks one large array
+/// member element by element, which is how the trace validator
+/// (trace_json.h) reads traces of 100k+ events.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -60,6 +63,16 @@ class JsonValue {
   /// anything but trailing whitespace after the value is an error.
   static Status Parse(std::string_view json, JsonValue* out);
 
+  using ElementCallback = std::function<Status(const JsonValue&)>;
+  /// Parses like Parse, except that the elements of the top-level object's
+  /// member `key`, which must be an array, are handed to `on_element` one
+  /// at a time in file order instead of being stored: only one element is
+  /// materialized at a time. In `*out` that member is an empty array. A
+  /// non-OK status from `on_element` ends the parse and is returned.
+  static Status ParseStreaming(std::string_view json, std::string_view key,
+                               const ElementCallback& on_element,
+                               JsonValue* out);
+
  private:
   friend class JsonLiteParser;
 
@@ -67,12 +80,23 @@ class JsonValue {
   bool bool_ = false;
   double number_ = 0.0;
   std::string string_;
+  // Array elements, or an object's member values with their names in
+  // `keys_`, both in file order: profiles are dumped in a meaningful order
+  // and tools iterate in that order. Objects are small, so Find scans.
   std::vector<JsonValue> array_;
-  // Insertion-ordered object storage: profiles are dumped in a meaningful
-  // order and tools iterate in that order.
   std::vector<std::string> keys_;
-  std::map<std::string, JsonValue> members_;
 };
+
+/// Appends `s` as a JSON string literal. Quotes, backslashes and control
+/// characters are escaped; all other bytes (UTF-8 included) pass through.
+void AppendJsonString(std::string* out, std::string_view s);
+
+/// Appends `value` with six significant digits (printf "%.6g"). JSON has
+/// no NaN or infinity, so a non-finite value is written as null.
+void AppendJsonNumber(std::string* out, double value);
+
+/// Writes `contents` to `path`, replacing any existing file.
+Status WriteWholeFile(const std::string& path, std::string_view contents);
 
 }  // namespace obs
 }  // namespace uot

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
+
+#include "obs/json_lite.h"
 
 namespace uot {
 namespace obs {
@@ -53,19 +54,6 @@ double Histogram::Mean() const {
   const uint64_t n = TotalCount();
   if (n == 0) return 0.0;
   return static_cast<double>(Sum()) / static_cast<double>(n);
-}
-
-int64_t Histogram::ApproxPercentile(double p) const {
-  const uint64_t n = TotalCount();
-  if (n == 0) return 0;
-  const uint64_t rank = static_cast<uint64_t>(
-      p * static_cast<double>(n) + 0.999999);  // ceil(p * n), 1-based
-  uint64_t seen = 0;
-  for (size_t i = 0; i < num_buckets(); ++i) {
-    seen += bucket_count(i);
-    if (seen >= rank) return bucket_upper_bound(i);
-  }
-  return bucket_upper_bound(num_buckets() - 1);
 }
 
 int64_t Histogram::ValueAtQuantile(double p) const {
@@ -204,78 +192,6 @@ std::vector<std::pair<std::string, int64_t>> MetricsRegistry::SampleValues()
   return out;
 }
 
-namespace {
-
-/// CSV-quotes `s` when it contains a delimiter, quote, or newline.
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out.push_back(ch);
-  }
-  out += "\"";
-  return out;
-}
-
-void CsvRow(std::string* out, const std::string& metric, const char* kind,
-            const std::string& field, int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  *out += CsvField(metric) + "," + kind + "," + field + "," + buf + "\n";
-}
-
-void CsvRowU(std::string* out, const std::string& metric, const char* kind,
-             const std::string& field, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  *out += CsvField(metric) + "," + kind + "," + field + "," + buf + "\n";
-}
-
-}  // namespace
-
-std::string MetricsRegistry::ToCsv() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "metric,kind,field,value\n";
-  for (const auto& [name, counter] : counters_) {
-    CsvRowU(&out, name, "counter", "value", counter->Value());
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    CsvRow(&out, name, "gauge", "value", gauge->Value());
-    CsvRow(&out, name, "gauge", "max", gauge->Max());
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    CsvRowU(&out, name, "histogram", "count", histogram->TotalCount());
-    CsvRow(&out, name, "histogram", "sum", histogram->Sum());
-    for (size_t i = 0; i < histogram->num_buckets(); ++i) {
-      const int64_t bound = histogram->bucket_upper_bound(i);
-      std::string field;
-      if (bound == INT64_MAX) {
-        field = "le_inf";
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "le_%" PRId64, bound);
-        field = buf;
-      }
-      CsvRowU(&out, name, "histogram", field, histogram->bucket_count(i));
-    }
-  }
-  return out;
-}
-
-namespace {
-
-void AppendJsonName(std::string* out, const std::string& name) {
-  out->push_back('"');
-  for (char ch : name) {
-    if (ch == '"' || ch == '\\') out->push_back('\\');
-    out->push_back(ch);
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{\n  \"counters\": {";
@@ -284,7 +200,7 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, counter] : counters_) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonName(&out, name);
+    AppendJsonString(&out, name);
     std::snprintf(buf, sizeof(buf), ": %" PRIu64, counter->Value());
     out += buf;
   }
@@ -293,7 +209,7 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, gauge] : gauges_) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonName(&out, name);
+    AppendJsonString(&out, name);
     std::snprintf(buf, sizeof(buf), ": {\"value\": %" PRId64
                   ", \"max\": %" PRId64 "}",
                   gauge->Value(), gauge->Max());
@@ -304,7 +220,7 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, histogram] : histograms_) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonName(&out, name);
+    AppendJsonString(&out, name);
     std::snprintf(buf, sizeof(buf), ": {\"count\": %" PRIu64
                   ", \"sum\": %" PRId64 ", \"buckets\": [",
                   histogram->TotalCount(), histogram->Sum());
@@ -326,34 +242,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "\n  }\n}\n";
   return out;
-}
-
-namespace {
-
-Status WriteWholeFile(const std::string& path, const std::string& contents,
-                      const char* what) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument(std::string("cannot open ") + what +
-                                   " output: " + path);
-  }
-  out << contents;
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal(std::string("short write to ") + what +
-                            " output: " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MetricsRegistry::WriteCsv(const std::string& path) const {
-  return WriteWholeFile(path, ToCsv(), "metrics CSV");
-}
-
-Status MetricsRegistry::WriteJson(const std::string& path) const {
-  return WriteWholeFile(path, ToJson(), "metrics JSON");
 }
 
 }  // namespace obs

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "util/macros.h"
-#include "util/status.h"
 
 namespace uot {
 namespace obs {
@@ -107,10 +106,6 @@ class Histogram {
   int64_t Max() const;  // INT64_MIN when empty
   double Mean() const;
 
-  /// Upper bound of the bucket containing the p-quantile (0 < p <= 1);
-  /// 0 when empty.
-  int64_t ApproxPercentile(double p) const;
-
   /// The p-quantile with linear interpolation inside the containing
   /// bucket, clamped to the observed [Min, Max] so a wide overflow or
   /// first bucket cannot report a value no sample ever had. 0 when empty.
@@ -165,17 +160,12 @@ class MetricsRegistry {
   /// stay distinct. Stable alphabetical order within each kind — the
   /// time-series sampler relies on this to keep columns aligned across
   /// samples. Counter values are cast to int64 (a wrap past 2^63 shows up
-  /// negative, same caveat as the CSV export).
+  /// negative).
   std::vector<std::pair<std::string, int64_t>> SampleValues() const;
 
-  /// Rows of `metric,kind,field,value` (one row per exported field; the
-  /// header row comes first). Stable ordering: counters, gauges,
-  /// histograms, each alphabetical.
-  std::string ToCsv() const;
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// {"counters":{...},"gauges":{...},"histograms":{...}}, each
+  /// alphabetical; parseable by JsonValue::Parse.
   std::string ToJson() const;
-  Status WriteCsv(const std::string& path) const;
-  Status WriteJson(const std::string& path) const;
 
  private:
   mutable std::mutex mutex_;

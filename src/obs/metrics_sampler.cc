@@ -3,8 +3,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 
+#include "obs/json_lite.h"
 #include "util/timer.h"
 
 namespace uot {
@@ -87,19 +87,6 @@ std::vector<MetricsSample> MetricsSampler::Snapshot() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out->push_back('\\');
-    out->push_back(ch);
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string MetricsSampler::ToJson() const {
   const std::vector<MetricsSample> samples = Snapshot();
   char buf[64];
@@ -127,50 +114,6 @@ std::string MetricsSampler::ToJson() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-std::string MetricsSampler::ToCsv() const {
-  const std::vector<MetricsSample> samples = Snapshot();
-  std::string out = "t_ns,metric,value\n";
-  char buf[96];
-  for (const MetricsSample& sample : samples) {
-    for (const auto& [name, value] : sample.values) {
-      std::snprintf(buf, sizeof(buf), "%" PRId64 ",", sample.t_ns);
-      out += buf;
-      out += name;  // metric names never contain CSV specials
-      std::snprintf(buf, sizeof(buf), ",%" PRId64 "\n", value);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-namespace {
-
-Status WriteWholeFile(const std::string& path, const std::string& contents,
-                      const char* what) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument(std::string("cannot open ") + what +
-                                   " output: " + path);
-  }
-  out << contents;
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal(std::string("short write to ") + what +
-                            " output: " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MetricsSampler::WriteJson(const std::string& path) const {
-  return WriteWholeFile(path, ToJson(), "time-series JSON");
-}
-
-Status MetricsSampler::WriteCsv(const std::string& path) const {
-  return WriteWholeFile(path, ToCsv(), "time-series CSV");
 }
 
 }  // namespace obs

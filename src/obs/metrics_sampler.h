@@ -11,7 +11,6 @@
 
 #include "obs/metrics.h"
 #include "util/macros.h"
-#include "util/status.h"
 
 namespace uot {
 namespace obs {
@@ -71,11 +70,6 @@ class MetricsSampler {
   /// {"interval_ms":..,"total_samples":..,"samples":[{"t_ns":..,
   ///  "values":{name:value,...}},...]} — parseable by JsonValue::Parse.
   std::string ToJson() const;
-  /// Long-format CSV: `t_ns,metric,value` rows (header first), one row
-  /// per metric per sample, so columns never shift as metrics register.
-  std::string ToCsv() const;
-  Status WriteJson(const std::string& path) const;
-  Status WriteCsv(const std::string& path) const;
 
  private:
   void ThreadLoop();

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/json_lite.h"
 #include "plan/query_plan.h"
@@ -40,58 +39,36 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out->push_back('\\');
-    out->push_back(ch);
-  }
-  out->push_back('"');
+/// Appends `"key": `, preceded by ", " unless it is the object's first.
+void AppendKey(std::string* out, const char* key, bool* first) {
+  if (!*first) *out += ", ";
+  *first = false;
+  *out += '"';
+  *out += key;
+  *out += "\": ";
 }
 
 void AppendField(std::string* out, const char* key, int64_t value,
                  bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\": ";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  *out += buf;
+  AppendKey(out, key, first);
+  *out += std::to_string(value);
 }
 
 void AppendFieldU(std::string* out, const char* key, uint64_t value,
                   bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\": ";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  *out += buf;
+  AppendKey(out, key, first);
+  *out += std::to_string(value);
 }
 
 void AppendFieldD(std::string* out, const char* key, double value,
                   bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\": ";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  *out += buf;
+  AppendKey(out, key, first);
+  AppendJsonNumber(out, value);
 }
 
 void AppendFieldS(std::string* out, const char* key, const std::string& value,
                   bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\": ";
+  AppendKey(out, key, first);
   AppendJsonString(out, value);
 }
 
@@ -524,16 +501,12 @@ std::string QueryProfile::ToJson() const {
       out += ", \"partition_rows\": [";
       for (size_t p = 0; p < x.partition_rows.size(); ++p) {
         if (p > 0) out += ", ";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, x.partition_rows[p]);
-        out += buf;
+        out += std::to_string(x.partition_rows[p]);
       }
       out += "], \"partition_blocks\": [";
       for (size_t p = 0; p < x.partition_blocks.size(); ++p) {
         if (p > 0) out += ", ";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, x.partition_blocks[p]);
-        out += buf;
+        out += std::to_string(x.partition_blocks[p]);
       }
       out += "]}";
     }
@@ -544,9 +517,7 @@ std::string QueryProfile::ToJson() const {
     if (c > 0) out += ", ";
     AppendJsonString(&out,
                      MemoryCategoryName(static_cast<MemoryCategory>(c)));
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ": %" PRId64, stats_.peak_bytes[c]);
-    out += buf;
+    out += ": " + std::to_string(stats_.peak_bytes[c]);
   }
   out += "}},\n  \"budget\": {";
   {
@@ -589,16 +560,7 @@ std::string QueryProfile::ToJson() const {
 }
 
 Status QueryProfile::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument("cannot open profile output: " + path);
-  }
-  out << ToJson();
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("short write to profile output: " + path);
-  }
-  return Status::OK();
+  return WriteWholeFile(path, ToJson());
 }
 
 namespace {

@@ -1,293 +1,53 @@
 #include "obs/trace_json.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <string>
 
+#include "obs/json_lite.h"
 #include "util/macros.h"
 
 namespace uot {
 namespace obs {
-namespace {
-
-/// A minimal recursive-descent JSON parser. It validates syntax and
-/// surfaces just enough structure (the "traceEvents" array, each event's
-/// "ph" and "ts") for trace validation. No DOM is built.
-class Parser {
- public:
-  explicit Parser(std::string_view input) : input_(input) {}
-
-  Status Parse(ChromeTraceSummary* summary) {
-    summary_ = summary;
-    SkipWhitespace();
-    UOT_RETURN_IF_ERROR(ParseTopLevelObject());
-    SkipWhitespace();
-    if (pos_ != input_.size()) {
-      return Error("trailing characters after top-level object");
-    }
-    if (!saw_trace_events_) {
-      return Error("missing \"traceEvents\" array");
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("trace JSON invalid at offset " +
-                                   std::to_string(pos_) + ": " + message);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < input_.size() &&
-           (input_[pos_] == ' ' || input_[pos_] == '\t' ||
-            input_[pos_] == '\n' || input_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char ch) {
-    if (pos_ < input_.size() && input_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(char ch) {
-    if (!Consume(ch)) {
-      return Error(std::string("expected '") + ch + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    UOT_RETURN_IF_ERROR(Expect('"'));
-    while (pos_ < input_.size()) {
-      const char ch = input_[pos_];
-      if (ch == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (ch == '\\') {
-        ++pos_;
-        if (pos_ >= input_.size()) break;
-        const char esc = input_[pos_];
-        switch (esc) {
-          case '"': case '\\': case '/': case 'b': case 'f':
-          case 'n': case 'r': case 't':
-            if (out != nullptr) out->push_back(esc);
-            ++pos_;
-            break;
-          case 'u': {
-            if (pos_ + 4 >= input_.size()) return Error("truncated \\u");
-            for (int i = 1; i <= 4; ++i) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(input_[pos_ + i]))) {
-                return Error("bad \\u escape");
-              }
-            }
-            pos_ += 5;
-            break;
-          }
-          default:
-            return Error("bad escape character");
-        }
-      } else if (static_cast<unsigned char>(ch) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        if (out != nullptr) out->push_back(ch);
-        ++pos_;
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseNumber(double* out) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    if (pos_ >= input_.size() ||
-        !std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-      return Error("malformed number");
-    }
-    while (pos_ < input_.size() &&
-           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-    if (Consume('.')) {
-      if (pos_ >= input_.size() ||
-          !std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        return Error("malformed fraction");
-      }
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < input_.size() && (input_[pos_] == 'e' || input_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < input_.size() &&
-          (input_[pos_] == '+' || input_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= input_.size() ||
-          !std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        return Error("malformed exponent");
-      }
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (out != nullptr) {
-      *out = std::strtod(std::string(input_.substr(start, pos_ - start)).c_str(),
-                         nullptr);
-    }
-    return Status::OK();
-  }
-
-  Status ParseLiteral(std::string_view word) {
-    if (input_.substr(pos_, word.size()) != word) {
-      return Error("bad literal");
-    }
-    pos_ += word.size();
-    return Status::OK();
-  }
-
-  /// Any JSON value, validated and discarded.
-  Status ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= input_.size()) return Error("unexpected end of input");
-    switch (input_[pos_]) {
-      case '{': return ParseObject(nullptr, nullptr);
-      case '[': return ParseArray();
-      case '"': return ParseString(nullptr);
-      case 't': return ParseLiteral("true");
-      case 'f': return ParseLiteral("false");
-      case 'n': return ParseLiteral("null");
-      default: return ParseNumber(nullptr);
-    }
-  }
-
-  /// Parses an object. When `ph`/`ts` are non-null, captures those members
-  /// of this object (used for trace events).
-  Status ParseObject(std::string* ph, double* ts) {
-    UOT_RETURN_IF_ERROR(Expect('{'));
-    SkipWhitespace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      UOT_RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      UOT_RETURN_IF_ERROR(Expect(':'));
-      SkipWhitespace();
-      if (ph != nullptr && key == "ph" && pos_ < input_.size() &&
-          input_[pos_] == '"') {
-        UOT_RETURN_IF_ERROR(ParseString(ph));
-      } else if (ts != nullptr && key == "ts") {
-        UOT_RETURN_IF_ERROR(ParseNumber(ts));
-        *ts_seen_ = true;
-      } else {
-        UOT_RETURN_IF_ERROR(ParseValue());
-      }
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      return Expect('}');
-    }
-  }
-
-  Status ParseArray() {
-    UOT_RETURN_IF_ERROR(Expect('['));
-    SkipWhitespace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      UOT_RETURN_IF_ERROR(ParseValue());
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      return Expect(']');
-    }
-  }
-
-  Status ParseTraceEventsArray() {
-    UOT_RETURN_IF_ERROR(Expect('['));
-    SkipWhitespace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= input_.size() || input_[pos_] != '{') {
-        return Error("trace event is not an object");
-      }
-      std::string ph;
-      double ts = 0.0;
-      bool ts_seen = false;
-      ts_seen_ = &ts_seen;
-      UOT_RETURN_IF_ERROR(ParseObject(&ph, &ts));
-      ts_seen_ = nullptr;
-      ++summary_->num_events;
-      if (ph == "X") ++summary_->num_complete;
-      else if (ph == "i" || ph == "I") ++summary_->num_instant;
-      else if (ph == "C") ++summary_->num_counter;
-      else if (ph == "M") ++summary_->num_metadata;
-      if (ph != "M") {
-        if (!ts_seen) return Error("timestamped event missing \"ts\"");
-        if (have_prev_ts_ && ts < prev_ts_) {
-          summary_->timestamps_monotonic = false;
-        }
-        if (!have_prev_ts_) summary_->first_ts_us = ts;
-        have_prev_ts_ = true;
-        prev_ts_ = ts;
-        summary_->last_ts_us = ts;
-      }
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      return Expect(']');
-    }
-  }
-
-  Status ParseTopLevelObject() {
-    UOT_RETURN_IF_ERROR(Expect('{'));
-    SkipWhitespace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      UOT_RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      UOT_RETURN_IF_ERROR(Expect(':'));
-      SkipWhitespace();
-      if (key == "traceEvents") {
-        if (pos_ >= input_.size() || input_[pos_] != '[') {
-          return Error("\"traceEvents\" is not an array");
-        }
-        saw_trace_events_ = true;
-        UOT_RETURN_IF_ERROR(ParseTraceEventsArray());
-      } else {
-        UOT_RETURN_IF_ERROR(ParseValue());
-      }
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      return Expect('}');
-    }
-  }
-
-  const std::string_view input_;
-  size_t pos_ = 0;
-  ChromeTraceSummary* summary_ = nullptr;
-  bool saw_trace_events_ = false;
-  bool* ts_seen_ = nullptr;
-  bool have_prev_ts_ = false;
-  double prev_ts_ = 0.0;
-};
-
-}  // namespace
 
 Status ParseChromeTraceJson(std::string_view json,
                             ChromeTraceSummary* summary) {
   UOT_CHECK(summary != nullptr);
   *summary = ChromeTraceSummary{};
-  Parser parser(json);
-  return parser.Parse(summary);
+  const auto invalid = [summary](const std::string& what) {
+    return Status::InvalidArgument("trace JSON: event " +
+                                   std::to_string(summary->num_events) + " " +
+                                   what);
+  };
+  bool have_ts = false;
+  const auto on_event = [&](const JsonValue& event) -> Status {
+    if (!event.is_object()) return invalid("is not an object");
+    const JsonValue* ts = event.Find("ts");
+    if (ts != nullptr && !ts->is_number()) {
+      return invalid("has a non-numeric \"ts\"");
+    }
+    const std::string ph = event.StringOr("ph", "");
+    if (ph != "M" && ts == nullptr) return invalid("is missing \"ts\"");
+    ++summary->num_events;
+    if (ph == "X") ++summary->num_complete;
+    else if (ph == "i" || ph == "I") ++summary->num_instant;
+    else if (ph == "C") ++summary->num_counter;
+    else if (ph == "M") ++summary->num_metadata;
+    if (ph == "M") return Status::OK();
+    const double t = ts->AsDouble();
+    if (have_ts && t < summary->last_ts_us) {
+      summary->timestamps_monotonic = false;
+    }
+    if (!have_ts) summary->first_ts_us = t;
+    have_ts = true;
+    summary->last_ts_us = t;
+    return Status::OK();
+  };
+  JsonValue root;
+  UOT_RETURN_IF_ERROR(
+      JsonValue::ParseStreaming(json, "traceEvents", on_event, &root));
+  if (root.Find("traceEvents") == nullptr) {
+    return Status::InvalidArgument("trace JSON: missing \"traceEvents\" array");
+  }
+  return Status::OK();
 }
 
 }  // namespace obs

@@ -25,11 +25,11 @@ struct ChromeTraceSummary {
   double last_ts_us = 0.0;
 };
 
-/// Validates that `json` is a syntactically well-formed JSON document whose
-/// top level is an object with a "traceEvents" array of event objects, and
-/// fills `summary`. This is a full structural JSON parse (objects, arrays,
-/// strings with escapes, numbers, literals), not a substring scan — used by
-/// tests to prove exported traces are loadable.
+/// Validates that `json` is a well-formed JSON document whose top level is
+/// an object with a "traceEvents" array of event objects, and fills
+/// `summary`. The document is read by json_lite with all of its checks
+/// (json_lite.h), streaming the events one at a time, so a trace of any
+/// size is validated without holding more than one event in memory.
 Status ParseChromeTraceJson(std::string_view json,
                             ChromeTraceSummary* summary);
 

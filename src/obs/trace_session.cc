@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "obs/json_lite.h"
 #include "scheduler/uot_policy.h"
 #include "util/timer.h"
 
@@ -230,29 +229,6 @@ std::vector<TraceEvent> TraceSession::SortedEvents() const {
 
 namespace {
 
-/// Appends one JSON string literal (names never need escaping beyond
-/// quotes/backslashes, but operator names can contain parentheses etc.).
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char ch : s) {
-    switch (ch) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          *out += buf;
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendKeyValue(std::string* out, const char* key, int64_t value,
                     bool* first) {
   char buf[64];
@@ -264,7 +240,7 @@ void AppendKeyValue(std::string* out, const char* key, int64_t value,
 
 }  // namespace
 
-void TraceSession::ExportChromeJson(std::ostream& os) const {
+std::string TraceSession::ToChromeJson() const {
   const std::vector<TraceEvent> events = SortedEvents();
   std::vector<std::string> op_names;
   std::map<uint32_t, std::string> thread_names;
@@ -274,50 +250,49 @@ void TraceSession::ExportChromeJson(std::ostream& os) const {
     thread_names = thread_names_;
   }
 
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  // About 150 bytes per event; reserving avoids regrowing a large trace.
+  out.reserve(out.size() + 160 * (events.size() + thread_names.size()));
   bool first_event = true;
   char buf[160];
 
   for (const auto& [tid, name] : thread_names) {
-    std::string line;
-    if (!first_event) line += ",";
-    line += "\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":";
+    if (!first_event) out += ",";
+    out += "\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":";
     std::snprintf(buf, sizeof(buf), "%u", tid);
-    line += buf;
-    line += ",\"args\":{\"name\":";
-    AppendJsonString(&line, name);
-    line += "}}";
-    os << line;
+    out += buf;
+    out += ",\"args\":{\"name\":";
+    AppendJsonString(&out, name);
+    out += "}}";
     first_event = false;
   }
 
   for (const TraceEvent& e : events) {
-    std::string line;
-    if (!first_event) line += ",";
+    if (!first_event) out += ",";
     first_event = false;
-    line += "\n{\"name\":";
+    out += "\n{\"name\":";
     // Counter tracks get distinguishing names so Perfetto draws one track
     // per category/queue instead of merging them.
     if (e.type == TraceEventType::kMemoryBytes) {
-      AppendJsonString(&line, MemoryCategoryTrackName(e.arg0));
+      AppendJsonString(&out, MemoryCategoryTrackName(e.arg0));
     } else if (e.type == TraceEventType::kQueueDepth) {
-      AppendJsonString(&line, e.arg0 == 0 ? std::string("queue.work_orders")
-                                          : std::string("queue.events"));
+      AppendJsonString(&out,
+                       e.arg0 == 0 ? "queue.work_orders" : "queue.events");
     } else if (e.type == TraceEventType::kUotEffective) {
       // One counter track per edge ("uot.edge0.effective_blocks", ...) so
       // Perfetto plots each edge's UoT trajectory separately.
-      AppendJsonString(&line, "uot.edge" + std::to_string(e.arg0) +
-                                  ".effective_blocks");
+      AppendJsonString(&out, "uot.edge" + std::to_string(e.arg0) +
+                                 ".effective_blocks");
     } else if (e.type == TraceEventType::kJoinBatchStage) {
       // Per-stage span names ("join.probe") so the trace viewer colors the
       // extract/probe/residual/emit/insert stages distinctly.
-      AppendJsonString(&line,
+      AppendJsonString(&out,
                        std::string("join.") + JoinBatchStageName(e.arg1));
     } else {
-      AppendJsonString(&line, TraceEventTypeName(e.type));
+      AppendJsonString(&out, TraceEventTypeName(e.type));
     }
-    line += ",\"cat\":";
-    AppendJsonString(&line, TraceEventTypeCategory(e.type));
+    out += ",\"cat\":";
+    AppendJsonString(&out, TraceEventTypeCategory(e.type));
     const double ts_us =
         static_cast<double>(e.ts_ns - origin_ns_) / 1000.0;
     switch (e.phase) {
@@ -338,105 +313,90 @@ void TraceSession::ExportChromeJson(std::ostream& os) const {
                       ts_us);
         break;
     }
-    line += buf;
-    line += ",\"args\":{";
+    out += buf;
+    out += ",\"args\":{";
     bool first_arg = true;
     switch (e.type) {
       case TraceEventType::kQuery:
-        AppendKeyValue(&line, "work_orders", e.value, &first_arg);
+        AppendKeyValue(&out, "work_orders", e.value, &first_arg);
         break;
       case TraceEventType::kWorkOrder:
-        AppendKeyValue(&line, "op", e.arg0, &first_arg);
+        AppendKeyValue(&out, "op", e.arg0, &first_arg);
         if (e.arg0 >= 0 &&
             static_cast<size_t>(e.arg0) < op_names.size()) {
-          line += ",\"op_name\":";
-          AppendJsonString(&line, op_names[static_cast<size_t>(e.arg0)]);
+          out += ",\"op_name\":";
+          AppendJsonString(&out, op_names[static_cast<size_t>(e.arg0)]);
         }
-        AppendKeyValue(&line, "worker", e.arg1, &first_arg);
+        AppendKeyValue(&out, "worker", e.arg1, &first_arg);
         break;
       case TraceEventType::kBlockTransfer:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
-        AppendKeyValue(&line, "blocks", e.value, &first_arg);
+        AppendKeyValue(&out, "edge", e.arg0, &first_arg);
+        AppendKeyValue(&out, "blocks", e.value, &first_arg);
         break;
       case TraceEventType::kEdgeFlush:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
+        AppendKeyValue(&out, "edge", e.arg0, &first_arg);
         break;
       case TraceEventType::kBudgetDefer:
       case TraceEventType::kBudgetRelease:
-        AppendKeyValue(&line, "op", e.arg0, &first_arg);
-        AppendKeyValue(&line, "tracked_bytes", e.value, &first_arg);
+        AppendKeyValue(&out, "op", e.arg0, &first_arg);
+        AppendKeyValue(&out, "tracked_bytes", e.value, &first_arg);
         break;
       case TraceEventType::kHashTableReserve:
-        line += "\"layout\":";
-        AppendJsonString(&line, e.arg0 == 1 ? "dense" : "hash");
+        out += "\"layout\":";
+        AppendJsonString(&out, e.arg0 == 1 ? "dense" : "hash");
         first_arg = false;
-        AppendKeyValue(&line, "slots", e.arg1, &first_arg);
-        AppendKeyValue(&line, "bytes", e.value, &first_arg);
+        AppendKeyValue(&out, "slots", e.arg1, &first_arg);
+        AppendKeyValue(&out, "bytes", e.value, &first_arg);
         break;
       case TraceEventType::kOperatorFinish:
-        AppendKeyValue(&line, "op", e.arg0, &first_arg);
+        AppendKeyValue(&out, "op", e.arg0, &first_arg);
         if (e.arg0 >= 0 &&
             static_cast<size_t>(e.arg0) < op_names.size()) {
-          line += ",\"op_name\":";
-          AppendJsonString(&line, op_names[static_cast<size_t>(e.arg0)]);
+          out += ",\"op_name\":";
+          AppendJsonString(&out, op_names[static_cast<size_t>(e.arg0)]);
         }
         break;
       case TraceEventType::kQueueDepth:
-        AppendKeyValue(&line, "depth", e.value, &first_arg);
+        AppendKeyValue(&out, "depth", e.value, &first_arg);
         break;
       case TraceEventType::kMemoryBytes:
-        AppendKeyValue(&line, "bytes", e.value, &first_arg);
+        AppendKeyValue(&out, "bytes", e.value, &first_arg);
         break;
       case TraceEventType::kUotEffective:
-        AppendKeyValue(&line, "blocks", e.value, &first_arg);
+        AppendKeyValue(&out, "blocks", e.value, &first_arg);
         break;
       case TraceEventType::kUotAdapt:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
-        AppendKeyValue(&line, "from_blocks", e.arg1, &first_arg);
-        AppendKeyValue(&line, "to_blocks", e.value, &first_arg);
+        AppendKeyValue(&out, "edge", e.arg0, &first_arg);
+        AppendKeyValue(&out, "from_blocks", e.arg1, &first_arg);
+        AppendKeyValue(&out, "to_blocks", e.value, &first_arg);
         break;
       case TraceEventType::kUotDecision:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
-        line += ",\"cause\":";
-        AppendJsonString(&line,
+        AppendKeyValue(&out, "edge", e.arg0, &first_arg);
+        out += ",\"cause\":";
+        AppendJsonString(&out,
                          UotAdaptCauseName(static_cast<UotAdaptCause>(e.arg1)));
-        AppendKeyValue(&line, "blocks", e.value, &first_arg);
+        AppendKeyValue(&out, "blocks", e.value, &first_arg);
         break;
       case TraceEventType::kJoinBatchStage:
-        AppendKeyValue(&line, "op", e.arg0, &first_arg);
+        AppendKeyValue(&out, "op", e.arg0, &first_arg);
         if (e.arg0 >= 0 &&
             static_cast<size_t>(e.arg0) < op_names.size()) {
-          line += ",\"op_name\":";
-          AppendJsonString(&line, op_names[static_cast<size_t>(e.arg0)]);
+          out += ",\"op_name\":";
+          AppendJsonString(&out, op_names[static_cast<size_t>(e.arg0)]);
         }
-        line += ",\"stage\":";
-        AppendJsonString(&line, JoinBatchStageName(e.arg1));
-        AppendKeyValue(&line, "rows", e.value, &first_arg);
+        out += ",\"stage\":";
+        AppendJsonString(&out, JoinBatchStageName(e.arg1));
+        AppendKeyValue(&out, "rows", e.value, &first_arg);
         break;
     }
-    line += "}}";
-    os << line;
+    out += "}}";
   }
-  os << "\n]}\n";
-}
-
-std::string TraceSession::ToChromeJson() const {
-  std::ostringstream os;
-  ExportChromeJson(os);
-  return os.str();
+  out += "\n]}\n";
+  return out;
 }
 
 Status TraceSession::WriteChromeJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument("cannot open trace output: " + path);
-  }
-  ExportChromeJson(out);
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("short write to trace output: " + path);
-  }
-  return Status::OK();
+  return WriteWholeFile(path, ToChromeJson());
 }
 
 }  // namespace obs

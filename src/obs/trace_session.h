@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +27,7 @@ namespace obs {
 /// Tracing is opt-in per execution: untraced runs carry a null session
 /// pointer and pay only a branch at each instrumentation site.
 ///
-/// Export (ExportChromeJson / WriteChromeJson) renders the merged,
+/// Export (ToChromeJson / WriteChromeJson) renders the merged,
 /// time-sorted event stream as Chrome/Perfetto `trace_event` JSON — open
 /// the file in https://ui.perfetto.dev or chrome://tracing. Export must
 /// run after all writer threads have quiesced (the scheduler joins its
@@ -69,7 +68,6 @@ class TraceSession {
   std::vector<TraceEvent> SortedEvents() const;
 
   /// Serializes the session as Chrome trace_event JSON.
-  void ExportChromeJson(std::ostream& os) const;
   std::string ToChromeJson() const;
   Status WriteChromeJson(const std::string& path) const;
 

@@ -72,12 +72,6 @@ struct EdgeRuntimeState {
   /// an edge buy no locality — they only delay the repartition work that
   /// should overlap the producer. Policies use this to clamp.
   bool is_exchange = false;
-  /// True when this edge is interior to a fused pipeline chain
-  /// (ExecConfig::pipeline_mode == kFused): rows cross it inside a single
-  /// fused work order, so no blocks ever accumulate and no transfers
-  /// happen. The scheduler never consults the policy for fused edges —
-  /// the flag exists so snapshots handed to observers report honestly.
-  bool fused = false;
 
   // Edge progress.
   uint64_t buffered_blocks = 0;    // accumulated, not yet transferred

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -533,12 +532,9 @@ TEST(DenseJoinTableTest, ReserveTraceNamesTheLayout) {
   dense.Reserve(100, 0, 49);
   JoinHashTable hash(PayloadSchema(), 1, 0.75, &tracker);
   hash.Reserve(100);
-  std::ostringstream json;
-  trace.ExportChromeJson(json);
-  EXPECT_NE(json.str().find(R"("layout":"dense","slots":50,)"),
-            std::string::npos);
-  EXPECT_NE(json.str().find(R"("layout":"hash","slots":256,)"),
-            std::string::npos);
+  const std::string json = trace.ToChromeJson();
+  EXPECT_NE(json.find(R"("layout":"dense","slots":50,)"), std::string::npos);
+  EXPECT_NE(json.find(R"("layout":"hash","slots":256,)"), std::string::npos);
   tracker.AttachObservers(nullptr);
 }
 

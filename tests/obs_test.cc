@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
+#include "obs/json_lite.h"
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
 #include "obs/trace_session.h"
@@ -27,6 +30,7 @@ using obs::Counter;
 using obs::Gauge;
 using obs::Histogram;
 using obs::HistogramSnapshot;
+using obs::JsonValue;
 using obs::MetricsRegistry;
 using obs::ParseChromeTraceJson;
 using obs::TraceEvent;
@@ -123,6 +127,31 @@ TEST(TraceJsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseChromeTraceJson(
                    "{\"traceEvents\": [{\"ph\": \"X\"}]}", &summary)
                    .ok());
+  // An event nested 1M deep fails cleanly instead of overflowing the stack.
+  const std::string deep = "{\"traceEvents\": [{\"ph\": \"M\", \"args\": " +
+                           std::string(1000000, '[') +
+                           std::string(1000000, ']') + "}]}";
+  EXPECT_EQ(ParseChromeTraceJson(deep, &summary).code(),
+            StatusCode::kInvalidArgument);
+  // A duplicated "traceEvents" key would count its events twice.
+  EXPECT_EQ(ParseChromeTraceJson(
+                "{\"traceEvents\": [{\"ph\": \"i\", \"ts\": 1}], "
+                "\"traceEvents\": [{\"ph\": \"i\", \"ts\": 2}]}",
+                &summary)
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A duplicated "ts" key leaves the event's time ambiguous.
+  EXPECT_EQ(ParseChromeTraceJson(
+                "{\"traceEvents\": [{\"ph\": \"i\", \"ts\": 1, \"ts\": 2}]}",
+                &summary)
+                .code(),
+            StatusCode::kInvalidArgument);
+  // An unpaired surrogate names no character.
+  EXPECT_EQ(ParseChromeTraceJson(
+                "{\"traceEvents\": [{\"ph\": \"M\", \"name\": \"\\ud800\"}]}",
+                &summary)
+                .code(),
+            StatusCode::kInvalidArgument);
   // Minimal valid documents parse.
   EXPECT_TRUE(ParseChromeTraceJson("{\"traceEvents\": []}", &summary).ok());
   EXPECT_TRUE(ParseChromeTraceJson(
@@ -160,9 +189,10 @@ TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
   EXPECT_EQ(h.Max(), 50000);
   EXPECT_EQ(h.bucket_upper_bound(0), 10);
   EXPECT_EQ(h.bucket_upper_bound(3), INT64_MAX);
-  // The p50 of 11 samples is the 6th: value 11 -> bucket with bound 100.
-  EXPECT_EQ(h.ApproxPercentile(0.5), 100);
-  EXPECT_EQ(h.ApproxPercentile(1.0), INT64_MAX);
+  // The p50 of 11 samples is the 6th: value 100, the bound of bucket 1.
+  EXPECT_EQ(h.ValueAtQuantile(0.5), 100);
+  // The overflow bucket ends at the observed maximum.
+  EXPECT_EQ(h.ValueAtQuantile(1.0), 50000);
 }
 
 TEST(HistogramTest, ValueAtQuantileInterpolatesInsideBuckets) {
@@ -173,9 +203,6 @@ TEST(HistogramTest, ValueAtQuantileInterpolatesInsideBuckets) {
   EXPECT_EQ(h.ValueAtQuantile(0.50), 20);
   EXPECT_EQ(h.ValueAtQuantile(0.975), 39);
   EXPECT_EQ(h.ValueAtQuantile(1.0), 40);
-  // ApproxPercentile can only answer with a bucket bound; the
-  // interpolated value refines it within the same bucket.
-  EXPECT_EQ(h.ApproxPercentile(0.975), 40);
 }
 
 TEST(HistogramTest, ValueAtQuantileClampsToObservedRange) {
@@ -275,7 +302,7 @@ TEST(MetricsRegistryTest, GetReturnsStablePointersAndFindLocates) {
   EXPECT_EQ(h->num_buckets(), 4u);
 }
 
-TEST(MetricsRegistryTest, CsvAndJsonExportCoverAllMetrics) {
+TEST(MetricsRegistryTest, JsonExportCoversAllMetrics) {
   MetricsRegistry registry;
   registry.GetCounter("blocks.transferred")->Add(42);
   registry.GetGauge("queue.depth")->Set(7);
@@ -284,21 +311,64 @@ TEST(MetricsRegistryTest, CsvAndJsonExportCoverAllMetrics) {
   h->Record(150);
   h->Record(500);
 
-  const std::string csv = registry.ToCsv();
-  EXPECT_NE(csv.find("metric,kind,field,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("blocks.transferred,counter,value,42"),
-            std::string::npos);
-  EXPECT_NE(csv.find("queue.depth,gauge,value,7"), std::string::npos);
-  EXPECT_NE(csv.find("queue.depth,gauge,max,7"), std::string::npos);
-  EXPECT_NE(csv.find("latency_ns,histogram,count,3"), std::string::npos);
-  EXPECT_NE(csv.find("latency_ns,histogram,le_100,1"), std::string::npos);
-  EXPECT_NE(csv.find("latency_ns,histogram,le_200,1"), std::string::npos);
-  EXPECT_NE(csv.find("latency_ns,histogram,le_inf,1"), std::string::npos);
-
   const std::string json = registry.ToJson();
   EXPECT_NE(json.find("\"blocks.transferred\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"queue.depth\""), std::string::npos);
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
+
+  JsonValue root;
+  ASSERT_TRUE(JsonValue::Parse(json, &root).ok());
+  const JsonValue* gauge = root.Find("gauges")->Find("queue.depth");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->NumberOr("value", -1), 7);
+  EXPECT_EQ(gauge->NumberOr("max", -1), 7);
+  const JsonValue* hist = root.Find("histograms")->Find("latency_ns");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->NumberOr("count", -1), 3);
+  // One sample per bucket: <= 100, <= 200 and the overflow bucket.
+  const std::vector<JsonValue>& buckets = hist->Find("buckets")->AsArray();
+  ASSERT_EQ(buckets.size(), 3u);
+  EXPECT_EQ(buckets[0].NumberOr("le", -1), 100);
+  EXPECT_EQ(buckets[1].NumberOr("le", -1), 200);
+  EXPECT_EQ(buckets[2].StringOr("le", ""), "inf");
+  for (const JsonValue& bucket : buckets) {
+    EXPECT_EQ(bucket.NumberOr("count", -1), 1);
+  }
+}
+
+/// Names with control characters must come out as valid JSON: JSON
+/// forbids them raw inside strings, so the writer escapes them.
+const char kControlName[] = "a\tb\nc\x01" "d";
+
+TEST(JsonWriterTest, RegistryEscapesControlCharacters) {
+  MetricsRegistry registry;
+  registry.GetCounter(kControlName)->Add(3);
+  registry.GetGauge(kControlName)->Set(4);
+  registry.GetHistogram(kControlName, {10})->Record(5);
+  JsonValue root;
+  const Status status = JsonValue::Parse(registry.ToJson(), &root);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    EXPECT_NE(root.Find(section)->Find(kControlName), nullptr) << section;
+  }
+}
+
+TEST(JsonWriterTest, BenchJsonEscapesStringsAndWritesNonFiniteAsNull) {
+  bench::BenchJson json("escape_check");
+  json.SetString(kControlName, kControlName);
+  json.Set("nan", std::nan(""));
+  json.Set("inf", INFINITY);
+  json.Set("count", 12345678.0);
+  json.Set("ratio", 0.5);
+  JsonValue root;
+  const Status status = JsonValue::Parse(json.ToJson(), &root);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(root.StringOr(kControlName, ""), kControlName);
+  ASSERT_NE(root.Find("nan"), nullptr);
+  EXPECT_TRUE(root.Find("nan")->is_null());
+  EXPECT_TRUE(root.Find("inf")->is_null());
+  EXPECT_EQ(root.NumberOr("count", -1), 12345678.0);
+  EXPECT_EQ(root.NumberOr("ratio", -1), 0.5);
 }
 
 /// End-to-end acceptance: a TPC-H query run with tracing enabled produces

@@ -524,9 +524,41 @@ TEST(ProfileTest, SamplerRingBufferWrapsAround) {
   ASSERT_TRUE(obs::JsonValue::Parse(sampler.ToJson(), &root).ok());
   EXPECT_EQ(root.Find("samples")->AsArray().size(), 4u);
   EXPECT_EQ(static_cast<uint64_t>(root.NumberOr("total_samples", 0)), 10u);
-  const std::string csv = sampler.ToCsv();
-  EXPECT_NE(csv.find("t_ns,metric,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter.test.ticks"), std::string::npos);
+  const obs::JsonValue* newest =
+      root.Find("samples")->AsArray().back().Find("values");
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->NumberOr("counter.test.ticks", -1), 10);
+  EXPECT_EQ(newest->NumberOr("gauge.test.level", -1), 7);
+}
+
+TEST(ProfileTest, NamesWithControlCharactersExportAsValidJson) {
+  // JSON forbids raw control characters inside strings; the writers must
+  // escape them so the documents parse and the names round-trip.
+  const std::string name = "q\t3\n\x01";
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 500, 8, Layout::kRowStore, 1024);
+  auto plan = MakeSelectAggPlan(&storage, *input);
+  ExecutionStats stats = QueryExecutor::Execute(plan.get(), ExecConfig{});
+  stats.operators[0].name = name;
+  const std::string json =
+      obs::QueryProfile::FromRun(plan.get(), stats, {name}).ToJson();
+  obs::QueryProfileSummary summary;
+  const Status status = obs::ParseQueryProfileJson(json, &summary);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(summary.query_name, name);
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::JsonValue::Parse(json, &root).ok());
+  EXPECT_EQ(root.Find("operators")->AsArray()[0].StringOr("name", ""), name);
+
+  obs::MetricsRegistry registry;
+  registry.GetCounter(name)->Add(2);
+  obs::MetricsSampler sampler(&registry, obs::MetricsSampler::Options{});
+  sampler.SampleOnce();
+  const Status sampled = obs::JsonValue::Parse(sampler.ToJson(), &root);
+  ASSERT_TRUE(sampled.ok()) << sampled.ToString();
+  EXPECT_EQ(root.Find("samples")->AsArray()[0].Find("values")->NumberOr(
+                "counter." + name, -1),
+            2);
 }
 
 TEST(ProfileTest, EngineTelemetryRecordsLatencyAndGauges) {
