@@ -135,12 +135,17 @@ class JsonLiteParser {
     }
   }
 
+  /// Parses into `out`'s existing member slots where it has them, so a
+  /// value parsed again and again (the streamed element) keeps the
+  /// capacity of its strings and vectors, nested members included.
   Status ParseObject(JsonValue* out, int depth) {
     UOT_RETURN_IF_ERROR(Expect('{'));
     out->kind_ = JsonValue::Kind::kObject;
+    size_t n = 0;
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
+      Truncate(out, n);
       return Status::OK();
     }
     // Most objects (trace events, profile entries) have a handful of
@@ -149,53 +154,65 @@ class JsonLiteParser {
     out->array_.reserve(8);
     while (true) {
       SkipWhitespace();
-      std::string key;
+      // An array or a shorter object may have left either vector shorter.
+      if (n == out->keys_.size()) out->keys_.emplace_back();
+      if (n == out->array_.size()) out->array_.emplace_back();
+      std::string& key = out->keys_[n];
       UOT_RETURN_IF_ERROR(ParseString(&key));
-      if (out->Find(key) != nullptr) {
-        return Error("duplicate object key \"" + key + "\"");
+      for (size_t k = 0; k < n; ++k) {
+        if (out->keys_[k] == key) {
+          return Error("duplicate object key \"" + key + "\"");
+        }
       }
       SkipWhitespace();
       UOT_RETURN_IF_ERROR(Expect(':'));
       SkipWhitespace();
-      JsonValue member;
+      JsonValue* member = &out->array_[n];
       if (depth == 0 && on_element_ != nullptr && key == stream_key_) {
         if (AtEnd() || Peek() != '[') {
           return Error("\"" + key + "\" is not an array");
         }
-        UOT_RETURN_IF_ERROR(ParseArray(&member, depth + 1, on_element_));
+        UOT_RETURN_IF_ERROR(ParseArray(member, depth + 1, on_element_));
       } else {
-        UOT_RETURN_IF_ERROR(ParseValue(&member, depth + 1));
+        UOT_RETURN_IF_ERROR(ParseValue(member, depth + 1));
       }
-      out->keys_.push_back(std::move(key));
-      out->array_.push_back(std::move(member));
+      ++n;
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated object");
       if (Peek() == ',') {
         ++pos_;
         continue;
       }
+      Truncate(out, n);
       return Expect('}');
     }
   }
 
-  /// Stores the elements in `out`, or hands each to `on_element` when set.
+  /// Stores the elements in `out` (reusing its element slots, like
+  /// ParseObject), or hands each to `on_element` when set, parsing every
+  /// element into the same reused value.
   Status ParseArray(JsonValue* out, int depth,
                     const JsonValue::ElementCallback* on_element = nullptr) {
     UOT_RETURN_IF_ERROR(Expect('['));
     out->kind_ = JsonValue::Kind::kArray;
+    size_t n = 0;
     SkipWhitespace();
     if (!AtEnd() && Peek() == ']') {
       ++pos_;
+      out->array_.resize(n);
       return Status::OK();
     }
+    JsonValue streamed;
     while (true) {
       SkipWhitespace();
-      JsonValue element;
-      UOT_RETURN_IF_ERROR(ParseValue(&element, depth + 1));
+      JsonValue* element = &streamed;
+      if (on_element == nullptr) {
+        if (n == out->array_.size()) out->array_.emplace_back();
+        element = &out->array_[n++];
+      }
+      UOT_RETURN_IF_ERROR(ParseValue(element, depth + 1));
       if (on_element != nullptr) {
-        UOT_RETURN_IF_ERROR((*on_element)(element));
-      } else {
-        out->array_.push_back(std::move(element));
+        UOT_RETURN_IF_ERROR((*on_element)(*element));
       }
       SkipWhitespace();
       if (AtEnd()) return Error("unterminated array");
@@ -203,8 +220,15 @@ class JsonLiteParser {
         ++pos_;
         continue;
       }
+      out->array_.resize(n);
       return Expect(']');
     }
+  }
+
+  /// Drops the member slots of `out` past the first `n`.
+  static void Truncate(JsonValue* out, size_t n) {
+    out->keys_.resize(n);
+    out->array_.resize(n);
   }
 
   Status ParseString(std::string* out) {

@@ -18,11 +18,24 @@ namespace server {
 /// PlanBuilder, resolving columns against the catalog and binding literal
 /// (or EXECUTE-parameter) values to the compared columns' types.
 ///
-/// Plan shape (the left-deep form every existing substrate uses):
-///   Select(from-table)
-///     [-> Exchange/Build(join-table) + Probe]       when joined
-///     -> Aggregate                                  when aggregated
-///     [-> projection-only Select]                   bare columns post-join
+/// Plan shape: every stage carries only the columns the statement reads
+/// above it, and WHERE conjuncts are evaluated where their table is read,
+/// never projected.
+///  - no join, aggregated: one Aggregate over the base table with WHERE as
+///    its fused predicate (a single integral group key can take the dense
+///    layout);
+///  - no join, bare columns: one scan Select that filters and projects the
+///    select list;
+///  - join: each side is read by a scan Select projecting the join key and
+///    the columns used above the join, or straight from its base table
+///    when it has no WHERE and the join is not partitioned. The build
+///    payload and the probe output hold only those columns (COUNT(*)
+///    alone keeps the build key). An Aggregate, or nothing, follows.
+///  - a projection-only Select last, only when the select list's order
+///    differs from the operator's output order.
+/// Compile rejects, with InvalidArgument, SUM/AVG/MIN/MAX over a
+/// non-numeric column and join or group keys the hash kernels cannot key
+/// (IsKeyableType).
 class PlanCompiler {
  public:
   PlanCompiler(const Catalog* catalog, PlanBuilderConfig config)
@@ -35,9 +48,12 @@ class PlanCompiler {
                  const std::vector<SqlValue>& params, int radix_bits,
                  std::unique_ptr<QueryPlan>* out) const;
 
-  /// Base-table cardinality estimates of the join's build (join-table) and
-  /// probe (from-table) inputs, for CostModelUotChooser::ChooseRadixBits.
-  /// Fails unless the statement has a join.
+  /// Estimates of the join's build (join-table) and probe (from-table)
+  /// inputs, for CostModelUotChooser::ChooseRadixBits: base-table row
+  /// counts, and the row widths the compiled plan carries (the build
+  /// payload; the probe scan's key and carried columns). Fails unless the
+  /// statement has a join, or on the errors Compile reports for its
+  /// columns.
   Status JoinEstimates(const SelectStatement& stmt, EdgeEstimate* build,
                        EdgeEstimate* probe) const;
 

@@ -173,6 +173,85 @@ TEST(TraceJsonTest, DetectsNonMonotonicTimestamps) {
   EXPECT_FALSE(summary.timestamps_monotonic);
 }
 
+/// A kind-tagged rendering of `v`, members in file order.
+std::string Describe(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return v.AsBool() ? "true" : "false";
+    case JsonValue::Kind::kNumber: return "n" + std::to_string(v.AsDouble());
+    case JsonValue::Kind::kString: return "s'" + v.AsString() + "'";
+    case JsonValue::Kind::kArray: {
+      std::string out = "[";
+      for (const JsonValue& e : v.AsArray()) out += Describe(e) + ",";
+      return out + "]";
+    }
+    case JsonValue::Kind::kObject: {
+      std::string out = "{";
+      for (const std::string& key : v.ObjectKeys()) {
+        out += key + ":" + Describe(*v.Find(key)) + ",";
+      }
+      return out + "}";
+    }
+  }
+  return "?";
+}
+
+TEST(JsonLiteTest, StreamedElementsKeepNothingOfEarlierOnes) {
+  // The streamed element is parsed into one reused value: each element
+  // must read exactly as a fresh parse of its own text, whatever the
+  // elements before it held.
+  const std::vector<std::string> elements = {
+      "{\"a\": 1, \"b\": {\"c\": [1, 2, 3], \"d\": \"a string past SSO\"}}",
+      "{\"b\": {}}",
+      "{\"b\": {\"c\": []}, \"a\": [true, null]}",
+      "7",
+      "{\"a\": \"x\"}",
+      "[{\"b\": 1}, 2]",
+      "{}",
+      "{\"b\": {\"d\": \"y\", \"c\": [4]}, \"e\": false}",
+      // An object after an array that was shorter than the object before.
+      "{\"a\": 1, \"b\": 2, \"c\": 3}",
+      "[]",
+      "{\"x\": 1, \"y\": [2], \"z\": 3, \"w\": {}}",
+  };
+  std::string json = "{\"head\": 1, \"items\": [";
+  for (size_t i = 0; i < elements.size(); ++i) {
+    json += (i > 0 ? ", " : "") + elements[i];
+  }
+  json += "], \"tail\": [1]}";
+
+  std::vector<std::string> seen;
+  JsonValue root;
+  ASSERT_TRUE(JsonValue::ParseStreaming(
+                  json, "items",
+                  [&seen](const JsonValue& e) {
+                    seen.push_back(Describe(e));
+                    return Status::OK();
+                  },
+                  &root)
+                  .ok());
+  ASSERT_EQ(seen.size(), elements.size());
+  for (size_t i = 0; i < elements.size(); ++i) {
+    JsonValue fresh;
+    ASSERT_TRUE(JsonValue::Parse(elements[i], &fresh).ok());
+    EXPECT_EQ(seen[i], Describe(fresh)) << elements[i];
+  }
+  EXPECT_EQ(Describe(root), "{head:n1.000000,items:[],tail:[n1.000000,],}");
+
+  // A key repeated within one element is still a duplicate; the same key
+  // in consecutive elements is not.
+  const auto ignore = [](const JsonValue&) { return Status::OK(); };
+  EXPECT_TRUE(JsonValue::ParseStreaming(
+                  "{\"items\": [{\"a\": 1, \"b\": 2}, {\"b\": 1, \"a\": 2}]}",
+                  "items", ignore, &root)
+                  .ok());
+  EXPECT_EQ(JsonValue::ParseStreaming(
+                "{\"items\": [{\"a\": 1, \"b\": 2}, {\"b\": 1, \"b\": 2}]}",
+                "items", ignore, &root)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
   Histogram h({10, 100, 1000});
   ASSERT_EQ(h.num_buckets(), 4u);

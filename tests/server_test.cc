@@ -11,8 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +27,7 @@
 #include "plan/plan_builder.h"
 #include "server/frontend.h"
 #include "server/plan_cache.h"
+#include "server/plan_compiler.h"
 #include "server/sql_parser.h"
 #include "server/text_server.h"
 #include "test_util.h"
@@ -636,6 +642,451 @@ TEST_F(TpchServerTest, CachedPlansMatchFreshPlansByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
+// Compiled statements against a row-at-a-time oracle, and their plan shape
+
+/// Evaluates `sql` one row at a time over the base tables: resolve the
+/// columns, nested-loop the join, filter, group and aggregate, and render
+/// the rows as CanonicalRows does. Supports what the corpus below uses:
+/// numeric WHERE literals and integral join keys.
+std::string OracleRows(const Catalog& catalog, const std::string& sql) {
+  SelectStatement stmt;
+  UOT_CHECK(ParseSelect(sql, &stmt).ok());
+  const Table* tables[2] = {catalog.Find(stmt.table),
+                            stmt.has_join ? catalog.Find(stmt.join.table)
+                                          : nullptr};
+  const std::string names[2] = {stmt.table, stmt.join.table};
+  struct Ref {
+    int side;
+    int col;
+  };
+  const auto resolve = [&](const std::string& name) {
+    const size_t dot = name.find('.');
+    const std::string column =
+        dot == std::string::npos ? name : name.substr(dot + 1);
+    for (int s = 0; s < 2; ++s) {
+      if (tables[s] == nullptr) continue;
+      if (dot != std::string::npos && name.substr(0, dot) != names[s]) {
+        continue;
+      }
+      const int c = tables[s]->schema().ColumnIndex(column);
+      if (c >= 0) return Ref{s, c};
+    }
+    UOT_CHECK(false);  // the corpus names only existing columns
+    return Ref{};
+  };
+  using Row = std::vector<TypedValue>;
+  const auto read = [](const Table* table) {
+    std::vector<Row> rows;
+    const Schema& schema = table->schema();
+    for (const Block* block : table->blocks()) {
+      for (uint32_t r = 0; r < block->num_rows(); ++r) {
+        Row row;
+        for (int c = 0; c < schema.num_columns(); ++c) {
+          row.push_back(TypedValue::Load(schema.column(c).type,
+                                         block->Column(c).at(r)));
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    return rows;
+  };
+  const auto number = [](const SqlValue& v) {
+    return v.kind == SqlValue::Kind::kInt ? static_cast<double>(v.int_value)
+                                          : v.double_value;
+  };
+  using Joined = std::array<const Row*, 2>;
+  const auto value = [](const Joined& row, const Ref& ref) {
+    return row[static_cast<size_t>(ref.side)]->at(
+        static_cast<size_t>(ref.col));
+  };
+  std::vector<Ref> where;
+  for (const SqlCondition& cond : stmt.where) {
+    where.push_back(resolve(cond.column));
+  }
+  const auto passes = [&](const Joined& row) {
+    for (size_t i = 0; i < where.size(); ++i) {
+      const double a = value(row, where[i]).ToDouble();
+      const double b = number(stmt.where[i].value);
+      bool ok = false;
+      switch (stmt.where[i].op) {
+        case CompareOp::kEq: ok = a == b; break;
+        case CompareOp::kNe: ok = a != b; break;
+        case CompareOp::kLt: ok = a < b; break;
+        case CompareOp::kLe: ok = a <= b; break;
+        case CompareOp::kGt: ok = a > b; break;
+        case CompareOp::kGe: ok = a >= b; break;
+      }
+      if (!ok) return false;
+    }
+    return true;
+  };
+  const auto render = [](const TypedValue& v) {
+    if (v.type_id() != TypeId::kDouble) return v.ToString();
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.7g", v.AsDouble());
+    return std::string(buf);
+  };
+
+  // The joined (or single-table) rows that pass WHERE.
+  const std::vector<Row> left = read(tables[0]);
+  std::vector<Row> right;
+  std::multimap<int64_t, const Row*> right_by_key;
+  Ref keys[2] = {};
+  if (stmt.has_join) {
+    right = read(tables[1]);
+    keys[0] = resolve(stmt.join.left_column);
+    keys[1] = resolve(stmt.join.right_column);
+    if (keys[0].side == 1) std::swap(keys[0], keys[1]);
+    for (const Row& r : right) {
+      right_by_key.emplace(r[static_cast<size_t>(keys[1].col)].ToInt64(), &r);
+    }
+  }
+  std::vector<Joined> joined;
+  for (const Row& l : left) {
+    if (!stmt.has_join) {
+      if (passes({&l, nullptr})) joined.push_back({&l, nullptr});
+      continue;
+    }
+    const auto [begin, end] = right_by_key.equal_range(
+        l[static_cast<size_t>(keys[0].col)].ToInt64());
+    for (auto it = begin; it != end; ++it) {
+      if (passes({&l, it->second})) joined.push_back({&l, it->second});
+    }
+  }
+  std::vector<Ref> items;
+  for (const SqlSelectItem& item : stmt.items) {
+    items.push_back(item.count_star ? Ref{0, -1} : resolve(item.column));
+  }
+  std::vector<Ref> group_by;
+  for (const std::string& g : stmt.group_by) group_by.push_back(resolve(g));
+
+  std::vector<std::string> lines;
+  const bool aggregated =
+      !stmt.group_by.empty() ||
+      std::any_of(stmt.items.begin(), stmt.items.end(),
+                  [](const SqlSelectItem& i) { return i.is_aggregate; });
+  if (!aggregated) {
+    for (const Joined& row : joined) {
+      std::string line;
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) line += ",";
+        line += render(value(row, items[i]));
+      }
+      lines.push_back(std::move(line));
+    }
+  } else {
+    struct Acc {
+      int64_t count = 0;
+      long double sum = 0;
+      double min = std::numeric_limits<double>::infinity();
+      double max = -std::numeric_limits<double>::infinity();
+    };
+    struct Group {
+      Joined first{};  // a row of the group, for its bare (key) items
+      std::vector<Acc> accs;
+    };
+    std::map<std::string, Group> groups;
+    for (const Joined& row : joined) {
+      std::string id;
+      for (const Ref& g : group_by) id += value(row, g).ToString() + "|";
+      Group& group = groups[id];
+      if (group.accs.empty()) {
+        group.first = row;
+        group.accs.resize(stmt.items.size());
+      }
+      for (size_t i = 0; i < stmt.items.size(); ++i) {
+        const SqlSelectItem& item = stmt.items[i];
+        if (!item.is_aggregate) continue;
+        Acc& acc = group.accs[i];
+        ++acc.count;
+        if (item.count_star) continue;
+        const double v = value(row, items[i]).ToDouble();
+        acc.sum += v;
+        acc.min = std::min(acc.min, v);
+        acc.max = std::max(acc.max, v);
+      }
+    }
+    // A scalar aggregate over no rows still returns one row of zeros.
+    if (groups.empty() && stmt.group_by.empty()) {
+      groups[""].accs.resize(stmt.items.size());
+    }
+    for (const auto& [id, group] : groups) {
+      std::string line;
+      for (size_t i = 0; i < stmt.items.size(); ++i) {
+        const SqlSelectItem& item = stmt.items[i];
+        if (i > 0) line += ",";
+        if (!item.is_aggregate) {
+          line += render(value(group.first, items[i]));
+          continue;
+        }
+        const Acc& acc = group.accs[i];
+        if (item.fn == AggFn::kCount) {
+          line += std::to_string(acc.count);
+          continue;
+        }
+        double v = 0.0;
+        if (acc.count > 0) {
+          switch (item.fn) {
+            case AggFn::kSum: v = static_cast<double>(acc.sum); break;
+            case AggFn::kAvg:
+              v = static_cast<double>(acc.sum / acc.count);
+              break;
+            case AggFn::kMin: v = acc.min; break;
+            case AggFn::kMax: v = acc.max; break;
+            case AggFn::kCount: break;
+          }
+        }
+        line += render(TypedValue::Double(v));
+      }
+      lines.push_back(std::move(line));
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+/// Statements whose plans carry a chosen subset of columns through each
+/// stage: every shape the compiler emits, and each way a column can be
+/// needed above a join.
+const std::vector<std::string>& OracleCorpus() {
+  static const std::vector<std::string> corpus = {
+      // No join, aggregated straight off the base table.
+      "select count(*), sum(l_quantity) from lineitem where l_quantity < 24",
+      "select max(l_extendedprice), min(l_extendedprice), avg(l_discount) "
+      "from lineitem where l_quantity = 7",
+      "select sum(l_extendedprice), l_returnflag from lineitem "
+      "group by l_returnflag",
+      // Dense-eligible integral group keys.
+      "select l_suppkey, count(*), sum(l_extendedprice) from lineitem "
+      "where l_quantity < 25 group by l_suppkey",
+      "select l_linenumber, count(*), max(l_tax) from lineitem "
+      "group by l_linenumber",
+      // No join, bare columns; l_quantity is both filtered and selected.
+      "select l_quantity, l_partkey, l_quantity from lineitem "
+      "where l_quantity < 3 and l_discount > 0.08",
+      // Group keys and aggregates drawn from both join sides.
+      "select o_orderstatus, l_returnflag, count(*), sum(l_quantity), "
+      "avg(o_totalprice), max(l_discount) from lineitem join orders "
+      "on l_orderkey = o_orderkey where l_quantity < 20 "
+      "group by o_orderstatus, l_returnflag",
+      "select sum(o_totalprice), o_orderstatus from orders join customer "
+      "on o_custkey = c_custkey where c_acctbal > 5000 "
+      "group by o_orderstatus",
+      // COUNT(*) over a join and no other column, filtered and not.
+      "select count(*) from lineitem join orders on l_orderkey = o_orderkey "
+      "where l_quantity > 30",
+      "select count(*) from orders join lineitem on o_orderkey = l_orderkey",
+      // An INT64 key against an INT32 key.
+      "select count(*) from orders join lineitem on o_orderkey = l_linenumber",
+      // Selected join keys, and columns used in both WHERE and SELECT.
+      "select l_orderkey, o_orderkey, l_quantity from lineitem join orders "
+      "on l_orderkey = o_orderkey where o_totalprice < 20000 "
+      "and l_quantity < 30",
+      // A select list that interleaves the two sides.
+      "select l_quantity, o_totalprice, l_discount, o_orderdate, l_quantity "
+      "from lineitem join orders on l_orderkey = o_orderkey "
+      "where l_quantity < 3 and o_totalprice < 100000",
+      // The build side filtered, the probe side read whole.
+      "select c_name, o_totalprice from orders join customer "
+      "on o_custkey = c_custkey where c_acctbal > 9000",
+  };
+  return corpus;
+}
+
+TEST_F(TpchServerTest, CompiledStatementsMatchRowOracle) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  const PlanCompiler compiler(&catalog, PlanBuilderConfig{});
+  std::map<std::string, std::string> expected_rows;
+  for (const std::string& sql : OracleCorpus()) {
+    SCOPED_TRACE(sql);
+    const std::string& expected = expected_rows[sql] =
+        OracleRows(catalog, sql);
+    SelectStatement stmt;
+    ASSERT_TRUE(ParseSelect(sql, &stmt).ok());
+    for (const PipelineMode mode :
+         {PipelineMode::kVectorized, PipelineMode::kFused}) {
+      for (const int radix_bits : {0, 2}) {
+        SCOPED_TRACE("fused=" +
+                     std::to_string(mode == PipelineMode::kFused) +
+                     " radix=" + std::to_string(radix_bits));
+        std::unique_ptr<QueryPlan> plan;
+        ASSERT_TRUE(compiler.Compile(stmt, {}, radix_bits, &plan).ok());
+        ExecConfig exec;
+        exec.num_workers = 2;
+        exec.pipeline_mode = mode;
+        QueryExecutor::Execute(plan.get(), exec);
+        EXPECT_TRUE(
+            CanonicalRowsNear(CanonicalRows(*plan->result_table()), expected));
+      }
+    }
+  }
+
+  // Through the front end: the miss and the hit return the same bytes.
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  for (const std::string& sql : OracleCorpus()) {
+    const Response miss = frontend.Handle({sql, "default"});
+    ASSERT_TRUE(miss.ok) << sql << ": " << miss.error;
+    const Response hit = frontend.Handle({sql, "default"});
+    ASSERT_TRUE(hit.ok) << sql << ": " << hit.error;
+    EXPECT_EQ(hit.cache, Response::Cache::kHit) << sql;
+    EXPECT_EQ(hit.rows_csv, miss.rows_csv) << sql;
+    EXPECT_TRUE(CanonicalRowsNear(miss.rows_csv, expected_rows[sql]))
+        << sql;
+  }
+}
+
+/// The operator of `plan` of type T (the first one).
+template <typename T>
+T* FindOperator(QueryPlan* plan, int* index = nullptr) {
+  for (int i = 0; i < plan->num_operators(); ++i) {
+    if (auto* op = dynamic_cast<T*>(plan->op(i))) {
+      if (index != nullptr) *index = i;
+      return op;
+    }
+  }
+  return nullptr;
+}
+
+TEST_F(TpchServerTest, FilteredAggregateReadsTheBaseTable) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  const PlanCompiler compiler(&catalog, PlanBuilderConfig{});
+  for (const char* sql :
+       {"select count(*) from lineitem where l_quantity < 24",
+        "select sum(l_extendedprice), count(*) from lineitem "
+        "where l_quantity < 24 and l_discount > 0.05"}) {
+    SCOPED_TRACE(sql);
+    SelectStatement stmt;
+    ASSERT_TRUE(ParseSelect(sql, &stmt).ok());
+    std::unique_ptr<QueryPlan> plan;
+    ASSERT_TRUE(compiler.Compile(stmt, {}, 0, &plan).ok());
+    // One operator, so its output is the only temp table; no streaming
+    // edge, so it reads lineitem itself.
+    ASSERT_EQ(plan->num_operators(), 1);
+    ASSERT_NE(dynamic_cast<AggregateOperator*>(plan->op(0)), nullptr);
+    EXPECT_TRUE(plan->streaming_edges().empty());
+    EXPECT_EQ(plan->destination_of(0)->output(), plan->result_table());
+  }
+}
+
+TEST_F(TpchServerTest, JoinCarriesOnlyTheKeyForCountStar) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  const PlanCompiler compiler(&catalog, PlanBuilderConfig{});
+  SelectStatement stmt;
+  ASSERT_TRUE(ParseSelect("select count(*) from lineitem join orders "
+                          "on l_orderkey = o_orderkey where l_quantity > 30",
+                          &stmt)
+                  .ok());
+  std::unique_ptr<QueryPlan> plan;
+  ASSERT_TRUE(compiler.Compile(stmt, {}, 0, &plan).ok());
+
+  int build_index = -1;
+  int probe_index = -1;
+  BuildHashOperator* build =
+      FindOperator<BuildHashOperator>(plan.get(), &build_index);
+  ProbeHashOperator* probe =
+      FindOperator<ProbeHashOperator>(plan.get(), &probe_index);
+  ASSERT_NE(build, nullptr);
+  ASSERT_NE(probe, nullptr);
+  const Schema& payload = build->hash_table()->payload_schema();
+  ASSERT_EQ(payload.num_columns(), 1);
+  EXPECT_EQ(payload.column(0).name, "o_orderkey");
+
+  // orders has no WHERE: the build reads it directly. lineitem's scan
+  // projects its key alone into the probe.
+  const SelectOperator* scan = nullptr;
+  for (const QueryPlan::StreamingEdge& edge : plan->streaming_edges()) {
+    EXPECT_NE(edge.consumer, build_index);
+    if (edge.consumer == probe_index) {
+      scan = dynamic_cast<const SelectOperator*>(plan->op(edge.producer));
+    }
+  }
+  ASSERT_NE(scan, nullptr);
+  const Schema& probe_in = scan->destination()->schema();
+  ASSERT_EQ(probe_in.num_columns(), 1);
+  EXPECT_EQ(probe_in.column(0).name, "l_orderkey");
+
+  // The join keys are all it carries, so the radix estimate sizes 8-byte
+  // rows, not orders' and lineitem's full rows.
+  EdgeEstimate build_est, probe_est;
+  ASSERT_TRUE(compiler.JoinEstimates(stmt, &build_est, &probe_est).ok());
+  EXPECT_EQ(build_est.row_bytes, 8.0);
+  EXPECT_EQ(probe_est.row_bytes, 8.0);
+}
+
+TEST_F(TpchServerTest, IntegralGroupKeyOverBaseTableTakesDenseLayout) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  const PlanCompiler compiler(&catalog, PlanBuilderConfig{});
+  SelectStatement stmt;
+  ASSERT_TRUE(ParseSelect("select l_linenumber, count(*) from lineitem "
+                          "where l_quantity < 25 group by l_linenumber",
+                          &stmt)
+                  .ok());
+  std::unique_ptr<QueryPlan> plan;
+  ASSERT_TRUE(compiler.Compile(stmt, {}, 0, &plan).ok());
+  ASSERT_EQ(plan->num_operators(), 1);
+  QueryExecutor::Execute(plan.get(), ExecConfig{});
+  const auto* agg = dynamic_cast<const AggregateOperator*>(plan->op(0));
+  ASSERT_NE(agg, nullptr);
+  EXPECT_TRUE(agg->dense());
+  EXPECT_EQ(plan->result_table()->NumRows(), 7u);
+}
+
+/// Statements that once aborted the server at plan construction or
+/// execution: aggregates over CHAR and join keys the hash kernels cannot
+/// key.
+const std::vector<std::string>& TypeErrorStatements() {
+  static const std::vector<std::string> statements = {
+      "select sum(l_shipmode) from lineitem",
+      "select min(l_shipmode) from lineitem",
+      "select count(*) from orders join lineitem on o_orderkey = l_shipmode",
+      "select count(*) from orders join lineitem on o_orderkey = l_quantity",
+  };
+  return statements;
+}
+
+TEST_F(TpchServerTest, TypeErrorsAreErrorsNotAborts) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  for (const std::string& sql : TypeErrorStatements()) {
+    const Response resp = frontend.Handle({sql, "default"});
+    EXPECT_FALSE(resp.ok) << sql;
+    EXPECT_EQ(FormatResponse(resp).rfind("ERR ", 0), 0u) << sql;
+  }
+  // Other type errors the kernels would abort on: non-keyable and too many
+  // group keys.
+  for (const char* sql :
+       {"select l_shipmode, count(*) from lineitem group by l_shipmode",
+        "select count(*) from lineitem group by l_quantity",
+        "select count(*) from lineitem group by l_orderkey, l_partkey, "
+        "l_suppkey, l_linenumber"}) {
+    EXPECT_FALSE(frontend.Handle({sql, "default"}).ok) << sql;
+  }
+  // An INT32 key against an INT64 key is fine.
+  const Response mixed = frontend.Handle(
+      {"select count(*) from orders join lineitem on o_orderkey = "
+       "l_linenumber",
+       "default"});
+  ASSERT_TRUE(mixed.ok) << mixed.error;
+  EXPECT_EQ(mixed.rows_csv,
+            OracleRows(catalog, "select count(*) from orders join lineitem "
+                                "on o_orderkey = l_linenumber"));
+  EXPECT_TRUE(frontend.Handle({"select count(*) from lineitem", "default"}).ok);
+}
+
+// ---------------------------------------------------------------------------
 // Text protocol over TCP
 
 class TcpClient {
@@ -782,6 +1233,31 @@ TEST_F(FrontEndTest, ConcurrentStopIsSafe) {
   }
   for (std::thread& t : stoppers) t.join();
   EXPECT_EQ(tcp.active_connections(), 0u);
+}
+
+TEST_F(TpchServerTest, TypeErrorsOverTcpLeaveTheServerServing) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  TextServer tcp(&frontend);
+  ASSERT_TRUE(tcp.Start(0).ok());
+  {
+    TcpClient client(tcp.port());
+    ASSERT_TRUE(client.connected());
+    for (const std::string& sql : TypeErrorStatements()) {
+      client.Send(sql + "\n");
+      const std::string reply = client.ReadReply();
+      EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << sql << ": " << reply;
+    }
+    client.Send("select count(*) from lineitem\n");
+    const std::string reply = client.ReadReply();
+    EXPECT_EQ(reply.rfind("OK rows=1", 0), 0u) << reply;
+    client.Send("quit\n");
+  }
+  tcp.Stop();
 }
 
 TEST(FormatResponseTest, RendersOkAndError) {
