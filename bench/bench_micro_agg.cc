@@ -9,10 +9,22 @@
 // 0..groups-1, so the operator picks the direct-indexed layout: one state
 // array per worker, no hashing and no merge until Finish.
 //
+// Two more leaf arms go dense on a base table: a TPC-H Q1-shaped one (two
+// CHAR(1) keys, four SUMs, two of them over price arithmetic) and a scalar
+// one (sum(v), no key: one group).
+//
+// The update-loop arm times AggLayout's update loops alone, per row, on
+// block-sized batches of a COUNT and 1 or 7 SUMs: the scatter loop over 1
+// to 750k groups and the one-group register loop. It is the measurement
+// behind AggLayout::Update's choice between them.
+//
 // Each point is the median query time over UOT_RUNS runs (default 5).
 // Emits BENCH_aggregate.json with one `g<groups>_<mode>_w<workers>_ms`
-// key per point and the 4-vs-2-worker ratio per group count and mode, and
-// `dense_g<groups>_w<workers>_ms` keys for the dense arm.
+// key per point and the 4-vs-2-worker ratio per group count and mode,
+// `dense_g<groups>_w<workers>_ms` keys for the dense arm,
+// `q1_w<workers>_ms` and `scalar_w<workers>_ms` for the Q1-shaped and
+// scalar arms, and `update_g<groups>_s<sums>_scatter_ns` and
+// `update_g1_s<sums>_register_ns` (ns per row) for the update-loop arm.
 // UOT_AGG_BENCH_SMALL=1 shrinks the table so CI can smoke-test the emitter
 // in seconds.
 
@@ -29,6 +41,7 @@
 #include "plan/plan_builder.h"
 #include "types/row_builder.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -107,6 +120,139 @@ double TimeAggregate(StorageManager* storage, const Table& input, int workers,
   return times[times.size() / 2];
 }
 
+/// `rows` lineitem-like rows: (returnflag CHAR(1), linestatus CHAR(1),
+/// quantity, extendedprice, discount, tax DOUBLE), with the four
+/// (returnflag, linestatus) pairs TPC-H data has.
+std::unique_ptr<Table> MakeQ1Input(StorageManager* storage, uint64_t rows) {
+  Schema schema({{"flag", Type::Char(1)},
+                 {"status", Type::Char(1)},
+                 {"qty", Type::Double()},
+                 {"price", Type::Double()},
+                 {"disc", Type::Double()},
+                 {"tax", Type::Double()}});
+  auto table = std::make_unique<Table>("q1_in", schema, Layout::kColumnStore,
+                                       kBlockBytes, storage,
+                                       MemoryCategory::kBaseTable);
+  static constexpr const char* kPairs[4] = {"AF", "NF", "NO", "RF"};
+  Random rng(1);
+  RowBuilder row(&table->schema());
+  for (uint64_t i = 0; i < rows; ++i) {
+    const char* pair = kPairs[rng.Uniform(0, 3)];
+    row.SetChar(0, std::string(1, pair[0]));
+    row.SetChar(1, std::string(1, pair[1]));
+    row.SetDouble(2, static_cast<double>(rng.Uniform(1, 50)));
+    row.SetDouble(3, static_cast<double>(rng.Uniform(90000, 10000000)) / 100);
+    row.SetDouble(4, static_cast<double>(rng.Uniform(0, 10)) / 100);
+    row.SetDouble(5, static_cast<double>(rng.Uniform(0, 8)) / 100);
+    table->AppendRow(row.data());
+  }
+  return table;
+}
+
+/// Median wall time (ms) of a leaf aggregate over `input` that must pick
+/// the dense layout and return `expect_groups` rows.
+double TimeLeaf(StorageManager* storage, const Table& input, int workers,
+                int runs, uint64_t expect_groups,
+                const std::vector<int>& group_cols,
+                std::vector<AggSpec> (*make_aggs)()) {
+  std::vector<double> times;
+  for (int r = 0; r < runs; ++r) {
+    PlanBuilderConfig config;
+    config.block_bytes = kBlockBytes;
+    PlanBuilder builder(storage, config);
+    PlanBuilder::Src agg = builder.Aggregate("agg", PlanBuilder::Base(input),
+                                             group_cols, make_aggs());
+    std::unique_ptr<QueryPlan> plan = builder.Finish(agg);
+    ExecConfig exec;
+    exec.num_workers = workers;
+    exec.uot = UotPolicy::LowUot(1);
+    const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
+    if (plan->result_table()->NumRows() != expect_groups ||
+        !dynamic_cast<const AggregateOperator&>(*plan->op(agg.op)).dense()) {
+      std::fprintf(stderr, "leaf arm: wrong groups or not dense\n");
+      std::exit(1);
+    }
+    times.push_back(stats.QueryMillis());
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+std::vector<AggSpec> Q1Aggs() {
+  auto price = [] { return Col(3, Type::Double()); };
+  auto disc_price = [&] {
+    return Mul(price(), Sub(LitDouble(1.0), Col(4, Type::Double())));
+  };
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kSum, Col(2, Type::Double()), "sum_qty"});
+  aggs.push_back({AggFn::kSum, price(), "sum_base_price"});
+  aggs.push_back({AggFn::kSum, disc_price(), "sum_disc_price"});
+  aggs.push_back({AggFn::kSum,
+                  Mul(disc_price(), Add(LitDouble(1.0), Col(5, Type::Double()))),
+                  "sum_charge"});
+  aggs.push_back({AggFn::kCount, nullptr, "count_order"});
+  return aggs;
+}
+
+std::vector<AggSpec> ScalarAggs() {
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kSum, Col(1, Type::Double()), "sum_v"});
+  return aggs;
+}
+
+/// Nanoseconds per row of AggLayout's scatter update loop and, for one
+/// group, of its register loop (`*register_ns` is 0 otherwise), over `rows`
+/// rows in batches of `batch`: a COUNT and `sums` SUMs, group ids uniform
+/// over `groups`.
+void TimeUpdateLoops(uint64_t rows, uint32_t batch, uint32_t groups,
+                     int sums, int runs, double* scatter_ns,
+                     double* register_ns) {
+  std::vector<AggSpec> specs;
+  specs.push_back({AggFn::kCount, nullptr, "cnt"});
+  for (int a = 0; a < sums; ++a) {
+    specs.push_back({AggFn::kSum, Col(1, Type::Double()), "sum"});
+  }
+  const AggLayout layout(specs);
+  Random rng(groups);
+  std::vector<uint32_t> ids(rows);
+  std::vector<double> values(rows);
+  for (uint64_t i = 0; i < rows; ++i) {
+    ids[i] = static_cast<uint32_t>(rng.Uniform(0, groups - 1));
+    values[i] = static_cast<double>(i) * 0.37;
+  }
+  std::vector<AggWord> states(static_cast<size_t>(groups) * layout.words());
+  std::vector<const double*> inputs(specs.size());
+  auto time_loop = [&](bool one_group) {
+    std::vector<double> times;
+    for (int r = 0; r < runs; ++r) {
+      for (size_t g = 0; g < groups; ++g) {
+        std::copy(layout.init(), layout.init() + layout.words(),
+                  states.data() + g * layout.words());
+      }
+      Timer timer;
+      for (uint64_t b = 0; b < rows; b += batch) {
+        const uint32_t n =
+            static_cast<uint32_t>(std::min<uint64_t>(rows - b, batch));
+        for (size_t a = 1; a < specs.size(); ++a) {
+          inputs[a] = values.data() + b;
+        }
+        if (one_group) {
+          layout.UpdateGroup(states.data(), n, inputs.data());
+        } else {
+          layout.UpdateScatter(ids.data() + b, n, inputs.data(),
+                               states.data());
+        }
+      }
+      times.push_back(timer.ElapsedMillis() * 1e6 /
+                      static_cast<double>(rows));
+    }
+    std::sort(times.begin(), times.end());
+    return times[times.size() / 2];
+  };
+  *scatter_ns = time_loop(false);
+  *register_ns = groups == 1 ? time_loop(true) : 0.0;
+}
+
 }  // namespace
 
 int main() {
@@ -169,6 +315,52 @@ int main() {
                 static_cast<unsigned long long>(groups), "dense", ms[0], ms[1],
                 ms[2], ms[2] / ms[1]);
   }
+  // Leaf arms that the dense layout now covers: Q1's key pair and a
+  // scalar aggregate.
+  {
+    StorageManager storage;
+    const std::unique_ptr<Table> q1 = MakeQ1Input(&storage, rows);
+    const std::unique_ptr<Table> kv = MakeInput(&storage, rows, 1000);
+    const int worker_counts[3] = {1, 2, 4};
+    double q1_ms[3];
+    double scalar_ms[3];
+    for (int i = 0; i < 3; ++i) {
+      q1_ms[i] = TimeLeaf(&storage, *q1, worker_counts[i], runs, 4, {0, 1},
+                          Q1Aggs);
+      scalar_ms[i] =
+          TimeLeaf(&storage, *kv, worker_counts[i], runs, 1, {}, ScalarAggs);
+      json.Set("q1_w" + std::to_string(worker_counts[i]) + "_ms", q1_ms[i]);
+      json.Set("scalar_w" + std::to_string(worker_counts[i]) + "_ms",
+               scalar_ms[i]);
+    }
+    std::printf("%-10s %-11s %10.2f %10.2f %10.2f %8.3f\n", "4", "q1",
+                q1_ms[0], q1_ms[1], q1_ms[2], q1_ms[2] / q1_ms[1]);
+    std::printf("%-10s %-11s %10.2f %10.2f %10.2f %8.3f\n", "1", "scalar",
+                scalar_ms[0], scalar_ms[1], scalar_ms[2],
+                scalar_ms[2] / scalar_ms[1]);
+  }
+  // Update loops alone, in batches of one 128 KiB block of (k, v) rows.
+  const uint32_t batch = static_cast<uint32_t>(kBlockBytes / 16);
+  const std::vector<uint32_t> loop_groups =
+      small ? std::vector<uint32_t>{1, 4, 1000}
+            : std::vector<uint32_t>{1, 2, 4, 16, 1000, 100000, 750000};
+  std::printf("\n%-8s %-6s %14s %15s\n", "groups", "sums", "scatter ns/row",
+              "register ns/row");
+  for (const int sums : {1, 7}) {
+    for (const uint32_t groups : loop_groups) {
+      double scatter_ns = 0;
+      double register_ns = 0;
+      TimeUpdateLoops(rows, batch, groups, sums, runs, &scatter_ns,
+                      &register_ns);
+      const std::string prefix = "update_g" + std::to_string(groups) + "_s" +
+                                 std::to_string(sums) + "_";
+      json.Set(prefix + "scatter_ns", scatter_ns);
+      if (groups == 1) json.Set(prefix + "register_ns", register_ns);
+      std::printf("%-8u %-6d %14.2f %15.2f\n", groups, sums, scatter_ns,
+                  register_ns);
+    }
+  }
+  json.Set("update_batch_rows", batch);
   json.Write();
   return 0;
 }

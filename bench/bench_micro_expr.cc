@@ -1,5 +1,6 @@
 // Micro-benchmarks of vectorized predicate evaluation (selection-vector
-// filtering throughput at different selectivities and layouts) and of
+// filtering throughput at different selectivities and layouts, and per
+// column type: INT32, INT64, DATE, DOUBLE against a literal) and of
 // writing a projection's output rows into blocks.
 
 #include <benchmark/benchmark.h>
@@ -45,6 +46,50 @@ BENCHMARK(BM_FilterSelectivity)
     ->Args({1, 50})
     ->Args({1, 95})
     ->ArgNames({"layout", "sel%"});
+
+// A column against a literal in the column's own type: INT64, DATE or
+// DOUBLE, each holding row % 100 (scaled), at 50% selectivity.
+void BM_FilterTyped(benchmark::State& state) {
+  static const Schema schema({{"i64", Type::Int64()},
+                              {"d", Type::Date()},
+                              {"v", Type::Double()}});
+  const Layout layout = static_cast<Layout>(state.range(0));
+  auto block = std::make_unique<Block>(1, &schema, layout, 1 << 20);
+  RowBuilder row(&schema);
+  for (uint32_t i = 0; !block->Full(); ++i) {
+    row.SetInt64(0, int64_t{i % 100} << 40);
+    row.SetDate(1, static_cast<int32_t>(8000 + i % 100));
+    row.SetDouble(2, (i % 100) * 0.5);
+    block->AppendRow(row.data());
+  }
+  std::unique_ptr<Predicate> pred;
+  switch (state.range(1)) {
+    case 0:
+      pred = Cmp(CompareOp::kLt, Col(0, Type::Int64()),
+                 LitInt64(int64_t{50} << 40));
+      break;
+    case 1:
+      pred = Cmp(CompareOp::kLt, Col(1, Type::Date()), LitDate(8050));
+      break;
+    default:
+      pred = Cmp(CompareOp::kLt, Col(2, Type::Double()), LitDouble(25.0));
+      break;
+  }
+  for (auto _ : state) {
+    const auto sel = pred->FilterAll(*block);
+    benchmark::DoNotOptimize(sel.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          block->num_rows());
+}
+BENCHMARK(BM_FilterTyped)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({0, 2})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->ArgNames({"layout", "type"});
 
 void BM_ConjunctiveFilter(benchmark::State& state) {
   static const Schema schema({{"k", Type::Int32()}, {"v", Type::Double()}});

@@ -105,7 +105,7 @@ std::unique_ptr<Table> MaterializingEngine::Sort(const Table& input,
                         input.TotalBytes() + input.schema().row_width());
   InsertDestination dest(storage_, out.get(), nullptr);
   SortOperator op("baseline.sort", input.schema(), std::move(keys), &dest,
-                  limit);
+                  &storage_->tracker(), limit);
   op.AttachBaseTable(&input);
   Drive(&op);
   return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "expr/predicate.h"
 #include "operators/key_util.h"
@@ -50,26 +51,43 @@ Arithmetic::Arithmetic(ArithmeticOp op, std::unique_ptr<Scalar> left,
 
 void Arithmetic::Eval(const Block& block, const uint32_t* rows, uint32_t n,
                       std::byte* out) const {
+  double* result = reinterpret_cast<double*>(out);
+  const Literal* lhs_literal = left_->as_literal();
+  const Literal* rhs_literal = right_->as_literal();
   ScratchArena& arena = ScratchArena::ForThread();
   ScratchArena::Scope scope(&arena);
-  double* lhs = arena.AllocArray<double>(n);
-  double* rhs = arena.AllocArray<double>(n);
-  EvalAsDouble(*left_, block, rows, n, lhs);
-  EvalAsDouble(*right_, block, rows, n, rhs);
-  double* result = reinterpret_cast<double*>(out);
+  const double* rhs = nullptr;
+  double constant = 0.0;
+  if (rhs_literal != nullptr) {
+    constant = rhs_literal->value().ToDouble();
+    EvalAsDouble(*left_, block, rows, n, result);
+  } else if (lhs_literal != nullptr) {
+    constant = lhs_literal->value().ToDouble();
+    EvalAsDouble(*right_, block, rows, n, result);
+  } else {
+    EvalAsDouble(*left_, block, rows, n, result);
+    double* values = arena.AllocArray<double>(n);
+    EvalAsDouble(*right_, block, rows, n, values);
+    rhs = values;
+  }
+  auto apply = [&](auto op) {
+    if (rhs != nullptr) {
+      for (uint32_t i = 0; i < n; ++i) result[i] = op(result[i], rhs[i]);
+    } else if (rhs_literal != nullptr) {
+      for (uint32_t i = 0; i < n; ++i) result[i] = op(result[i], constant);
+    } else {
+      for (uint32_t i = 0; i < n; ++i) result[i] = op(constant, result[i]);
+    }
+  };
   switch (op_) {
     case ArithmeticOp::kAdd:
-      for (uint32_t i = 0; i < n; ++i) result[i] = lhs[i] + rhs[i];
-      return;
+      return apply(std::plus<double>());
     case ArithmeticOp::kSubtract:
-      for (uint32_t i = 0; i < n; ++i) result[i] = lhs[i] - rhs[i];
-      return;
+      return apply(std::minus<double>());
     case ArithmeticOp::kMultiply:
-      for (uint32_t i = 0; i < n; ++i) result[i] = lhs[i] * rhs[i];
-      return;
+      return apply(std::multiplies<double>());
     case ArithmeticOp::kDivide:
-      for (uint32_t i = 0; i < n; ++i) result[i] = lhs[i] / rhs[i];
-      return;
+      return apply(std::divides<double>());
   }
 }
 

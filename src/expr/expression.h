@@ -12,6 +12,7 @@
 namespace uot {
 
 class ColumnRef;
+class Literal;
 
 /// A scalar expression evaluated over the rows of one block.
 ///
@@ -37,6 +38,8 @@ class Scalar {
   /// RTTI lookup cost scales with class-hierarchy depth, a vtable call is
   /// constant.
   virtual const ColumnRef* as_column_ref() const { return nullptr; }
+  /// Non-null iff this expression is a constant.
+  virtual const Literal* as_literal() const { return nullptr; }
 
   virtual std::string ToString() const = 0;
 };
@@ -66,9 +69,12 @@ class Literal final : public Scalar {
   Literal(TypedValue value, Type type);
 
   const TypedValue& value() const { return value_; }
+  /// The packed value, `result_type().width()` bytes.
+  const std::byte* packed() const { return packed_.data(); }
   Type result_type() const override { return type_; }
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
+  const Literal* as_literal() const override { return this; }
   std::string ToString() const override;
 
  private:
@@ -82,6 +88,8 @@ enum class ArithmeticOp : uint8_t { kAdd, kSubtract, kMultiply, kDivide };
 /// Binary arithmetic over numeric operands. Results are computed and stored
 /// as DOUBLE (sufficient for the paper's workloads, where arithmetic appears
 /// only in price expressions such as l_extendedprice * (1 - l_discount)).
+/// The other operand is evaluated straight into the output buffer, and a
+/// literal operand is one loop constant.
 class Arithmetic final : public Scalar {
  public:
   Arithmetic(ArithmeticOp op, std::unique_ptr<Scalar> left,

@@ -30,13 +30,17 @@ class Predicate {
 
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// `left op right`. Numeric operands are compared as doubles; CHAR operands
-/// are compared bytewise (both sides must have equal widths).
+/// `left op right`. Two integral operands (INT32, INT64, DATE) compare
+/// exactly as integers; a DOUBLE operand makes it a double compare. CHAR
+/// operands compare bytewise (both sides must have equal widths).
 ///
-/// The numeric kernel compacts the selection branch-free
-/// (`sel[kept] = sel[i]; kept += cmp`): no data-dependent branches, so the
-/// compiler can auto-vectorize the compare and the loop never mispredicts
-/// at moderate selectivities. Row order is preserved.
+/// Filter allocates nothing. A column against a literal is read through
+/// the column's stride and compared in its own type against the hoisted
+/// literal (CHAR(<= 8) as one fixed-width word); so are two columns stored
+/// alike. Other operands are evaluated into ScratchArena scratch. Every
+/// kernel compacts the selection branch-free (`sel[kept] = sel[i]; kept +=
+/// cmp`), which never mispredicts at moderate selectivities and keeps row
+/// order.
 class Comparison final : public Predicate {
  public:
   Comparison(CompareOp op, std::unique_ptr<Scalar> left,
@@ -46,13 +50,20 @@ class Comparison final : public Predicate {
   std::string ToString() const override;
 
  private:
+  void FilterChar(const Block& block, std::vector<uint32_t>* sel) const;
+
   const CompareOp op_;
   const std::unique_ptr<Scalar> left_;
   const std::unique_ptr<Scalar> right_;
   const bool is_char_;
-  /// Right operand is a numeric literal: the kernel hoists the constant
-  /// out of the row loop instead of materializing it per row.
-  const bool rhs_is_literal_;
+  /// Both operands are integers: compare as int64 (exact at any value).
+  const bool integral_;
+  /// A literal right operand, as the compare sees it: an int64 when
+  /// `integral_`, else a double. `narrow_constant_`: the left side is
+  /// 4 bytes wide and the constant fits int32, so the compare is int32.
+  int64_t int_constant_ = 0;
+  double double_constant_ = 0.0;
+  bool narrow_constant_ = false;
 };
 
 /// AND of child predicates, applied in order.

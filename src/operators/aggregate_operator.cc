@@ -12,6 +12,7 @@ namespace uot {
 AggLayout::AggLayout(const std::vector<AggSpec>& aggs) {
   init_.push_back(AggWord{0});  // the row count
   for (const AggSpec& spec : aggs) {
+    const uint32_t a = static_cast<uint32_t>(fns_.size());
     fns_.push_back(spec.fn);
     switch (spec.fn) {
       case AggFn::kCount:
@@ -19,15 +20,18 @@ AggLayout::AggLayout(const std::vector<AggSpec>& aggs) {
         break;
       case AggFn::kSum:
       case AggFn::kAvg:
+        sum_aggs_.push_back(a);
         offsets_.push_back(static_cast<uint32_t>(init_.size()));
         init_.push_back(AggWord{.value = 0.0});
         init_.push_back(AggWord{.value = 0.0});
         break;
       case AggFn::kMin:
+        minmax_aggs_.push_back(a);
         offsets_.push_back(static_cast<uint32_t>(init_.size()));
         init_.push_back(AggWord{.value = 1e308});
         break;
       case AggFn::kMax:
+        minmax_aggs_.push_back(a);
         offsets_.push_back(static_cast<uint32_t>(init_.size()));
         init_.push_back(AggWord{.value = -1e308});
         break;
@@ -54,6 +58,123 @@ void AggLayout::Merge(AggWord* dst, const AggWord* src) const {
         if (src[o].value > dst[o].value) dst[o].value = src[o].value;
         break;
     }
+  }
+}
+
+void AggLayout::Update(const uint32_t* groups, uint32_t n,
+                       const double* const* inputs, AggWord* states) const {
+  if (n == 0) return;
+  const uint32_t first = groups[0];
+  bool one_group = true;
+  for (uint32_t i = 1; i < n; ++i) one_group &= groups[i] == first;
+  if (one_group) {
+    UpdateGroup(states + static_cast<size_t>(first) * words(), n, inputs);
+  } else {
+    UpdateScatter(groups, n, inputs, states);
+  }
+}
+
+void AggLayout::UpdateScatter(const uint32_t* groups, uint32_t n,
+                              const double* const* inputs,
+                              AggWord* states) const {
+  // Row counts first, then one aggregate at a time.
+  const size_t stride = words();
+  for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
+  for (size_t a = 0; a < fns_.size(); ++a) {
+    const double* in = inputs[a];
+    AggWord* base = states + offsets_[a];
+    switch (fns_[a]) {
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        for (uint32_t i = 0; i < n; ++i) Add(base + groups[i] * stride, in[i]);
+        break;
+      case AggFn::kMin:
+        for (uint32_t i = 0; i < n; ++i) {
+          double& m = base[groups[i] * stride].value;
+          if (in[i] < m) m = in[i];
+        }
+        break;
+      case AggFn::kMax:
+        for (uint32_t i = 0; i < n; ++i) {
+          double& m = base[groups[i] * stride].value;
+          if (in[i] > m) m = in[i];
+        }
+        break;
+      case AggFn::kCount:
+        break;
+    }
+  }
+}
+
+namespace {
+
+/// Runs K sums over rows [0, len) with each (sum, comp) pair in registers:
+/// the K chains are independent, so they overlap. Each pair takes
+/// AggLayout::Add's steps in row order.
+template <size_t K>
+void RunSums(AggWord* const* pairs, const double* const* in, uint32_t len) {
+  double sum[K];
+  double comp[K];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    sum[k] = pairs[k][0].value;
+    comp[k] = pairs[k][1].value;
+  }
+  for (uint32_t j = 0; j < len; ++j) {
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      const double v = in[k][j];
+      const double s = sum[k];
+      const double t = s + v;
+      comp[k] += std::fabs(s) >= std::fabs(v) ? (s - t) + v : (v - t) + s;
+      sum[k] = t;
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    pairs[k][0].value = sum[k];
+    pairs[k][1].value = comp[k];
+  }
+}
+
+}  // namespace
+
+void AggLayout::UpdateGroup(AggWord* state, uint32_t n,
+                            const double* const* inputs) const {
+  state[0].count += n;
+  // Sums in chunks of up to four, then MIN and MAX one at a time.
+  for (size_t c = 0; c < sum_aggs_.size(); c += 4) {
+    const size_t k = std::min<size_t>(4, sum_aggs_.size() - c);
+    AggWord* pairs[4];
+    const double* in[4];
+    for (size_t i = 0; i < k; ++i) {
+      pairs[i] = state + offsets_[sum_aggs_[c + i]];
+      in[i] = inputs[sum_aggs_[c + i]];
+    }
+    switch (k) {
+      case 1:
+        RunSums<1>(pairs, in, n);
+        break;
+      case 2:
+        RunSums<2>(pairs, in, n);
+        break;
+      case 3:
+        RunSums<3>(pairs, in, n);
+        break;
+      default:
+        RunSums<4>(pairs, in, n);
+        break;
+    }
+  }
+  for (const uint32_t a : minmax_aggs_) {
+    const double* in = inputs[a];
+    double m = state[offsets_[a]].value;
+    if (fns_[a] == AggFn::kMin) {
+      for (uint32_t j = 0; j < n; ++j) m = in[j] < m ? in[j] : m;
+    } else {
+      for (uint32_t j = 0; j < n; ++j) m = in[j] > m ? in[j] : m;
+    }
+    state[offsets_[a]].value = m;
   }
 }
 
@@ -105,6 +226,24 @@ AggregateOperator::AggregateOperator(std::string name,
     UOT_CHECK(IsKeyableType(input_schema_.column(c).type));
   }
   UOT_CHECK(!aggs_.empty());
+  // Aggregates over the same column share one input.
+  for (const AggSpec& spec : aggs_) {
+    int slot = -1;
+    if (spec.fn != AggFn::kCount) {
+      const ColumnRef* ref = spec.expr->as_column_ref();
+      for (size_t k = 0; ref != nullptr && k < inputs_.size(); ++k) {
+        const ColumnRef* other = inputs_[k]->as_column_ref();
+        if (other != nullptr && other->col() == ref->col()) {
+          slot = static_cast<int>(k);
+        }
+      }
+      if (slot < 0) {
+        slot = static_cast<int>(inputs_.size());
+        inputs_.push_back(spec.expr.get());
+      }
+    }
+    input_of_.push_back(slot);
+  }
 }
 
 AggregateOperator::~AggregateOperator() { ReleaseGroups(); }
@@ -124,22 +263,29 @@ void AggregateOperator::InputDone(int input_index) {
 
 void AggregateOperator::ChooseLayout() {
   layout_chosen_ = true;
-  int64_t min_key = 0;
-  int64_t max_key = 0;
-  if (base_table_ == nullptr || group_cols_.size() != 1 ||
-      !base_table_->IntegralRange(group_cols_[0], &min_key, &max_key)) {
-    return;
+  if (base_table_ == nullptr) return;
+  constexpr uint64_t kMaxGroups = uint64_t{1} << 32;
+  uint64_t range = 1;  // a scalar aggregate is one group
+  for (size_t k = 0; k < group_cols_.size(); ++k) {
+    uint64_t key_range = 0;
+    if (!base_table_->KeyRange(group_cols_[k], &dense_min_[k], &key_range) ||
+        key_range == 0 || key_range > kMaxGroups / range) {
+      return;
+    }
+    dense_key_range_[k] = key_range;
+    range *= key_range;
   }
-  // Unsigned difference: exact for any signed pair; a span of 2^64 keys
-  // wraps to 0, which keeps the hash layout.
-  const uint64_t range =
-      static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key) + 1;
   const MemoryModel::AggregationFootprint footprint =
       MemoryModel::AggregationBytes(base_table_->NumRows(), range,
                                     static_cast<uint64_t>(num_workers_),
                                     layout_.bytes());
   if (!footprint.dense) return;
-  dense_min_ = static_cast<uint64_t>(min_key);
+  // The last key varies fastest, so group indexes follow the keys' order.
+  uint64_t stride = 1;
+  for (size_t k = group_cols_.size(); k-- > 0;) {
+    dense_stride_[k] = static_cast<uint32_t>(stride);
+    stride *= dense_key_range_[k];
+  }
   dense_range_ = range;
   dense_array_bytes_ = footprint.bytes;
   dense_arrays_.resize(static_cast<size_t>(num_workers_));
@@ -197,24 +343,20 @@ void AggregateOperator::ExecuteBlock(const Block& block, int worker) {
   const uint32_t* rows = sel->data();
   ScratchArena& arena = ScratchArena::ForThread();
   ScratchArena::Scope scope(&arena);
-  // A key's group is its offset from the smallest key.
+  // A group's index is mixed-radix over the keys' offsets from their
+  // smallest words; every term and the sum fit 32 bits.
   uint32_t* groups = arena.AllocArray<uint32_t>(n);
-  const int col = group_cols_[0];
-  const ColumnAccess access = block.Column(col);
-  if (block.schema().column(col).type.width() == 4) {
-    for (uint32_t i = 0; i < n; ++i) {
-      int32_t v;
-      std::memcpy(&v, access.at(rows[i]), 4);
-      groups[i] = static_cast<uint32_t>(
-          static_cast<uint64_t>(static_cast<int64_t>(v)) - dense_min_);
-    }
-  } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      int64_t v;
-      std::memcpy(&v, access.at(rows[i]), 8);
-      groups[i] =
-          static_cast<uint32_t>(static_cast<uint64_t>(v) - dense_min_);
-    }
+  std::fill(groups, groups + n, 0u);
+  for (size_t k = 0; k < group_cols_.size(); ++k) {
+    const int col = group_cols_[k];
+    const uint64_t min_word = dense_min_[k];
+    const uint32_t stride = dense_stride_[k];
+    ForEachKeyWord(
+        block.schema().column(col).type, block.Column(col),
+        [rows](uint32_t i) { return rows[i]; }, n,
+        [=](uint32_t i, uint64_t word) {
+          groups[i] += static_cast<uint32_t>(word - min_word) * stride;
+        });
   }
   UpdateStates(block, rows, n, groups, DenseArray(worker));
 }
@@ -296,9 +438,16 @@ void AggregateOperator::Finish() {
           if (src[0].count != 0) layout_.Merge(total + g * words, src);
         }
       }
+      // A scalar aggregate's one group is emitted even without rows.
       for (uint64_t g = 0; total != nullptr && g < dense_range_; ++g) {
         const AggWord* state = total + g * words;
-        if (state[0].count != 0) emit(GroupKey{dense_min_ + g, 0, 0}, state);
+        if (state[0].count == 0 && !group_cols_.empty()) continue;
+        GroupKey key = {0, 0, 0};
+        for (size_t k = 0; k < group_cols_.size(); ++k) {
+          key[k] = dense_min_[k] +
+                   (g / dense_stride_[k]) % dense_key_range_[k];
+        }
+        emit(key, state);
       }
       any = total != nullptr;
     } else {
@@ -360,13 +509,12 @@ void AggregateOperator::Accumulate(const Block& block,
   } else {
     GroupKey* keys = arena.AllocArray<GroupKey>(n);
     std::fill(keys, keys + n, GroupKey{0, 0, 0});
-    for (size_t g = 0; g < group_cols_.size(); ++g) {
-      const int col = group_cols_[g];
-      const Type& type = block.schema().column(col).type;
-      const ColumnAccess access = block.Column(col);
-      for (uint32_t i = 0; i < n; ++i) {
-        keys[i][g] = WidenKeyValue(type, access.at(rows[i]));
-      }
+    for (size_t k = 0; k < group_cols_.size(); ++k) {
+      const int col = group_cols_[k];
+      ForEachKeyWord(
+          block.schema().column(col).type, block.Column(col),
+          [rows](uint32_t i) { return rows[i]; }, n,
+          [=](uint32_t i, uint64_t word) { keys[i][k] = word; });
     }
     for (uint32_t i = 0; i < n; ++i) {
       groups[i] = partial->FindOrInsert(keys[i], GroupTable::Hash(keys[i]));
@@ -378,41 +526,18 @@ void AggregateOperator::Accumulate(const Block& block,
 void AggregateOperator::UpdateStates(const Block& block, const uint32_t* rows,
                                      uint32_t n, const uint32_t* groups,
                                      AggWord* states) const {
-  // Row counts first, then one aggregate at a time, its input evaluated
-  // column-at-a-time. Each group still sees its rows in row order.
-  const size_t stride = layout_.words();
-  for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
   ScratchArena& arena = ScratchArena::ForThread();
   ScratchArena::Scope scope(&arena);
-  double* inputs = arena.AllocArray<double>(n);
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    const AggFn fn = aggs_[a].fn;
-    if (fn == AggFn::kCount) continue;  // reads the row count
-    EvalAsDouble(*aggs_[a].expr, block, rows, n, inputs);
-    AggWord* base = states + layout_.offset(a);
-    switch (fn) {
-      case AggFn::kSum:
-      case AggFn::kAvg:
-        for (uint32_t i = 0; i < n; ++i) {
-          AggLayout::Add(base + groups[i] * stride, inputs[i]);
-        }
-        break;
-      case AggFn::kMin:
-        for (uint32_t i = 0; i < n; ++i) {
-          double& m = base[groups[i] * stride].value;
-          if (inputs[i] < m) m = inputs[i];
-        }
-        break;
-      case AggFn::kMax:
-        for (uint32_t i = 0; i < n; ++i) {
-          double& m = base[groups[i] * stride].value;
-          if (inputs[i] > m) m = inputs[i];
-        }
-        break;
-      case AggFn::kCount:
-        break;
-    }
+  double** values = arena.AllocArray<double*>(inputs_.size());
+  for (size_t k = 0; k < inputs_.size(); ++k) {
+    values[k] = arena.AllocArray<double>(n);
+    EvalAsDouble(*inputs_[k], block, rows, n, values[k]);
   }
+  const double** inputs = arena.AllocArray<const double*>(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    inputs[a] = input_of_[a] < 0 ? nullptr : values[input_of_[a]];
+  }
+  layout_.Update(groups, n, inputs, states);
 }
 
 GroupTable::~GroupTable() {

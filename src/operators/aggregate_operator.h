@@ -72,6 +72,23 @@ class AggLayout {
   /// Folds group state `src` into `dst`.
   void Merge(AggWord* dst, const AggWord* src) const;
 
+  /// Adds a batch of `n` rows to the state rows at `states` (words() per
+  /// group): row i belongs to group `groups[i]`, and `inputs[a][i]` is its
+  /// input to aggregate `a` (`inputs[a]` is unused for COUNT). Every group
+  /// sees its rows in row order, so the state words come out the same as
+  /// from Add applied row by row. A batch of one group runs UpdateGroup,
+  /// any other UpdateScatter.
+  void Update(const uint32_t* groups, uint32_t n, const double* const* inputs,
+              AggWord* states) const;
+  /// Row after row, each update a read-modify-write of the group's state
+  /// in memory: a store-to-load chain whenever a group repeats.
+  void UpdateScatter(const uint32_t* groups, uint32_t n,
+                     const double* const* inputs, AggWord* states) const;
+  /// Adds rows [0, n) to the one group whose state row is `state`, with the
+  /// state in registers and up to four sums side by side.
+  void UpdateGroup(AggWord* state, uint32_t n,
+                   const double* const* inputs) const;
+
   /// Writes aggregate `a`'s result for a group to `out`: an INT64 for
   /// COUNT, a DOUBLE otherwise. Every function of a group without rows
   /// (only a scalar aggregate has one) is 0.
@@ -81,6 +98,8 @@ class AggLayout {
   std::vector<AggFn> fns_;
   std::vector<uint32_t> offsets_;
   std::vector<AggWord> init_;
+  std::vector<uint32_t> sum_aggs_;     // the SUM and AVG aggregates
+  std::vector<uint32_t> minmax_aggs_;  // the MIN and MAX aggregates
 };
 
 /// Composite group key: up to 3 widened column words (unused words are 0).
@@ -177,11 +196,14 @@ class GroupTable {
 ///
 /// The groups live in one of two layouts, picked before the first work
 /// order by MemoryModel::AggregationBytes:
-///  - dense: the input is a base table and the one group key is integral
-///    over a narrow range. Each worker that runs a work order owns a state
-///    array indexed by `key - min` for the whole operator, so work orders
-///    hash nothing and merge nothing; Finish() adds the worker arrays
-///    element by element and emits the keys that were seen;
+///  - dense: the input is a base table and the key tuple (0-3 keys) is
+///    narrow: the ranges of its widened key words multiply to at most
+///    2^32 groups (a scalar aggregate is one group). A group's index is
+///    mixed-radix, sum over keys of (word_k - min_k) * stride_k. Each
+///    worker that runs a work order owns a state array indexed by it for
+///    the whole operator, so work orders hash nothing and merge nothing;
+///    Finish() adds the worker arrays element by element and decodes the
+///    keys of the groups that were seen;
 ///  - hash: each work order aggregates one input block into its worker
 ///    thread's reusable partial GroupTable and merges it into the shared
 ///    result. The result is split into kNumPartitions partitions by the top
@@ -260,12 +282,13 @@ class AggregateOperator final : public Operator {
     std::unique_ptr<GroupTable> table;  // allocated on first insert
   };
 
-  /// Picks the dense layout when the input is a base table with one
-  /// integral group key and the footprint rule allows it.
+  /// Picks the dense layout when the input is a base table, every group
+  /// key's word range is known, and the footprint rule allows it.
   void ChooseLayout();
 
   /// Adds the rows[0..n) of `block` into the state rows `states` (a group
-  /// table's or a dense array), row i into group `groups[i]`.
+  /// table's or a dense array), row i into group `groups[i]`. Each
+  /// distinct aggregate input is evaluated once.
   void UpdateStates(const Block& block, const uint32_t* rows, uint32_t n,
                     const uint32_t* groups, AggWord* states) const;
 
@@ -282,15 +305,22 @@ class AggregateOperator final : public Operator {
   const std::unique_ptr<Predicate> predicate_;
   InsertDestination* const destination_;
   MemoryTracker* const tracker_;
+  // The distinct aggregate inputs (aggregates over the same column share
+  // one) and, per aggregate, its input's index there (-1 for COUNT).
+  std::vector<const Scalar*> inputs_;
+  std::vector<int> input_of_;
 
   StreamingInput input_;
   const Table* base_table_ = nullptr;
   int num_workers_ = 1;
   bool layout_chosen_ = false;
 
-  // Dense layout (dense_range_ != 0): key - dense_min_ indexes each
-  // worker's array of dense_range_ groups.
-  uint64_t dense_min_ = 0;
+  // Dense layout (dense_range_ != 0): group key k has dense_key_range_[k]
+  // words from dense_min_[k]; sum over k of (word_k - dense_min_[k]) *
+  // dense_stride_[k] indexes each worker's array of dense_range_ groups.
+  std::array<uint64_t, 3> dense_min_{};
+  std::array<uint64_t, 3> dense_key_range_{};
+  std::array<uint32_t, 3> dense_stride_{};
   uint64_t dense_range_ = 0;
   uint64_t dense_array_bytes_ = 0;
   std::vector<std::unique_ptr<AggWord[]>> dense_arrays_;

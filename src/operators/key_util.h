@@ -77,49 +77,74 @@ inline void ExtractKey(const Block& block, const std::vector<int>& key_cols,
   }
 }
 
+/// Calls `fn(i, word)` for i in [0, n) with the widened key word of row
+/// `row_at(i)` of a `type` column read through `access`. The type dispatch
+/// and the CHAR width are hoisted out of the row loop, so each inner loop
+/// is a tight strided load of a fixed width.
+template <typename RowAt, typename Fn>
+inline void ForEachKeyWord(const Type& type, const ColumnAccess& access,
+                           RowAt row_at, uint32_t n, Fn fn) {
+  auto widen = [&](auto width) {
+    for (uint32_t i = 0; i < n; ++i) {
+      uint64_t v = 0;
+      std::memcpy(&v, access.at(row_at(i)), width);
+      fn(i, v);
+    }
+  };
+  switch (type.id()) {
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      for (uint32_t i = 0; i < n; ++i) {
+        int32_t v;
+        std::memcpy(&v, access.at(row_at(i)), 4);
+        fn(i, static_cast<uint64_t>(static_cast<int64_t>(v)));
+      }
+      return;
+    case TypeId::kInt64:
+      widen(std::integral_constant<size_t, 8>());
+      return;
+    case TypeId::kChar:
+      switch (type.width()) {
+        case 1:
+          return widen(std::integral_constant<size_t, 1>());
+        case 2:
+          return widen(std::integral_constant<size_t, 2>());
+        case 3:
+          return widen(std::integral_constant<size_t, 3>());
+        case 4:
+          return widen(std::integral_constant<size_t, 4>());
+        case 5:
+          return widen(std::integral_constant<size_t, 5>());
+        case 6:
+          return widen(std::integral_constant<size_t, 6>());
+        case 7:
+          return widen(std::integral_constant<size_t, 7>());
+        case 8:
+          return widen(std::integral_constant<size_t, 8>());
+      }
+      UOT_CHECK(false);  // CHAR keys are at most 8 bytes
+      return;
+    case TypeId::kDouble:
+      UOT_CHECK(false);  // doubles are not key material
+  }
+}
+
 /// Columnar batch form of ExtractKey: widens the composite keys of rows
 /// `[row_begin, row_begin + n)` into `out[i * words + k]` (row-major, one
-/// group of `key_cols.size()` words per row). The type dispatch and column
-/// base/stride are hoisted out of the row loop, so the inner loops are
-/// tight strided copies — the extract stage of the batched join kernels.
+/// group of `key_cols.size()` words per row) — the extract stage of the
+/// batched join kernels.
 inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
                         uint32_t row_begin, uint32_t n, uint64_t* out) {
   const size_t words = key_cols.size();
   for (size_t k = 0; k < words; ++k) {
     const int col = key_cols[k];
-    const Type& type = block.schema().column(col).type;
-    const ColumnAccess access = block.Column(col);
     uint64_t* dst = out + k;
-    switch (type.id()) {
-      case TypeId::kInt32:
-      case TypeId::kDate:
-        for (uint32_t i = 0; i < n; ++i) {
-          int32_t v;
-          std::memcpy(&v, access.at(row_begin + i), 4);
-          dst[static_cast<size_t>(i) * words] =
-              static_cast<uint64_t>(static_cast<int64_t>(v));
-        }
-        break;
-      case TypeId::kInt64:
-        for (uint32_t i = 0; i < n; ++i) {
-          int64_t v;
-          std::memcpy(&v, access.at(row_begin + i), 8);
-          dst[static_cast<size_t>(i) * words] = static_cast<uint64_t>(v);
-        }
-        break;
-      case TypeId::kChar: {
-        UOT_DCHECK(type.width() <= 8);
-        const uint16_t w = type.width();
-        for (uint32_t i = 0; i < n; ++i) {
-          uint64_t v = 0;
-          std::memcpy(&v, access.at(row_begin + i), w);
-          dst[static_cast<size_t>(i) * words] = v;
-        }
-        break;
-      }
-      case TypeId::kDouble:
-        UOT_CHECK(false);  // doubles are not key material
-    }
+    ForEachKeyWord(
+        block.schema().column(col).type, block.Column(col),
+        [=](uint32_t i) { return row_begin + i; }, n,
+        [=](uint32_t i, uint64_t word) {
+          dst[static_cast<size_t>(i) * words] = word;
+        });
   }
 }
 

@@ -7,11 +7,13 @@ namespace uot {
 
 SortOperator::SortOperator(std::string name, const Schema& input_schema,
                            std::vector<SortKey> keys,
-                           InsertDestination* destination, uint64_t limit)
+                           InsertDestination* destination,
+                           MemoryTracker* tracker, uint64_t limit)
     : Operator(std::move(name)),
       input_schema_(input_schema),
       keys_(std::move(keys)),
       destination_(destination),
+      tracker_(tracker),
       limit_(limit) {
   UOT_CHECK(!keys_.empty());
 }
@@ -50,10 +52,18 @@ void SortWorkOrder::Execute() {
   const Schema& schema = op_->input_schema_;
   const uint32_t width = schema.row_width();
 
+  MemoryTracker* const tracker = op_->tracker_;
+  auto charge = [tracker](size_t bytes) {
+    if (tracker != nullptr) tracker->Allocate(MemoryCategory::kOther, bytes);
+  };
+
   // Gather all rows into a contiguous packed buffer.
   uint64_t total = 0;
   for (const Block* b : op_->buffered_) total += b->num_rows();
-  std::vector<std::byte> rows(total * width);
+  const size_t rows_bytes = total * width;
+  const size_t order_bytes = total * sizeof(uint64_t);
+  charge(rows_bytes);
+  std::vector<std::byte> rows(rows_bytes);
   uint64_t at = 0;
   for (const Block* b : op_->buffered_) {
     for (uint32_t r = 0; r < b->num_rows(); ++r) {
@@ -62,6 +72,7 @@ void SortWorkOrder::Execute() {
     }
   }
 
+  charge(order_bytes);
   std::vector<uint64_t> order(total);
   for (uint64_t i = 0; i < total; ++i) order[i] = i;
 
@@ -109,6 +120,9 @@ void SortWorkOrder::Execute() {
   InsertDestination::Writer writer(op_->destination_);
   for (uint64_t i = 0; i < emit; ++i) {
     writer.AppendRow(rows.data() + order[i] * width);
+  }
+  if (tracker != nullptr) {
+    tracker->Release(MemoryCategory::kOther, rows_bytes + order_bytes);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "operators/operator.h"
 #include "storage/insert_destination.h"
+#include "util/memory_tracker.h"
 
 namespace uot {
 
@@ -18,11 +19,14 @@ struct SortKey {
 /// A blocking sort: buffers the whole input, then one work order sorts and
 /// rewrites it. Sort-based operators are inherently blocking (paper §V-B),
 /// so the UoT value does not apply to their input edge; they appear at the
-/// top of TPC-H plans where inputs are small.
+/// top of TPC-H plans where inputs are small. The work order's packed row
+/// buffer and order array are charged to `tracker` (may be null) as
+/// MemoryCategory::kOther while they live.
 class SortOperator final : public Operator {
  public:
   SortOperator(std::string name, const Schema& input_schema,
                std::vector<SortKey> keys, InsertDestination* destination,
+               MemoryTracker* tracker,
                uint64_t limit = 0);  // limit 0 = no limit
 
   void AttachBaseTable(const Table* table) { input_.AttachTable(table); }
@@ -40,6 +44,7 @@ class SortOperator final : public Operator {
   const Schema input_schema_;
   const std::vector<SortKey> keys_;
   InsertDestination* const destination_;
+  MemoryTracker* const tracker_;
   const uint64_t limit_;
 
   StreamingInput input_;

@@ -195,7 +195,8 @@ class PlanBuilder {
                                         kTempLayout, config_.block_bytes);
     InsertDestination* dest = plan_->CreateDestination(out);
     auto op = std::make_unique<SortOperator>(name, SchemaOf(in),
-                                             std::move(keys), dest, limit);
+                                             std::move(keys), dest,
+                                             &storage_->tracker(), limit);
     SortOperator* raw = op.get();
     const int idx = plan_->AddOperator(std::move(op));
     plan_->RegisterOutput(idx, dest);

@@ -149,6 +149,21 @@ Status CheckKeyable(const char* role, const std::string& name,
       "; keys must be integers, dates or CHAR of at most 8 bytes");
 }
 
+/// The family a key type compares within: integers (INT32 and INT64 join
+/// each other), DATE, or CHAR. Keys of different families never match.
+enum class KeyFamily { kInteger, kDate, kChar };
+
+KeyFamily FamilyOf(const Type& type) {
+  switch (type.id()) {
+    case TypeId::kDate:
+      return KeyFamily::kDate;
+    case TypeId::kChar:
+      return KeyFamily::kChar;
+    default:
+      return KeyFamily::kInteger;
+  }
+}
+
 /// A statement's column references resolved against its tables and
 /// type-checked, before any literal is bound.
 struct BoundStatement {
@@ -214,6 +229,13 @@ Status Bind(const Catalog& catalog, const SelectStatement& stmt,
     if (out->key[0].side == out->key[1].side) {
       return Status::InvalidArgument(
           "join condition must compare the two tables");
+    }
+    if (FamilyOf(out->key[0].type) != FamilyOf(out->key[1].type)) {
+      return Status::InvalidArgument(
+          "join keys '" + *names[0] + "' (" + out->key[0].type.ToString() +
+          ") and '" + *names[1] + "' (" + out->key[1].type.ToString() +
+          ") are not comparable; keys join integers with integers, dates "
+          "with dates and CHAR with CHAR");
     }
     if (out->key[0].side == 1) std::swap(out->key[0], out->key[1]);
   }

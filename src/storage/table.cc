@@ -132,19 +132,53 @@ void Table::DropBlocks() {
   ranges_.clear();
 }
 
+const Table::ColumnRange& Table::RangeLocked(int col) const {
+  if (ranges_.empty()) ranges_.resize(schema_.num_columns());
+  ColumnRange& range = ranges_[static_cast<size_t>(col)];
+  if (range.known) return range;
+  range.known = true;
+  const Type& type = schema_.column(col).type;
+  if (type.IsIntegral()) {
+    int64_t lo = 0;
+    int64_t hi = 0;
+    range.valid = IntegralColumnRange(blocks_, col, &lo, &hi);
+    range.min_word = static_cast<uint64_t>(lo);
+    range.max_word = static_cast<uint64_t>(hi);
+  } else if (type.id() == TypeId::kChar && type.width() <= 8) {
+    uint64_t lo = UINT64_MAX;
+    uint64_t hi = 0;
+    const size_t width = type.width();
+    for (const Block* block : blocks_) {
+      const ColumnAccess access = block->Column(col);
+      for (uint32_t i = 0; i < block->num_rows(); ++i) {
+        uint64_t word = 0;
+        std::memcpy(&word, access.at(i), width);
+        lo = std::min(lo, word);
+        hi = std::max(hi, word);
+      }
+    }
+    range.valid = lo <= hi;
+    range.min_word = lo;
+    range.max_word = hi;
+  }
+  return range;
+}
+
 bool Table::IntegralRange(int col, int64_t* min_value,
                           int64_t* max_value) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ranges_.empty()) ranges_.resize(schema_.num_columns());
-  ColumnRange& range = ranges_[static_cast<size_t>(col)];
-  if (!range.known) {
-    range.valid = IntegralColumnRange(blocks_, col, &range.min_value,
-                                      &range.max_value);
-    range.known = true;
-  }
-  *min_value = range.min_value;
-  *max_value = range.max_value;
-  return range.valid;
+  const ColumnRange& range = RangeLocked(col);
+  *min_value = static_cast<int64_t>(range.min_word);
+  *max_value = static_cast<int64_t>(range.max_word);
+  return range.valid && schema_.column(col).type.IsIntegral();
+}
+
+bool Table::KeyRange(int col, uint64_t* min_word, uint64_t* range) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const ColumnRange& cached = RangeLocked(col);
+  *min_word = cached.min_word;
+  *range = cached.max_word - cached.min_word + 1;
+  return cached.valid;
 }
 
 }  // namespace uot

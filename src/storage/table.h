@@ -61,14 +61,26 @@ class Table {
   /// query over a base table share one pass.
   bool IntegralRange(int col, int64_t* min_value, int64_t* max_value) const;
 
+  /// The smallest widened key word (key_util.h) of key column `col` and the
+  /// number of words in [min, max]: max - min + 1 modulo 2^64, so a span of
+  /// all 2^64 words is 0. Integral columns order their words as signed
+  /// values, CHAR(<= 8) columns as unsigned ones. Cached like
+  /// IntegralRange, from the same pass. Returns false for a column that is
+  /// not keyable or has no rows.
+  bool KeyRange(int col, uint64_t* min_word, uint64_t* range) const;
+
  private:
-  /// A cached IntegralRange result.
+  /// A column's cached key-word range.
   struct ColumnRange {
     bool known = false;  // computed since the rows last changed
-    bool valid = false;  // IntegralColumnRange's return value
-    int64_t min_value = 0;
-    int64_t max_value = 0;
+    bool valid = false;  // keyable column with rows
+    uint64_t min_word = 0;
+    uint64_t max_word = 0;
   };
+
+  /// The cached range of `col`, computing it first if needed. Requires
+  /// `mutex_`.
+  const ColumnRange& RangeLocked(int col) const;
 
   const std::string name_;
   const Schema schema_;
@@ -79,7 +91,7 @@ class Table {
 
   mutable std::mutex mutex_;
   std::vector<Block*> blocks_;
-  // Per-column IntegralRange cache, cleared whenever the rows change.
+  // Per-column key-range cache, cleared whenever the rows change.
   mutable std::vector<ColumnRange> ranges_;
 };
 

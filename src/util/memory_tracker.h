@@ -19,7 +19,8 @@ class TraceSession;
 /// join hash tables and materialized intermediate tables, so those are
 /// tracked separately from base-table storage. Aggregation group state
 /// (dense worker arrays and result partitions) has its own category, so it
-/// is visible to budgets without changing the temp + hash-table peak.
+/// is visible to budgets without changing the temp + hash-table peak; so
+/// do a sort's row buffer and order array, under kOther.
 enum class MemoryCategory : int {
   kBaseTable = 0,
   kTemporaryTable = 1,

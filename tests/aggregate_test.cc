@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -27,6 +29,8 @@
 #include "storage/insert_destination.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
+#include "tpch/tpch_generator.h"
+#include "tpch/tpch_queries.h"
 #include "types/row_builder.h"
 
 namespace uot {
@@ -359,6 +363,156 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+/// A leaf aggregate over a key tuple of a (f CHAR(1), t CHAR(1), k INT32,
+/// b INT64, v DOUBLE) base table, checked against its own row-by-row
+/// std::map reference. f takes 'A', 'N' or 'R' and t 'F' or 'O', like
+/// TPC-H's l_returnflag and l_linestatus; k spans 40 values and b about
+/// 2^31.3 (each fits 32 bits, the pair does not).
+struct KeyTupleCase {
+  const char* name;
+  std::vector<int> group_cols;
+  bool dense;  // the layout the footprint rule must pick
+};
+
+constexpr int kTupleF = 0;
+constexpr int kTupleT = 1;
+constexpr int kTupleK = 2;
+constexpr int kTupleB = 3;
+constexpr int kTupleV = 4;
+
+struct TupleRow {
+  char f;
+  char t;
+  int32_t k;
+  int64_t b;
+  double v;
+};
+
+std::vector<TupleRow> TupleRows(uint64_t rows) {
+  FuzzRng rng(28);
+  std::vector<TupleRow> out;
+  for (uint64_t r = 0; r < rows; ++r) {
+    out.push_back(TupleRow{"ANR"[rng.Range(0, 2)], "FO"[rng.Range(0, 1)],
+                           static_cast<int32_t>(rng.Range(-20, 19)),
+                           rng.Range(0, 39) * (int64_t{1} << 26),
+                           static_cast<double>(rng.Range(-4000, 4000)) / 4});
+  }
+  return out;
+}
+
+/// COUNT(*), SUM, MIN, MAX and AVG of v.
+std::vector<AggSpec> TupleAggs() {
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kCount, nullptr, "cnt"});
+  aggs.push_back({AggFn::kSum, Col(kTupleV, Type::Double()), "sum_v"});
+  aggs.push_back({AggFn::kMin, Col(kTupleV, Type::Double()), "min_v"});
+  aggs.push_back({AggFn::kMax, Col(kTupleV, Type::Double()), "max_v"});
+  aggs.push_back({AggFn::kAvg, Col(kTupleV, Type::Double()), "avg_v"});
+  return aggs;
+}
+
+/// The reference rows of the leaf aggregate over rows with v > min_v: one
+/// CSV line per group, in CanonicalRows' format. An empty scalar aggregate
+/// is one row of zeros.
+std::string TupleOracle(const std::vector<TupleRow>& rows,
+                        const std::vector<int>& group_cols, double min_v) {
+  struct Acc {
+    int64_t count = 0;
+    double sum = 0, min = 0, max = 0;
+  };
+  std::map<std::string, Acc> groups;
+  for (const TupleRow& r : rows) {
+    if (!(r.v > min_v)) continue;
+    std::string key;
+    for (const int c : group_cols) {
+      key += c == kTupleF   ? std::string(1, r.f)
+             : c == kTupleT ? std::string(1, r.t)
+             : c == kTupleK ? std::to_string(r.k)
+                            : std::to_string(r.b);
+      key += ",";
+    }
+    Acc& acc = groups[key];
+    if (acc.count++ == 0) acc.min = acc.max = r.v;
+    acc.sum += r.v;
+    acc.min = std::min(acc.min, r.v);
+    acc.max = std::max(acc.max, r.v);
+  }
+  if (groups.empty() && group_cols.empty()) groups[""] = Acc{};
+  std::vector<std::string> lines;
+  for (const auto& [key, acc] : groups) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s%lld,%.7g,%.7g,%.7g,%.7g",
+                  key.c_str(), static_cast<long long>(acc.count), acc.sum,
+                  acc.min, acc.max,
+                  acc.count == 0 ? 0.0 : acc.sum / acc.count);
+    lines.push_back(buf);
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+class LeafKeyTupleTest : public ::testing::TestWithParam<KeyTupleCase> {};
+
+TEST_P(LeafKeyTupleTest, MatchesRowByRowReference) {
+  const KeyTupleCase& c = GetParam();
+  StorageManager storage;
+  const std::vector<TupleRow> rows = TupleRows(20000);
+  Table input("in",
+              Schema({{"f", Type::Char(1)},
+                      {"t", Type::Char(1)},
+                      {"k", Type::Int32()},
+                      {"b", Type::Int64()},
+                      {"v", Type::Double()}}),
+              Layout::kColumnStore, 16 * 1024, &storage,
+              MemoryCategory::kBaseTable);
+  for (const TupleRow& r : rows) {
+    input.AppendValues({TypedValue::Char(std::string(1, r.f)),
+                        TypedValue::Char(std::string(1, r.t)),
+                        TypedValue::Int32(r.k), TypedValue::Int64(r.b),
+                        TypedValue::Double(r.v)});
+  }
+  // About 90% of the rows pass; then none.
+  for (const double min_v : {-800.0, 1e9}) {
+    const std::string expected = TupleOracle(rows, c.group_cols, min_v);
+    for (const int workers : {1, 4}) {
+      PlanBuilderConfig config;
+      config.block_bytes = 16 * 1024;
+      PlanBuilder builder(&storage, config);
+      PlanBuilder::Src agg = builder.Aggregate(
+          "agg", PlanBuilder::Base(input), c.group_cols, TupleAggs(),
+          Cmp(CompareOp::kGt, Col(kTupleV, Type::Double()),
+              LitDouble(min_v)));
+      std::unique_ptr<QueryPlan> plan = builder.Finish(agg);
+      ExecConfig exec;
+      exec.num_workers = workers;
+      exec.uot = UotPolicy::LowUot(1);
+      QueryExecutor::Execute(plan.get(), exec);
+      EXPECT_EQ(CanonicalRows(*plan->result_table()), expected)
+          << c.name << " min_v=" << min_v << " workers=" << workers;
+      EXPECT_EQ(
+          dynamic_cast<const AggregateOperator&>(*plan->op(agg.op)).dense(),
+          c.dense)
+          << c.name;
+      EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeyTuples, LeafKeyTupleTest,
+    ::testing::Values(
+        KeyTupleCase{"char1", {kTupleF}, true},
+        KeyTupleCase{"q1_char1_pair", {kTupleF, kTupleT}, true},
+        KeyTupleCase{"three_keys", {kTupleT, kTupleK, kTupleF}, true},
+        KeyTupleCase{"scalar", {}, true},
+        // 40 k values times a span of about 2^31.3 b words: hash.
+        KeyTupleCase{"range_product_past_2_32", {kTupleK, kTupleB}, false}),
+    [](const ::testing::TestParamInfo<KeyTupleCase>& info) {
+      return std::string(info.param.name);
+    });
+
 /// Whether a leaf `fn`(v) grouped by k over `input` picks the dense layout
 /// on `workers` workers.
 bool ChoosesDense(const Table& input, AggFn fn, int workers) {
@@ -400,6 +554,102 @@ TEST(AggregateLayoutTest, Q17ShapedInputGoesDenseAndQ18ShapedInputGoesHash) {
   EXPECT_FALSE(ChoosesDense(*q18, AggFn::kSum, 4));
   // One worker array is small enough even for the Q18 shape.
   EXPECT_TRUE(ChoosesDense(*q18, AggFn::kSum, 1));
+}
+
+TEST(AggregateLayoutTest, Q1ShapedInputGoesDense) {
+  // TPC-H Q1 groups lineitem by two CHAR(1) columns ('A'..'R' and 'F'..'O':
+  // 18 * 10 index values) with eight aggregates.
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.005;
+  db.Generate(config);
+  std::unique_ptr<QueryPlan> plan = BuildTpchPlan(1, db, TpchPlanConfig{});
+  ExecConfig exec;
+  exec.num_workers = 4;
+  QueryExecutor::Execute(plan.get(), exec);
+  const AggregateOperator* agg = nullptr;
+  for (int i = 0; i < plan->num_operators(); ++i) {
+    if (agg == nullptr) {
+      agg = dynamic_cast<const AggregateOperator*>(plan->op(i));
+    }
+  }
+  ASSERT_NE(agg, nullptr);
+  EXPECT_TRUE(agg->dense());
+  EXPECT_EQ(plan->result_table()->NumRows(), 4u);
+}
+
+TEST(AggStateTest, UpdateLoopsLeaveTheBitsOfThePerRowLoop) {
+  // Five sums (a chunk of four, then one), MIN and MAX over inputs of mixed
+  // magnitude, so every addition rounds: the register loop of a one-group
+  // batch, the scatter loop and Update must leave exactly the words of
+  // AggLayout::Add run row by row.
+  std::vector<AggSpec> specs;
+  specs.push_back({AggFn::kCount, nullptr, "cnt"});
+  for (int a = 0; a < 5; ++a) {
+    specs.push_back({a % 2 == 0 ? AggFn::kSum : AggFn::kAvg,
+                     Col(0, Type::Double()), "sum"});
+  }
+  specs.push_back({AggFn::kMin, Col(0, Type::Double()), "min"});
+  specs.push_back({AggFn::kMax, Col(0, Type::Double()), "max"});
+  const AggLayout layout(specs);
+  const size_t words = layout.words();
+  FuzzRng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t n = static_cast<uint32_t>(rng.Range(1, 3000));
+    const uint32_t lo = static_cast<uint32_t>(rng.Range(0, 5));
+    // Every third batch is one group.
+    const uint32_t span =
+        trial % 3 == 0 ? 1 : static_cast<uint32_t>(rng.Range(1, 40));
+    const uint32_t num_groups = lo + span;
+    std::vector<uint32_t> groups(n);
+    std::vector<std::vector<double>> values(specs.size(),
+                                            std::vector<double>(n));
+    for (uint32_t i = 0; i < n; ++i) {
+      groups[i] = lo + static_cast<uint32_t>(rng.Range(0, span - 1));
+      for (size_t a = 1; a < specs.size(); ++a) {
+        values[a][i] = static_cast<double>(rng.Range(-1000000, 1000000)) *
+                       std::ldexp(1.0, static_cast<int>(rng.Range(-30, 30)));
+      }
+    }
+    std::vector<const double*> inputs(specs.size(), nullptr);
+    for (size_t a = 1; a < specs.size(); ++a) inputs[a] = values[a].data();
+    std::vector<AggWord> fresh(num_groups * words);
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      std::copy(layout.init(), layout.init() + words, &fresh[g * words]);
+    }
+    std::vector<AggWord> expected = fresh;
+    for (uint32_t i = 0; i < n; ++i) {
+      AggWord* s = &expected[groups[i] * words];
+      ++s[0].count;
+      for (size_t a = 1; a < specs.size(); ++a) {
+        AggWord* w = s + layout.offset(a);
+        const double v = values[a][i];
+        if (specs[a].fn == AggFn::kMin) {
+          w->value = std::min(w->value, v);
+        } else if (specs[a].fn == AggFn::kMax) {
+          w->value = std::max(w->value, v);
+        } else {
+          AggLayout::Add(w, v);
+        }
+      }
+    }
+    const size_t bytes = expected.size() * sizeof(AggWord);
+    std::vector<AggWord> scatter = fresh;
+    layout.UpdateScatter(groups.data(), n, inputs.data(), scatter.data());
+    ASSERT_EQ(std::memcmp(scatter.data(), expected.data(), bytes), 0)
+        << "scatter, trial " << trial;
+    std::vector<AggWord> chosen = fresh;
+    layout.Update(groups.data(), n, inputs.data(), chosen.data());
+    ASSERT_EQ(std::memcmp(chosen.data(), expected.data(), bytes), 0)
+        << "update, trial " << trial;
+    if (span == 1) {
+      std::vector<AggWord> group = fresh;
+      layout.UpdateGroup(&group[lo * words], n, inputs.data());
+      ASSERT_EQ(std::memcmp(group.data(), expected.data(), bytes), 0)
+          << "one group, trial " << trial;
+    }
+  }
 }
 
 /// Leaf aggregate sum(v) over a base table of (k INT32, v DOUBLE) rows,

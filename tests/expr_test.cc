@@ -503,6 +503,160 @@ TEST_P(ExprTest, ComparisonsMatchRowByRowReference) {
   }
 }
 
+/// The sign of a - b for two values of one type, computed natively
+/// (integers as int64, CHAR bytewise as unsigned bytes).
+int OracleSign(const Type& type, const TypedValue& a, const TypedValue& b) {
+  if (type.id() == TypeId::kChar) {
+    std::vector<std::byte> pa(type.width());
+    std::vector<std::byte> pb(type.width());
+    a.CopyTo(type, pa.data());
+    b.CopyTo(type, pb.data());
+    const int c = std::memcmp(pa.data(), pb.data(), type.width());
+    return (c > 0) - (c < 0);
+  }
+  if (type.id() == TypeId::kDouble) {
+    return (a.AsDouble() > b.AsDouble()) - (a.AsDouble() < b.AsDouble());
+  }
+  return (a.ToInt64() > b.ToInt64()) - (a.ToInt64() < b.ToInt64());
+}
+
+/// Values of `type` that stress the compare kernels: extremes, negatives,
+/// INT64 neighbours that doubles cannot tell apart (2^53 and 2^53 + 1),
+/// and CHAR values that differ in any byte, high bytes included.
+std::vector<TypedValue> OracleValues(const Type& type) {
+  std::vector<TypedValue> out;
+  switch (type.id()) {
+    case TypeId::kInt32:
+      for (const int32_t v : {INT32_MIN, -70000, -1, 0, 1, 5, 70000,
+                              INT32_MAX}) {
+        out.push_back(TypedValue::Int32(v));
+      }
+      break;
+    case TypeId::kDate:
+      for (const int32_t v : {-3000, -1, 0, 9000, 9001, 12000}) {
+        out.push_back(TypedValue::Date(v));
+      }
+      break;
+    case TypeId::kInt64: {
+      const int64_t p53 = int64_t{1} << 53;
+      for (const int64_t v : {INT64_MIN, -(p53 + 1), -p53, int64_t{-1},
+                              int64_t{0}, int64_t{7}, p53, p53 + 1,
+                              p53 + 2, INT64_MAX}) {
+        out.push_back(TypedValue::Int64(v));
+      }
+      break;
+    }
+    case TypeId::kDouble:
+      for (const double v :
+           {-1e300, -2.5, -0.0, 0.0, 0.25, 2.5, 9007199254740992.0, 1e300}) {
+        out.push_back(TypedValue::Double(v));
+      }
+      break;
+    case TypeId::kChar: {
+      const uint16_t w = type.width();
+      const std::string bytes = "a zA\x7f\xc3\xff";
+      for (size_t i = 0; i < 9; ++i) {
+        std::string v(w, 'm');
+        v[(i * 7) % w] = bytes[i % bytes.size()];
+        v[w - 1 - (i % w)] = bytes[(i * 3) % bytes.size()];
+        out.push_back(TypedValue::Char(v));
+      }
+      out.push_back(TypedValue::Char(std::string(w, 'm')));
+      break;
+    }
+  }
+  return out;
+}
+
+/// Row-by-row oracle for Comparison over every type and operator: a block
+/// of (x, y) rows holding every pair of OracleValues, filtered by x op y,
+/// x op literal and literal op x (the column, column-pair and generic
+/// kernels), against the native compare of the two values.
+TEST_P(ExprTest, CompareKernelsMatchRowByRowOracle) {
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  std::vector<Type> types = {Type::Int32(), Type::Int64(), Type::Date(),
+                             Type::Double()};
+  for (uint16_t w = 1; w <= 25; ++w) types.push_back(Type::Char(w));
+  for (const Type& type : types) {
+    const std::vector<TypedValue> values = OracleValues(type);
+    const Schema schema({{"x", type}, {"y", type}});
+    Block block(1, &schema, GetParam(), 64 * 1024);
+    std::vector<std::byte> row(schema.row_width());
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = 0; j < values.size(); ++j) {
+        values[i].CopyTo(type, row.data() + schema.offset(0));
+        values[j].CopyTo(type, row.data() + schema.offset(1));
+        ASSERT_TRUE(block.AppendRow(row.data()));
+        pairs.emplace_back(i, j);
+      }
+    }
+    for (const CompareOp op : kOps) {
+      const std::string what = type.ToString() + " op " +
+                               std::to_string(static_cast<int>(op));
+      std::vector<uint32_t> expected;
+      for (uint32_t r = 0; r < pairs.size(); ++r) {
+        if (CompareValues(op, OracleSign(type, values[pairs[r].first],
+                                         values[pairs[r].second]),
+                          0)) {
+          expected.push_back(r);
+        }
+      }
+      EXPECT_EQ(Cmp(op, Col(0, type), Col(1, type))->FilterAll(block),
+                expected)
+          << what << " column vs column";
+      for (const TypedValue& literal : values) {
+        std::vector<uint32_t> lhs_column;
+        std::vector<uint32_t> lhs_literal;
+        for (uint32_t r = 0; r < pairs.size(); ++r) {
+          const TypedValue& x = values[pairs[r].first];
+          if (CompareValues(op, OracleSign(type, x, literal), 0)) {
+            lhs_column.push_back(r);
+          }
+          if (CompareValues(op, OracleSign(type, literal, x), 0)) {
+            lhs_literal.push_back(r);
+          }
+        }
+        EXPECT_EQ(Cmp(op, Col(0, type), Lit(literal, type))->FilterAll(block),
+                  lhs_column)
+            << what << " column vs " << literal.ToString();
+        EXPECT_EQ(Cmp(op, Lit(literal, type), Col(0, type))->FilterAll(block),
+                  lhs_literal)
+            << what << " " << literal.ToString() << " vs column";
+      }
+    }
+  }
+}
+
+TEST_P(ExprTest, MixedIntegerWidthsCompareExactly) {
+  // An INT32 column against INT64 literals outside the int32 range, and
+  // against a DOUBLE literal between two integers.
+  const Schema schema({{"x", Type::Int32()}});
+  Block block(1, &schema, GetParam(), 4096);
+  RowBuilder row(&schema);
+  for (const int32_t v : {INT32_MIN, -1, 0, 2, 3, INT32_MAX}) {
+    row.SetInt32(0, v);
+    ASSERT_TRUE(block.AppendRow(row.data()));
+  }
+  EXPECT_EQ(Cmp(CompareOp::kLt, Col(0, Type::Int32()),
+                LitInt64(int64_t{1} << 40))
+                ->FilterAll(block),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(Cmp(CompareOp::kGt, Col(0, Type::Int32()),
+                LitInt64(-(int64_t{1} << 40)))
+                ->FilterAll(block)
+                .size(),
+            6u);
+  EXPECT_TRUE(Cmp(CompareOp::kEq, Col(0, Type::Int32()),
+                  LitInt64(int64_t{1} << 32))
+                  ->FilterAll(block)
+                  .empty());
+  EXPECT_EQ(Cmp(CompareOp::kLe, Col(0, Type::Int32()), LitDouble(2.5))
+                ->FilterAll(block),
+            (std::vector<uint32_t>{0, 1, 2, 3}));
+}
+
 TEST_P(ExprTest, ToStringRendersTree) {
   auto pred = Cmp(CompareOp::kGe, Col(1, Type::Double()), LitDouble(3.5));
   EXPECT_EQ(pred->ToString(), "($1 >= 3.5000)");

@@ -130,10 +130,76 @@ TEST(IntegrationTest, AggregationFootprintMatchesModel) {
     EXPECT_EQ(stats.peak_bytes[agg_index], expected) << "workers " << workers;
     EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
   }
+
+  // A composite key over the base table: an INT32 spanning 100 values and
+  // a CHAR(1) spanning 'a'..'e' index 500 dense groups.
+  const Schema schema(
+      {{"k", Type::Int32()}, {"c", Type::Char(1)}, {"v", Type::Double()}});
+  Table pairs("pairs", schema, Layout::kColumnStore, 16 * 1024, &storage,
+              MemoryCategory::kBaseTable);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    pairs.AppendValues({TypedValue::Int32(static_cast<int32_t>(i % 100)),
+                        TypedValue::Char(std::string(1, "abcde"[i % 7 % 5])),
+                        TypedValue::Double(static_cast<double>(i))});
+  }
+  const MemoryModel::AggregationFootprint composite =
+      MemoryModel::AggregationBytes(kRows, 100 * 5, 4, kStateBytes);
+  ASSERT_TRUE(composite.dense);
+  for (const int workers : {1, 4}) {
+    const int64_t baseline = storage.tracker().TotalCurrent();
+    PlanBuilderConfig config;
+    config.block_bytes = 16 * 1024;
+    PlanBuilder builder(&storage, config);
+    std::vector<AggSpec> aggs;
+    aggs.push_back({AggFn::kSum, Col(2, Type::Double()), "sum"});
+    PlanBuilder::Src agg = builder.Aggregate("agg", PlanBuilder::Base(pairs),
+                                             {0, 1}, std::move(aggs));
+    std::unique_ptr<QueryPlan> plan = builder.Finish(agg);
+    ExecConfig exec;
+    exec.num_workers = workers;
+    exec.uot = UotPolicy::LowUot(1);
+    const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
+    EXPECT_TRUE(
+        dynamic_cast<const AggregateOperator&>(*plan->op(agg.op)).dense());
+    EXPECT_EQ(plan->result_table()->NumRows(), 500u);
+    std::set<int> ran;
+    for (const WorkOrderRecord& r : stats.records) {
+      if (r.op == agg.op) ran.insert(r.worker);
+    }
+    EXPECT_EQ(stats.peak_bytes[agg_index],
+              static_cast<int64_t>(ran.size() * composite.bytes))
+        << "workers " << workers;
+    EXPECT_EQ(storage.tracker().Current(MemoryCategory::kAggregation), 0);
+    plan.reset();
+    EXPECT_EQ(storage.tracker().TotalCurrent(), baseline);
+  }
 }
 
-/// After TPC-H Q1 (hash, CHAR keys), Q17 (dense) and Q18 (hash, one group
-/// per order) every aggregation byte is released.
+/// A sort charges its row buffer and order array while it runs and
+/// releases them after: TPC-H Q1 and Q3 end at the tracker's baseline.
+TEST(IntegrationTest, SortBuffersReturnToBaseline) {
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.01;
+  db.Generate(config);
+  const int64_t baseline = storage.tracker().TotalCurrent();
+  ExecConfig exec;
+  exec.num_workers = 4;
+  for (const int query : {1, 3}) {
+    auto plan = BuildTpchPlan(query, db, TpchPlanConfig{});
+    const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
+    EXPECT_GT(stats.peak_bytes[static_cast<int>(MemoryCategory::kOther)], 0)
+        << "Q" << query;
+    EXPECT_EQ(storage.tracker().Current(MemoryCategory::kOther), 0)
+        << "Q" << query;
+    plan.reset();
+    EXPECT_EQ(storage.tracker().TotalCurrent(), baseline) << "Q" << query;
+  }
+}
+
+/// After TPC-H Q1 (dense, two CHAR keys), Q17 (dense) and Q18 (hash, one
+/// group per order) every aggregation byte is released.
 TEST(IntegrationTest, AggregationMemoryReturnsToBaseline) {
   StorageManager storage;
   TpchDatabase db(&storage);

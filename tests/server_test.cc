@@ -1041,14 +1041,18 @@ TEST_F(TpchServerTest, IntegralGroupKeyOverBaseTableTakesDenseLayout) {
 }
 
 /// Statements that once aborted the server at plan construction or
-/// execution: aggregates over CHAR and join keys the hash kernels cannot
-/// key.
+/// execution (aggregates over CHAR, join keys the hash kernels cannot key)
+/// or returned nonsense (join keys of different type families: CHAR
+/// against an integer, DATE against an integer).
 const std::vector<std::string>& TypeErrorStatements() {
   static const std::vector<std::string> statements = {
       "select sum(l_shipmode) from lineitem",
       "select min(l_shipmode) from lineitem",
       "select count(*) from orders join lineitem on o_orderkey = l_shipmode",
       "select count(*) from orders join lineitem on o_orderkey = l_quantity",
+      "select count(*) from orders join lineitem on o_orderstatus = "
+      "l_linenumber",
+      "select count(*) from orders join lineitem on o_orderdate = l_orderkey",
   };
   return statements;
 }

@@ -286,6 +286,46 @@ TEST(TableTest, IntegralRangeIsCachedUntilRowsChange) {
   }
 }
 
+/// KeyRange covers every keyable column: integral words order as signed
+/// values, CHAR(<= 8) words as unsigned ones (little-endian packed bytes).
+/// DOUBLE and wider CHAR columns are not keys; IntegralRange stays
+/// integral-only.
+TEST(TableTest, KeyRangeCoversCharWords) {
+  StorageManager storage;
+  Table table("t",
+              Schema({{"i32", Type::Int32()},
+                      {"c1", Type::Char(1)},
+                      {"c2", Type::Char(2)},
+                      {"c9", Type::Char(9)},
+                      {"d", Type::Double()}}),
+              Layout::kColumnStore, 512, &storage,
+              MemoryCategory::kBaseTable);
+  uint64_t min_word = 0, range = 0;
+  EXPECT_FALSE(table.KeyRange(1, &min_word, &range));  // no rows
+  for (const char* v : {"R", "A", "N"}) {
+    table.AppendValues({TypedValue::Int32(-3), TypedValue::Char(v),
+                        TypedValue::Char(std::string(v) + "\xff"),
+                        TypedValue::Char(v), TypedValue::Double(0)});
+  }
+  table.AppendValues({TypedValue::Int32(4), TypedValue::Char("F"),
+                      TypedValue::Char("A"), TypedValue::Char("x"),
+                      TypedValue::Double(0)});
+  ASSERT_TRUE(table.KeyRange(0, &min_word, &range));
+  EXPECT_EQ(min_word, static_cast<uint64_t>(int64_t{-3}));
+  EXPECT_EQ(range, 8u);
+  ASSERT_TRUE(table.KeyRange(1, &min_word, &range));
+  EXPECT_EQ(min_word, uint64_t{'A'});
+  EXPECT_EQ(range, uint64_t{'R' - 'A' + 1});
+  // "A " (0x2041) is the smallest word, "R\xff" (0xff52) the largest.
+  ASSERT_TRUE(table.KeyRange(2, &min_word, &range));
+  EXPECT_EQ(min_word, 0x2041u);
+  EXPECT_EQ(range, 0xff52u - 0x2041u + 1);
+  EXPECT_FALSE(table.KeyRange(3, &min_word, &range));
+  EXPECT_FALSE(table.KeyRange(4, &min_word, &range));
+  int64_t lo = 0, hi = 0;
+  EXPECT_FALSE(table.IntegralRange(1, &lo, &hi));
+}
+
 TEST(BlockPoolTest, CheckoutReturnsPooledBlockFirst) {
   StorageManager storage;
   const Schema schema = TestSchema();
