@@ -14,9 +14,10 @@
 // one (sum(v), no key: one group).
 //
 // The update-loop arm times AggLayout's update loops alone, per row, on
-// block-sized batches of a COUNT and 1 or 7 SUMs: the scatter loop over 1
-// to 750k groups and the one-group register loop. It is the measurement
-// behind AggLayout::Update's choice between them.
+// block-sized batches of a COUNT and 1, 5 or 7 SUMs (5 is TPC-H Q1's
+// count of distinct sums, 7 its count of SUM and AVG aggregates): the
+// scatter loop over 1 to 750k groups and the one-group register loop. It
+// is the measurement behind AggLayout::Update's choice between them.
 //
 // Each point is the median query time over UOT_RUNS runs (default 5).
 // Emits BENCH_aggregate.json with one `g<groups>_<mode>_w<workers>_ms`
@@ -346,7 +347,7 @@ int main() {
             : std::vector<uint32_t>{1, 2, 4, 16, 1000, 100000, 750000};
   std::printf("\n%-8s %-6s %14s %15s\n", "groups", "sums", "scatter ns/row",
               "register ns/row");
-  for (const int sums : {1, 7}) {
+  for (const int sums : {1, 5, 7}) {
     for (const uint32_t groups : loop_groups) {
       double scatter_ns = 0;
       double register_ns = 0;

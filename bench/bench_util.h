@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/query_executor.h"
@@ -167,12 +168,12 @@ inline void MaybeExportObs(const ObservedRun& run,
   }
 }
 
-/// The source tree's current git commit, or "unknown" outside a checkout.
+/// The source tree's current git commit, with "-dirty" appended when a
+/// tracked file differs from it (figures measured on edited sources are not
+/// that commit's), or "unknown" outside a checkout.
 inline std::string SourceGitSha() {
-  const std::string cmd =
-      std::string("git -C '") + UOT_BENCH_SOURCE_DIR +
-      "' rev-parse HEAD 2>/dev/null";
-  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  const std::string git = std::string("git -C '") + UOT_BENCH_SOURCE_DIR + "' ";
+  std::FILE* pipe = ::popen((git + "rev-parse HEAD 2>/dev/null").c_str(), "r");
   if (pipe == nullptr) return "unknown";
   char buf[64] = {};
   const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
@@ -181,7 +182,14 @@ inline std::string SourceGitSha() {
   while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
     sha.pop_back();
   }
-  return sha.empty() ? "unknown" : sha;
+  if (sha.empty()) return "unknown";
+  // `git diff --quiet` exits 1 when tracked files differ from HEAD.
+  const int status =
+      std::system((git + "diff --quiet HEAD -- >/dev/null 2>&1").c_str());
+  if (status != -1 && WIFEXITED(status) && WEXITSTATUS(status) == 1) {
+    sha += "-dirty";
+  }
+  return sha;
 }
 
 /// Machine-readable bench output: ordered key -> value rows written as

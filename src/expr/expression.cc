@@ -11,12 +11,46 @@
 
 namespace uot {
 
+namespace {
+
+/// out[i] = lhs[i] op rhs[i] for i < n, where a null operand is `constant`
+/// (at most one is). `out` may be either operand.
+void ApplyArithmetic(ArithmeticOp op, const double* lhs, const double* rhs,
+                     double constant, uint32_t n, double* out) {
+  auto apply = [&](auto fn) {
+    if (lhs != nullptr && rhs != nullptr) {
+      for (uint32_t i = 0; i < n; ++i) out[i] = fn(lhs[i], rhs[i]);
+    } else if (lhs != nullptr) {
+      for (uint32_t i = 0; i < n; ++i) out[i] = fn(lhs[i], constant);
+    } else {
+      for (uint32_t i = 0; i < n; ++i) out[i] = fn(constant, rhs[i]);
+    }
+  };
+  switch (op) {
+    case ArithmeticOp::kAdd:
+      return apply(std::plus<double>());
+    case ArithmeticOp::kSubtract:
+      return apply(std::minus<double>());
+    case ArithmeticOp::kMultiply:
+      return apply(std::multiplies<double>());
+    case ArithmeticOp::kDivide:
+      return apply(std::divides<double>());
+  }
+}
+
+}  // namespace
+
 void ColumnRef::Eval(const Block& block, const uint32_t* rows, uint32_t n,
                      std::byte* out) const {
   UOT_DCHECK(block.schema().column(col_).type == type_);
   const ColumnAccess access = block.Column(col_);
   GatherValues(type_.width(), access.base, access.stride, rows, n, out,
                type_.width());
+}
+
+bool ColumnRef::Equals(const Scalar& other) const {
+  const ColumnRef* ref = other.as_column_ref();
+  return ref != nullptr && ref->col_ == col_ && ref->type_ == type_;
 }
 
 std::string ColumnRef::ToString() const {
@@ -40,6 +74,12 @@ void Literal::Eval(const Block& block, const uint32_t* rows, uint32_t n,
   }
 }
 
+bool Literal::Equals(const Scalar& other) const {
+  const Literal* literal = other.as_literal();
+  return literal != nullptr && literal->type_ == type_ &&
+         literal->packed_ == packed_;
+}
+
 std::string Literal::ToString() const { return value_.ToString(); }
 
 Arithmetic::Arithmetic(ArithmeticOp op, std::unique_ptr<Scalar> left,
@@ -52,43 +92,28 @@ Arithmetic::Arithmetic(ArithmeticOp op, std::unique_ptr<Scalar> left,
 void Arithmetic::Eval(const Block& block, const uint32_t* rows, uint32_t n,
                       std::byte* out) const {
   double* result = reinterpret_cast<double*>(out);
-  const Literal* lhs_literal = left_->as_literal();
-  const Literal* rhs_literal = right_->as_literal();
-  ScratchArena& arena = ScratchArena::ForThread();
-  ScratchArena::Scope scope(&arena);
-  const double* rhs = nullptr;
-  double constant = 0.0;
-  if (rhs_literal != nullptr) {
-    constant = rhs_literal->value().ToDouble();
+  if (const Literal* literal = right_->as_literal()) {
     EvalAsDouble(*left_, block, rows, n, result);
-  } else if (lhs_literal != nullptr) {
-    constant = lhs_literal->value().ToDouble();
+    ApplyArithmetic(op_, result, nullptr, literal->value().ToDouble(), n,
+                    result);
+  } else if (const Literal* literal = left_->as_literal()) {
     EvalAsDouble(*right_, block, rows, n, result);
+    ApplyArithmetic(op_, nullptr, result, literal->value().ToDouble(), n,
+                    result);
   } else {
+    ScratchArena& arena = ScratchArena::ForThread();
+    ScratchArena::Scope scope(&arena);
     EvalAsDouble(*left_, block, rows, n, result);
-    double* values = arena.AllocArray<double>(n);
-    EvalAsDouble(*right_, block, rows, n, values);
-    rhs = values;
+    double* rhs = arena.AllocArray<double>(n);
+    EvalAsDouble(*right_, block, rows, n, rhs);
+    ApplyArithmetic(op_, result, rhs, 0.0, n, result);
   }
-  auto apply = [&](auto op) {
-    if (rhs != nullptr) {
-      for (uint32_t i = 0; i < n; ++i) result[i] = op(result[i], rhs[i]);
-    } else if (rhs_literal != nullptr) {
-      for (uint32_t i = 0; i < n; ++i) result[i] = op(result[i], constant);
-    } else {
-      for (uint32_t i = 0; i < n; ++i) result[i] = op(constant, result[i]);
-    }
-  };
-  switch (op_) {
-    case ArithmeticOp::kAdd:
-      return apply(std::plus<double>());
-    case ArithmeticOp::kSubtract:
-      return apply(std::minus<double>());
-    case ArithmeticOp::kMultiply:
-      return apply(std::multiplies<double>());
-    case ArithmeticOp::kDivide:
-      return apply(std::divides<double>());
-  }
+}
+
+bool Arithmetic::Equals(const Scalar& other) const {
+  const auto* arith = dynamic_cast<const Arithmetic*>(&other);
+  return arith != nullptr && arith->op_ == op_ &&
+         arith->left_->Equals(*left_) && arith->right_->Equals(*right_);
 }
 
 std::string Arithmetic::ToString() const {
@@ -168,6 +193,12 @@ void Substring::Eval(const Block& block, const uint32_t* rows, uint32_t n,
   }
 }
 
+bool Substring::Equals(const Scalar& other) const {
+  const auto* sub = dynamic_cast<const Substring*>(&other);
+  return sub != nullptr && sub->start_ == start_ && sub->len_ == len_ &&
+         sub->child_->Equals(*child_);
+}
+
 std::string Substring::ToString() const {
   return "SUBSTRING(" + child_->ToString() + ", " +
          std::to_string(start_ + 1) + ", " + std::to_string(len_) + ")";
@@ -192,6 +223,11 @@ void ExtractYear::Eval(const Block& block, const uint32_t* rows, uint32_t n,
     const int32_t year = y;
     std::memcpy(out + i * 4u, &year, 4);
   }
+}
+
+bool ExtractYear::Equals(const Scalar& other) const {
+  const auto* year = dynamic_cast<const ExtractYear*>(&other);
+  return year != nullptr && year->child_->Equals(*child_);
 }
 
 std::string ExtractYear::ToString() const {
@@ -240,6 +276,51 @@ void EvalAsDouble(const Scalar& scalar, const Block& block,
       int64_t v;
       std::memcpy(&v, tmp + i * 8u, 8);
       out[i] = static_cast<double>(v);
+    }
+  }
+}
+
+uint32_t DoubleProgram::Add(const Scalar& scalar) {
+  UOT_CHECK(scalar.result_type().IsNumeric());
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    if (nodes_[k].scalar->Equals(scalar)) return static_cast<uint32_t>(k);
+  }
+  Node node{&scalar};
+  const auto* arith = dynamic_cast<const Arithmetic*>(&scalar);
+  const bool literals = arith != nullptr &&
+                        arith->left().as_literal() != nullptr &&
+                        arith->right().as_literal() != nullptr;
+  if (arith != nullptr && !literals) {
+    // As in Arithmetic::Eval, a literal operand is a constant.
+    node.op = arith->op();
+    if (const Literal* literal = arith->right().as_literal()) {
+      node.left = static_cast<int>(Add(arith->left()));
+      node.constant = literal->value().ToDouble();
+    } else if (const Literal* literal = arith->left().as_literal()) {
+      node.right = static_cast<int>(Add(arith->right()));
+      node.constant = literal->value().ToDouble();
+    } else {
+      node.left = static_cast<int>(Add(arith->left()));
+      node.right = static_cast<int>(Add(arith->right()));
+    }
+  }
+  nodes_.push_back(node);
+  return static_cast<uint32_t>(nodes_.size() - 1);
+}
+
+void DoubleProgram::Eval(const Block& block, const uint32_t* rows, uint32_t n,
+                         double* out) const {
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    const Node& node = nodes_[k];
+    double* values = out + k * n;
+    if (node.left < 0 && node.right < 0) {
+      EvalAsDouble(*node.scalar, block, rows, n, values);
+    } else {
+      const double* lhs =
+          node.left < 0 ? nullptr : out + static_cast<size_t>(node.left) * n;
+      const double* rhs =
+          node.right < 0 ? nullptr : out + static_cast<size_t>(node.right) * n;
+      ApplyArithmetic(node.op, lhs, rhs, node.constant, n, values);
     }
   }
 }

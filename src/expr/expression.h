@@ -41,6 +41,12 @@ class Scalar {
   /// Non-null iff this expression is a constant.
   virtual const Literal* as_literal() const { return nullptr; }
 
+  /// Structural equality: `other` is the same kind of node over equal
+  /// operands, so both evaluate to the same bits on any block. Literals
+  /// match on type and packed bytes (0.0 and -0.0 differ); a CASE, whose
+  /// condition has no equality, matches only itself.
+  virtual bool Equals(const Scalar& other) const = 0;
+
   virtual std::string ToString() const = 0;
 };
 
@@ -55,6 +61,7 @@ class ColumnRef final : public Scalar {
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
   const ColumnRef* as_column_ref() const override { return this; }
+  bool Equals(const Scalar& other) const override;
   std::string ToString() const override;
 
  private:
@@ -75,6 +82,7 @@ class Literal final : public Scalar {
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
   const Literal* as_literal() const override { return this; }
+  bool Equals(const Scalar& other) const override;
   std::string ToString() const override;
 
  private:
@@ -95,9 +103,13 @@ class Arithmetic final : public Scalar {
   Arithmetic(ArithmeticOp op, std::unique_ptr<Scalar> left,
              std::unique_ptr<Scalar> right);
 
+  ArithmeticOp op() const { return op_; }
+  const Scalar& left() const { return *left_; }
+  const Scalar& right() const { return *right_; }
   Type result_type() const override { return Type::Double(); }
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
+  bool Equals(const Scalar& other) const override;
   std::string ToString() const override;
 
  private:
@@ -121,6 +133,7 @@ class CaseWhen final : public Scalar {
   Type result_type() const override { return Type::Double(); }
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
+  bool Equals(const Scalar& other) const override { return &other == this; }
   std::string ToString() const override;
 
  private:
@@ -142,6 +155,7 @@ class Substring final : public Scalar {
   }
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
+  bool Equals(const Scalar& other) const override;
   std::string ToString() const override;
 
  private:
@@ -159,6 +173,7 @@ class ExtractYear final : public Scalar {
   Type result_type() const override { return Type::Int32(); }
   void Eval(const Block& block, const uint32_t* rows, uint32_t n,
             std::byte* out) const override;
+  bool Equals(const Scalar& other) const override;
   std::string ToString() const override;
 
  private:
@@ -169,6 +184,40 @@ class ExtractYear final : public Scalar {
 /// Shared by arithmetic, comparisons and aggregates.
 void EvalAsDouble(const Scalar& scalar, const Block& block,
                   const uint32_t* rows, uint32_t n, double* out);
+
+/// Numeric scalars compiled into one list of distinct nodes, each evaluated
+/// once per batch into doubles. Structurally equal subexpressions are one
+/// node, so a column or a product that several scalars read is gathered or
+/// computed once. An arithmetic node over non-literal operands reads its
+/// operands' nodes, a literal operand is a loop constant, and any other
+/// scalar is one node evaluated by EvalAsDouble; every node's values are
+/// the bits EvalAsDouble gives for its scalar.
+class DoubleProgram {
+ public:
+  /// Adds `scalar` (numeric; must outlive the program) and returns the
+  /// node that computes it.
+  uint32_t Add(const Scalar& scalar);
+
+  size_t size() const { return nodes_.size(); }
+
+  /// Evaluates rows `rows[0..n)` of `block`: node k's n values go to
+  /// `out + k * n` (`out` holds size() * n doubles).
+  void Eval(const Block& block, const uint32_t* rows, uint32_t n,
+            double* out) const;
+
+ private:
+  struct Node {
+    const Scalar* scalar;
+    // An arithmetic node's operands: a node index, or -1 for the literal
+    // `constant`. Both -1 means the node is evaluated by EvalAsDouble.
+    ArithmeticOp op = ArithmeticOp::kAdd;
+    int left = -1;
+    int right = -1;
+    double constant = 0.0;
+  };
+
+  std::vector<Node> nodes_;
+};
 
 // ---- convenience factories ----
 

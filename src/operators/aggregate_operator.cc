@@ -9,35 +9,37 @@
 #include "util/scratch_arena.h"
 
 namespace uot {
-AggLayout::AggLayout(const std::vector<AggSpec>& aggs) {
-  init_.push_back(AggWord{0});  // the row count
-  for (const AggSpec& spec : aggs) {
-    const uint32_t a = static_cast<uint32_t>(fns_.size());
-    fns_.push_back(spec.fn);
-    switch (spec.fn) {
-      case AggFn::kCount:
-        offsets_.push_back(0);
-        break;
-      case AggFn::kSum:
-      case AggFn::kAvg:
-        sum_aggs_.push_back(a);
-        offsets_.push_back(static_cast<uint32_t>(init_.size()));
-        init_.push_back(AggWord{.value = 0.0});
-        init_.push_back(AggWord{.value = 0.0});
-        break;
-      case AggFn::kMin:
-        minmax_aggs_.push_back(a);
-        offsets_.push_back(static_cast<uint32_t>(init_.size()));
-        init_.push_back(AggWord{.value = 1e308});
-        break;
-      case AggFn::kMax:
-        minmax_aggs_.push_back(a);
-        offsets_.push_back(static_cast<uint32_t>(init_.size()));
-        init_.push_back(AggWord{.value = -1e308});
-        break;
-    }
+namespace {
+
+std::vector<AggFn> Functions(const std::vector<AggSpec>& aggs) {
+  std::vector<AggFn> fns;
+  for (const AggSpec& spec : aggs) fns.push_back(spec.fn);
+  return fns;
+}
+
+}  // namespace
+
+AggLayout::AggLayout(const std::vector<AggFn>& fns)
+    : fns_(fns), offsets_(fns.size(), 0) {
+  // The row count, then the (sum, comp) pairs, then MIN and MAX.
+  init_.push_back(AggWord{0});
+  for (uint32_t s = 0; s < fns_.size(); ++s) {
+    if (fns_[s] != AggFn::kSum && fns_[s] != AggFn::kAvg) continue;
+    sum_states_.push_back(s);
+    offsets_[s] = static_cast<uint32_t>(init_.size());
+    init_.push_back(AggWord{.value = 0.0});
+    init_.push_back(AggWord{.value = 0.0});
+  }
+  for (uint32_t s = 0; s < fns_.size(); ++s) {
+    if (fns_[s] != AggFn::kMin && fns_[s] != AggFn::kMax) continue;
+    minmax_states_.push_back(s);
+    offsets_[s] = static_cast<uint32_t>(init_.size());
+    init_.push_back(AggWord{.value = fns_[s] == AggFn::kMin ? 1e308 : -1e308});
   }
 }
+
+AggLayout::AggLayout(const std::vector<AggSpec>& aggs)
+    : AggLayout(Functions(aggs)) {}
 
 void AggLayout::Merge(AggWord* dst, const AggWord* src) const {
   dst[0].count += src[0].count;
@@ -74,39 +76,49 @@ void AggLayout::Update(const uint32_t* groups, uint32_t n,
   }
 }
 
-void AggLayout::UpdateScatter(const uint32_t* groups, uint32_t n,
-                              const double* const* inputs,
-                              AggWord* states) const {
-  // Row counts first, then one aggregate at a time.
-  const size_t stride = words();
-  for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
-  for (size_t a = 0; a < fns_.size(); ++a) {
-    const double* in = inputs[a];
-    AggWord* base = states + offsets_[a];
-    switch (fns_[a]) {
-      case AggFn::kSum:
-      case AggFn::kAvg:
-        for (uint32_t i = 0; i < n; ++i) Add(base + groups[i] * stride, in[i]);
-        break;
-      case AggFn::kMin:
-        for (uint32_t i = 0; i < n; ++i) {
-          double& m = base[groups[i] * stride].value;
-          if (in[i] < m) m = in[i];
-        }
-        break;
-      case AggFn::kMax:
-        for (uint32_t i = 0; i < n; ++i) {
-          double& m = base[groups[i] * stride].value;
-          if (in[i] > m) m = in[i];
-        }
-        break;
-      case AggFn::kCount:
-        break;
-    }
+namespace {
+
+/// Visits the state row `states + groups[i] * stride` of each row i < n
+/// once: counts the row in word 0 if kCount, and adds its K inputs to the
+/// K (sum, comp) pairs side by side from word 1. The K chains of a group
+/// overlap; each pair takes AggLayout::Add's steps in row order.
+template <size_t K, bool kCount>
+void ScatterSums(const uint32_t* groups, uint32_t n, size_t stride,
+                 const double* const* inputs, AggWord* states) {
+  const double* in[K];
+  for (size_t k = 0; k < K; ++k) in[k] = inputs[k];
+  for (uint32_t i = 0; i < n; ++i) {
+    AggWord* s = states + groups[i] * stride;
+    if constexpr (kCount) ++s[0].count;
+#pragma GCC unroll 8
+    for (size_t k = 0; k < K; ++k) AggLayout::Add(s + 1 + 2 * k, in[k][i]);
   }
 }
 
-namespace {
+/// ScatterSums for a run-time k in [1, 8].
+template <bool kCount>
+void ScatterSumsOf(size_t k, const uint32_t* groups, uint32_t n,
+                   size_t stride, const double* const* inputs,
+                   AggWord* states) {
+  switch (k) {
+    case 1:
+      return ScatterSums<1, kCount>(groups, n, stride, inputs, states);
+    case 2:
+      return ScatterSums<2, kCount>(groups, n, stride, inputs, states);
+    case 3:
+      return ScatterSums<3, kCount>(groups, n, stride, inputs, states);
+    case 4:
+      return ScatterSums<4, kCount>(groups, n, stride, inputs, states);
+    case 5:
+      return ScatterSums<5, kCount>(groups, n, stride, inputs, states);
+    case 6:
+      return ScatterSums<6, kCount>(groups, n, stride, inputs, states);
+    case 7:
+      return ScatterSums<7, kCount>(groups, n, stride, inputs, states);
+    default:
+      return ScatterSums<8, kCount>(groups, n, stride, inputs, states);
+  }
+}
 
 /// Runs K sums over rows [0, len) with each (sum, comp) pair in registers:
 /// the K chains are independent, so they overlap. Each pair takes
@@ -139,17 +151,47 @@ void RunSums(AggWord* const* pairs, const double* const* in, uint32_t len) {
 
 }  // namespace
 
+void AggLayout::UpdateScatter(const uint32_t* groups, uint32_t n,
+                              const double* const* inputs,
+                              AggWord* states) const {
+  const size_t stride = words();
+  if (sum_states_.empty()) {
+    for (uint32_t i = 0; i < n; ++i) ++states[groups[i] * stride].count;
+  }
+  // The pairs follow the row count, in sum_states_ order; the first pass
+  // also counts the rows.
+  for (size_t c = 0; c < sum_states_.size(); c += 8) {
+    const size_t k = std::min<size_t>(8, sum_states_.size() - c);
+    const double* in[8];
+    for (size_t j = 0; j < k; ++j) in[j] = inputs[sum_states_[c + j]];
+    if (c == 0) {
+      ScatterSumsOf<true>(k, groups, n, stride, in, states);
+    } else {
+      ScatterSumsOf<false>(k, groups, n, stride, in, states + 2 * c);
+    }
+  }
+  if (minmax_states_.empty()) return;
+  for (uint32_t i = 0; i < n; ++i) {
+    AggWord* state = states + groups[i] * stride;
+    for (const uint32_t s : minmax_states_) {
+      const double v = inputs[s][i];
+      double& m = state[offsets_[s]].value;
+      if (fns_[s] == AggFn::kMin ? v < m : v > m) m = v;
+    }
+  }
+}
+
 void AggLayout::UpdateGroup(AggWord* state, uint32_t n,
                             const double* const* inputs) const {
   state[0].count += n;
   // Sums in chunks of up to four, then MIN and MAX one at a time.
-  for (size_t c = 0; c < sum_aggs_.size(); c += 4) {
-    const size_t k = std::min<size_t>(4, sum_aggs_.size() - c);
+  for (size_t c = 0; c < sum_states_.size(); c += 4) {
+    const size_t k = std::min<size_t>(4, sum_states_.size() - c);
     AggWord* pairs[4];
     const double* in[4];
     for (size_t i = 0; i < k; ++i) {
-      pairs[i] = state + offsets_[sum_aggs_[c + i]];
-      in[i] = inputs[sum_aggs_[c + i]];
+      pairs[i] = state + offsets_[sum_states_[c + i]];
+      in[i] = inputs[sum_states_[c + i]];
     }
     switch (k) {
       case 1:
@@ -166,38 +208,38 @@ void AggLayout::UpdateGroup(AggWord* state, uint32_t n,
         break;
     }
   }
-  for (const uint32_t a : minmax_aggs_) {
-    const double* in = inputs[a];
-    double m = state[offsets_[a]].value;
-    if (fns_[a] == AggFn::kMin) {
+  for (const uint32_t s : minmax_states_) {
+    const double* in = inputs[s];
+    double m = state[offsets_[s]].value;
+    if (fns_[s] == AggFn::kMin) {
       for (uint32_t j = 0; j < n; ++j) m = in[j] < m ? in[j] : m;
     } else {
       for (uint32_t j = 0; j < n; ++j) m = in[j] > m ? in[j] : m;
     }
-    state[offsets_[a]].value = m;
+    state[offsets_[s]].value = m;
   }
 }
 
-void AggLayout::WriteResult(size_t a, const AggWord* state,
+void AggLayout::WriteResult(AggFn fn, size_t s, const AggWord* state,
                             std::byte* out) const {
   const int64_t count = state[0].count;
-  if (fns_[a] == AggFn::kCount) {
+  if (fn == AggFn::kCount) {
     std::memcpy(out, &count, 8);
     return;
   }
-  const AggWord* s = state + offsets_[a];
+  const AggWord* words = state + offsets_[s];
   double v = 0.0;
   if (count != 0) {
-    switch (fns_[a]) {
+    switch (fn) {
       case AggFn::kSum:
-        v = Total(s);
+        v = Total(words);
         break;
       case AggFn::kAvg:
-        v = Total(s) / static_cast<double>(count);
+        v = Total(words) / static_cast<double>(count);
         break;
       case AggFn::kMin:
       case AggFn::kMax:
-        v = s->value;
+        v = words->value;
         break;
       case AggFn::kCount:
         break;
@@ -217,7 +259,6 @@ AggregateOperator::AggregateOperator(std::string name,
       input_schema_(input_schema),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
-      layout_(aggs_),
       predicate_(std::move(predicate)),
       destination_(destination),
       tracker_(tracker) {
@@ -226,24 +267,23 @@ AggregateOperator::AggregateOperator(std::string name,
     UOT_CHECK(IsKeyableType(input_schema_.column(c).type));
   }
   UOT_CHECK(!aggs_.empty());
-  // Aggregates over the same column share one input.
+  // One state per distinct function and input: SUM and AVG over one input
+  // share a SUM state, and every COUNT reads the row count.
+  std::vector<AggFn> fns;
   for (const AggSpec& spec : aggs_) {
-    int slot = -1;
-    if (spec.fn != AggFn::kCount) {
-      const ColumnRef* ref = spec.expr->as_column_ref();
-      for (size_t k = 0; ref != nullptr && k < inputs_.size(); ++k) {
-        const ColumnRef* other = inputs_[k]->as_column_ref();
-        if (other != nullptr && other->col() == ref->col()) {
-          slot = static_cast<int>(k);
-        }
-      }
-      if (slot < 0) {
-        slot = static_cast<int>(inputs_.size());
-        inputs_.push_back(spec.expr.get());
-      }
+    const AggFn fn = spec.fn == AggFn::kAvg ? AggFn::kSum : spec.fn;
+    const int input = fn == AggFn::kCount
+                          ? -1
+                          : static_cast<int>(inputs_.Add(*spec.expr));
+    uint32_t s = 0;
+    while (s < fns.size() && (fns[s] != fn || state_input_[s] != input)) ++s;
+    if (s == fns.size()) {
+      fns.push_back(fn);
+      state_input_.push_back(input);
     }
-    input_of_.push_back(slot);
+    state_of_.push_back(s);
   }
+  layout_ = AggLayout(fns);
 }
 
 AggregateOperator::~AggregateOperator() { ReleaseGroups(); }
@@ -417,7 +457,8 @@ void AggregateOperator::Finish() {
         UnwidenKeyValue(type, key[g], row.data() + out_schema.offset(col));
       }
       for (size_t a = 0; a < aggs_.size(); ++a, ++col) {
-        layout_.WriteResult(a, state, row.data() + out_schema.offset(col));
+        layout_.WriteResult(aggs_[a].fn, state_of_[a], state,
+                            row.data() + out_schema.offset(col));
       }
       writer.AppendRow(row.data());
     };
@@ -528,14 +569,13 @@ void AggregateOperator::UpdateStates(const Block& block, const uint32_t* rows,
                                      AggWord* states) const {
   ScratchArena& arena = ScratchArena::ForThread();
   ScratchArena::Scope scope(&arena);
-  double** values = arena.AllocArray<double*>(inputs_.size());
-  for (size_t k = 0; k < inputs_.size(); ++k) {
-    values[k] = arena.AllocArray<double>(n);
-    EvalAsDouble(*inputs_[k], block, rows, n, values[k]);
-  }
-  const double** inputs = arena.AllocArray<const double*>(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    inputs[a] = input_of_[a] < 0 ? nullptr : values[input_of_[a]];
+  double* values = arena.AllocArray<double>(inputs_.size() * n);
+  inputs_.Eval(block, rows, n, values);
+  const double** inputs = arena.AllocArray<const double*>(state_input_.size());
+  for (size_t s = 0; s < state_input_.size(); ++s) {
+    inputs[s] = state_input_[s] < 0
+                    ? nullptr
+                    : values + static_cast<size_t>(state_input_[s]) * n;
   }
   layout_.Update(groups, n, inputs, states);
 }

@@ -29,16 +29,19 @@ struct AggSpec {
 };
 
 /// One 8-byte word of a group's aggregation state: the group's row count
-/// or one double of an aggregate's running value.
+/// or one double of a state's running value.
 union AggWord {
   int64_t count;
   double value;
 };
 
-/// Where each aggregate keeps its running state in a group's row of
+/// Where each aggregation state keeps its running value in a group's row of
 /// AggWords, so a group carries only what its functions need. Word 0
-/// counts the group's rows, which is all COUNT reads; SUM and AVG keep a
-/// (sum, comp) pair; MIN and MAX keep one value.
+/// counts the group's rows, which is all COUNT reads; then every SUM and
+/// AVG state's (sum, comp) pair, side by side; then one value per MIN and
+/// MAX. A state is one function over one input: the operator gives SUM and
+/// AVG over the same input one SUM state, and a layout built from
+/// aggregates gives each its own.
 ///
 /// Sums keep Neumaier's compensation: every addition adds its exact
 /// rounding error (TwoSum) to `comp`, and merging a partial adds its sum
@@ -47,13 +50,19 @@ union AggWord {
 /// extreme cancellation — scheduling must not change query results.
 class AggLayout {
  public:
+  AggLayout() = default;
+  /// One state per entry of `fns`.
+  explicit AggLayout(const std::vector<AggFn>& fns);
+  /// One state per aggregate (their inputs are not read).
   explicit AggLayout(const std::vector<AggSpec>& aggs);
 
   /// Words per group, the row count included.
   size_t words() const { return init_.size(); }
   size_t bytes() const { return words() * sizeof(AggWord); }
-  /// The first word of aggregate `a` (0, the row count, for COUNT).
-  uint32_t offset(size_t a) const { return offsets_[a]; }
+  /// The (sum, comp) pairs: SUM and AVG states.
+  size_t sums() const { return sum_states_.size(); }
+  /// The first word of state `s` (0, the row count, for COUNT).
+  uint32_t offset(size_t s) const { return offsets_[s]; }
   /// A fresh group's state: zero counts and sums, MIN/MAX sentinels.
   const AggWord* init() const { return init_.data(); }
 
@@ -73,15 +82,18 @@ class AggLayout {
   void Merge(AggWord* dst, const AggWord* src) const;
 
   /// Adds a batch of `n` rows to the state rows at `states` (words() per
-  /// group): row i belongs to group `groups[i]`, and `inputs[a][i]` is its
-  /// input to aggregate `a` (`inputs[a]` is unused for COUNT). Every group
+  /// group): row i belongs to group `groups[i]`, and `inputs[s][i]` is its
+  /// input to state `s` (`inputs[s]` is unused for COUNT). Every group
   /// sees its rows in row order, so the state words come out the same as
   /// from Add applied row by row. A batch of one group runs UpdateGroup,
   /// any other UpdateScatter.
   void Update(const uint32_t* groups, uint32_t n, const double* const* inputs,
               AggWord* states) const;
-  /// Row after row, each update a read-modify-write of the group's state
-  /// in memory: a store-to-load chain whenever a group repeats.
+  /// Visits each row's state row once to count the row and add all its
+  /// sums (up to eight per pass), then once more for its MIN and MAX. When
+  /// a group's rows follow each other, each update waits for the group's
+  /// previous store to the same words, but the chains of different sums
+  /// overlap.
   void UpdateScatter(const uint32_t* groups, uint32_t n,
                      const double* const* inputs, AggWord* states) const;
   /// Adds rows [0, n) to the one group whose state row is `state`, with the
@@ -89,17 +101,19 @@ class AggLayout {
   void UpdateGroup(AggWord* state, uint32_t n,
                    const double* const* inputs) const;
 
-  /// Writes aggregate `a`'s result for a group to `out`: an INT64 for
-  /// COUNT, a DOUBLE otherwise. Every function of a group without rows
-  /// (only a scalar aggregate has one) is 0.
-  void WriteResult(size_t a, const AggWord* state, std::byte* out) const;
+  /// Writes `fn` over state `s` of a group to `out`: an INT64 for COUNT, a
+  /// DOUBLE otherwise (AVG divides the SUM state by the row count). Every
+  /// function of a group without rows (only a scalar aggregate has one)
+  /// is 0.
+  void WriteResult(AggFn fn, size_t s, const AggWord* state,
+                   std::byte* out) const;
 
  private:
   std::vector<AggFn> fns_;
   std::vector<uint32_t> offsets_;
   std::vector<AggWord> init_;
-  std::vector<uint32_t> sum_aggs_;     // the SUM and AVG aggregates
-  std::vector<uint32_t> minmax_aggs_;  // the MIN and MAX aggregates
+  std::vector<uint32_t> sum_states_;     // SUM and AVG, in word order
+  std::vector<uint32_t> minmax_states_;  // MIN and MAX
 };
 
 /// Composite group key: up to 3 widened column words (unused words are 0).
@@ -214,7 +228,10 @@ class GroupTable {
 /// layout) runs the same Accumulate kernel into one partial per fused work
 /// order. Dense arrays and result partitions are charged to the tracker's
 /// kAggregation category and released by Finish(); thread partials hold
-/// at most one block's groups and stay uncharged.
+/// at most one block's groups and stay uncharged. The constructor compiles
+/// the aggregates' inputs into one DoubleProgram and gives the layout one
+/// state per distinct function and input, so SUM and AVG over one input
+/// share a (sum, comp) pair.
 class AggregateOperator final : public Operator {
  public:
   static constexpr int kPartitionBits = 6;
@@ -288,7 +305,7 @@ class AggregateOperator final : public Operator {
 
   /// Adds the rows[0..n) of `block` into the state rows `states` (a group
   /// table's or a dense array), row i into group `groups[i]`. Each
-  /// distinct aggregate input is evaluated once.
+  /// distinct node of the aggregates' inputs is evaluated once.
   void UpdateStates(const Block& block, const uint32_t* rows, uint32_t n,
                     const uint32_t* groups, AggWord* states) const;
 
@@ -301,14 +318,16 @@ class AggregateOperator final : public Operator {
   const Schema input_schema_;
   const std::vector<int> group_cols_;
   const std::vector<AggSpec> aggs_;
-  const AggLayout layout_;
   const std::unique_ptr<Predicate> predicate_;
   InsertDestination* const destination_;
   MemoryTracker* const tracker_;
-  // The distinct aggregate inputs (aggregates over the same column share
-  // one) and, per aggregate, its input's index there (-1 for COUNT).
-  std::vector<const Scalar*> inputs_;
-  std::vector<int> input_of_;
+  // The aggregates' inputs as one program of distinct nodes; the layout's
+  // states, each with its input's node (-1 for COUNT); and each
+  // aggregate's state. Set by the constructor.
+  DoubleProgram inputs_;
+  std::vector<int> state_input_;
+  std::vector<uint32_t> state_of_;
+  AggLayout layout_;
 
   StreamingInput input_;
   const Table* base_table_ = nullptr;

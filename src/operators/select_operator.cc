@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "operators/key_util.h"
+#include "util/scratch_arena.h"
 
 namespace uot {
 
@@ -63,12 +64,13 @@ void SelectOperator::FilterRows(const Block& block,
 }
 
 void SelectWorkOrder::Execute() {
-  std::vector<uint32_t> sel(block_->num_rows());
-  std::iota(sel.begin(), sel.end(), 0u);
-  op_->FilterRows(*block_, &sel);
-  if (sel.empty()) return;
+  ScratchSelVector sel;
+  sel->resize(block_->num_rows());
+  std::iota(sel->begin(), sel->end(), 0u);
+  op_->FilterRows(*block_, sel.get());
+  if (sel->empty()) return;
   InsertDestination::Writer writer(op_->destination());
-  op_->projection().MaterializeInto(*block_, sel, &writer);
+  op_->projection().MaterializeInto(*block_, *sel, &writer);
 }
 
 }  // namespace uot

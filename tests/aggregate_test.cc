@@ -31,6 +31,7 @@
 #include "test_util.h"
 #include "tpch/tpch_generator.h"
 #include "tpch/tpch_queries.h"
+#include "types/date.h"
 #include "types/row_builder.h"
 
 namespace uot {
@@ -579,6 +580,77 @@ TEST(AggregateLayoutTest, Q1ShapedInputGoesDense) {
   EXPECT_EQ(plan->result_table()->NumRows(), 4u);
 }
 
+TEST(AggregateLayoutTest, Q1SharesSumStatesAndMatchesRowByRowReference) {
+  // Q1's seven SUM and AVG aggregates read five distinct inputs (avg_qty
+  // and avg_price divide sum_qty's and sum_base_price's states), so its
+  // groups hold the row count and five (sum, comp) pairs. Each result must
+  // have the bits of a row-by-row reference that keeps one compensated sum
+  // per input and evaluates the price arithmetic as the plan writes it.
+  StorageManager storage;
+  TpchDatabase db(&storage);
+  TpchConfig config;
+  config.scale_factor = 0.005;
+  db.Generate(config);
+  const Table& l = db.lineitem();
+  struct Acc {
+    int64_t count = 0;
+    AggWord pairs[5][2] = {};  // qty, price, disc_price, charge, discount
+  };
+  std::map<std::string, Acc> reference;
+  const int32_t cutoff = MakeDate(1998, 12, 1) - 90;
+  for (uint64_t r = 0; r < l.NumRows(); ++r) {
+    if (l.GetValue(r, tpch::kLShipdate).AsInt32() > cutoff) continue;
+    const double qty = l.GetValue(r, tpch::kLQuantity).AsDouble();
+    const double price =
+        l.GetValue(r, tpch::kLExtendedprice).AsDouble();
+    const double disc = l.GetValue(r, tpch::kLDiscount).AsDouble();
+    const double tax = l.GetValue(r, tpch::kLTax).AsDouble();
+    const double disc_price = price * (1.0 - disc);
+    Acc& acc = reference[l.GetValue(r, tpch::kLReturnflag).AsChar() +
+                         l.GetValue(r, tpch::kLLinestatus).AsChar()];
+    ++acc.count;
+    const double inputs[5] = {qty, price, disc_price,
+                              disc_price * (1.0 + tax), disc};
+    for (int k = 0; k < 5; ++k) AggLayout::Add(acc.pairs[k], inputs[k]);
+  }
+  for (const int workers : {1, 4}) {
+    std::unique_ptr<QueryPlan> plan = BuildTpchPlan(1, db, TpchPlanConfig{});
+    ExecConfig exec;
+    exec.num_workers = workers;
+    QueryExecutor::Execute(plan.get(), exec);
+    const AggregateOperator* agg = nullptr;
+    for (int i = 0; i < plan->num_operators(); ++i) {
+      if (agg == nullptr) {
+        agg = dynamic_cast<const AggregateOperator*>(plan->op(i));
+      }
+    }
+    ASSERT_NE(agg, nullptr);
+    EXPECT_EQ(agg->layout().sums(), 5u);
+    EXPECT_EQ(agg->layout().bytes(), 11 * sizeof(AggWord));
+    const Table& result = *plan->result_table();
+    ASSERT_EQ(result.NumRows(), reference.size());
+    for (uint64_t r = 0; r < result.NumRows(); ++r) {
+      const std::string key =
+          result.GetValue(r, 0).AsChar() + result.GetValue(r, 1).AsChar();
+      ASSERT_EQ(reference.count(key), 1u) << key;
+      const Acc& acc = reference[key];
+      const double count = static_cast<double>(acc.count);
+      const double expected[7] = {
+          AggLayout::Total(acc.pairs[0]),         AggLayout::Total(acc.pairs[1]),
+          AggLayout::Total(acc.pairs[2]),         AggLayout::Total(acc.pairs[3]),
+          AggLayout::Total(acc.pairs[0]) / count, AggLayout::Total(acc.pairs[1]) / count,
+          AggLayout::Total(acc.pairs[4]) / count};
+      for (int c = 0; c < 7; ++c) {
+        const double got = result.GetValue(r, 2 + c).AsDouble();
+        EXPECT_EQ(std::memcmp(&got, &expected[c], 8), 0)
+            << key << " column " << 2 + c << ": " << got << " vs "
+            << expected[c] << ", workers " << workers;
+      }
+      EXPECT_EQ(result.GetValue(r, 9).AsInt64(), acc.count) << key;
+    }
+  }
+}
+
 TEST(AggStateTest, UpdateLoopsLeaveTheBitsOfThePerRowLoop) {
   // Five sums (a chunk of four, then one), MIN and MAX over inputs of mixed
   // magnitude, so every addition rounds: the register loop of a one-group
@@ -648,6 +720,83 @@ TEST(AggStateTest, UpdateLoopsLeaveTheBitsOfThePerRowLoop) {
       layout.UpdateGroup(&group[lo * words], n, inputs.data());
       ASSERT_EQ(std::memcmp(group.data(), expected.data(), bytes), 0)
           << "one group, trial " << trial;
+    }
+  }
+}
+
+TEST(AggStateTest, SkewedFewGroupBatchesLeaveTheBitsOfThePerRowLoop) {
+  // TPC-H Q1's four groups hold about 25%, 0.5%, 50% and 25% of the rows,
+  // so the row-major scatter loop meets a group's previous store every few
+  // rows. For 1 to 9 sums (nine take a pass of eight sums and a pass of
+  // one) between a MIN and a MAX, with the COUNT in the middle, the
+  // scatter loop and Update must leave exactly the words of AggLayout::Add
+  // run row by row.
+  FuzzRng rng(29);
+  for (int sums = 1; sums <= 9; ++sums) {
+    std::vector<AggSpec> specs;
+    specs.push_back({AggFn::kMin, nullptr, "min"});
+    for (int a = 0; a < sums; ++a) {
+      if (a == sums / 2) specs.push_back({AggFn::kCount, nullptr, "cnt"});
+      specs.push_back({a % 3 == 1 ? AggFn::kAvg : AggFn::kSum, nullptr, "s"});
+    }
+    specs.push_back({AggFn::kMax, nullptr, "max"});
+    const AggLayout layout(specs);
+    ASSERT_EQ(layout.sums(), static_cast<size_t>(sums));
+    const size_t words = layout.words();
+    for (int trial = 0; trial < 20; ++trial) {
+      const uint32_t n = static_cast<uint32_t>(rng.Range(1, 3000));
+      const uint32_t lo = static_cast<uint32_t>(rng.Range(0, 3));
+      std::vector<uint32_t> groups(n);
+      std::vector<std::vector<double>> values(specs.size(),
+                                              std::vector<double>(n));
+      for (uint32_t i = 0; i < n; ++i) {
+        const int64_t p = rng.Range(0, 999);
+        groups[i] = lo + (p < 250 ? 0 : p < 255 ? 1 : p < 755 ? 2 : 3);
+        for (std::vector<double>& v : values) {
+          v[i] = static_cast<double>(rng.Range(-1000000, 1000000)) *
+                 std::ldexp(1.0, static_cast<int>(rng.Range(-30, 30)));
+        }
+      }
+      std::vector<const double*> inputs(specs.size(), nullptr);
+      for (size_t a = 0; a < specs.size(); ++a) {
+        if (specs[a].fn != AggFn::kCount) inputs[a] = values[a].data();
+      }
+      std::vector<AggWord> fresh((lo + 4) * words);
+      for (uint32_t g = 0; g < lo + 4; ++g) {
+        std::copy(layout.init(), layout.init() + words, &fresh[g * words]);
+      }
+      std::vector<AggWord> expected = fresh;
+      for (uint32_t i = 0; i < n; ++i) {
+        AggWord* s = &expected[groups[i] * words];
+        ++s[0].count;
+        for (size_t a = 0; a < specs.size(); ++a) {
+          AggWord* w = s + layout.offset(a);
+          const double v = values[a][i];
+          switch (specs[a].fn) {
+            case AggFn::kMin:
+              w->value = std::min(w->value, v);
+              break;
+            case AggFn::kMax:
+              w->value = std::max(w->value, v);
+              break;
+            case AggFn::kSum:
+            case AggFn::kAvg:
+              AggLayout::Add(w, v);
+              break;
+            case AggFn::kCount:
+              break;
+          }
+        }
+      }
+      const size_t bytes = expected.size() * sizeof(AggWord);
+      std::vector<AggWord> scatter = fresh;
+      layout.UpdateScatter(groups.data(), n, inputs.data(), scatter.data());
+      ASSERT_EQ(std::memcmp(scatter.data(), expected.data(), bytes), 0)
+          << "scatter, " << sums << " sums, trial " << trial;
+      std::vector<AggWord> chosen = fresh;
+      layout.Update(groups.data(), n, inputs.data(), chosen.data());
+      ASSERT_EQ(std::memcmp(chosen.data(), expected.data(), bytes), 0)
+          << "update, " << sums << " sums, trial " << trial;
     }
   }
 }

@@ -466,6 +466,110 @@ TEST_P(ExprTest, AsColumnRefIdentifiesBareColumns) {
   EXPECT_EQ(arith->as_column_ref(), nullptr);
 }
 
+TEST(ScalarEqualsTest, EqualTreesMatchAndAnyDifferenceDoesNot) {
+  // Two separately built copies of Q1's sum_charge input are equal, both
+  // ways, as are their subtrees.
+  auto charge = [] {
+    return Mul(Mul(Col(1, Type::Double()),
+                   Sub(LitDouble(1.0), Col(2, Type::Double()))),
+               Add(LitDouble(1.0), Col(3, Type::Double())));
+  };
+  const auto a = charge();
+  const auto b = charge();
+  EXPECT_TRUE(a->Equals(*b));
+  EXPECT_TRUE(b->Equals(*a));
+  EXPECT_TRUE(a->Equals(*a));
+  EXPECT_FALSE(a->Equals(*Mul(Col(1, Type::Double()),
+                              Sub(LitDouble(1.0), Col(2, Type::Double())))));
+
+  // Literals: the same type and value, and nothing else.
+  EXPECT_TRUE(LitDouble(1.0)->Equals(*LitDouble(1.0)));
+  EXPECT_TRUE(LitInt32(7)->Equals(*LitInt32(7)));
+  EXPECT_FALSE(LitDouble(1.0)->Equals(*LitDouble(2.0)));
+  EXPECT_FALSE(LitDouble(0.0)->Equals(*LitDouble(-0.0)));
+  EXPECT_FALSE(LitInt32(1)->Equals(*LitDouble(1.0)));
+  EXPECT_FALSE(LitInt32(1)->Equals(*LitInt64(1)));
+  EXPECT_FALSE(LitInt32(9000)->Equals(*LitDate(9000)));
+  EXPECT_FALSE(Lit(TypedValue::Char("ab"), Type::Char(2))
+                   ->Equals(*Lit(TypedValue::Char("ab"), Type::Char(3))));
+  EXPECT_FALSE(LitDouble(1.0)->Equals(*Col(1, Type::Double())));
+
+  // Columns: the same index and type.
+  EXPECT_TRUE(Col(2, Type::Int32())->Equals(*Col(2, Type::Int32())));
+  EXPECT_FALSE(Col(2, Type::Int32())->Equals(*Col(3, Type::Int32())));
+  EXPECT_FALSE(Col(2, Type::Int32())->Equals(*Col(2, Type::Int64())));
+  EXPECT_FALSE(Col(1, Type::Double())->Equals(*LitDouble(1.0)));
+
+  // Arithmetic: the same operator over equal operands, in order.
+  auto x = [] { return Col(1, Type::Double()); };
+  auto y = [] { return Col(2, Type::Double()); };
+  EXPECT_TRUE(Sub(x(), y())->Equals(*Sub(x(), y())));
+  EXPECT_FALSE(Sub(x(), y())->Equals(*Sub(y(), x())));
+  EXPECT_FALSE(Sub(x(), y())->Equals(*Add(x(), y())));
+  EXPECT_FALSE(Sub(x(), y())->Equals(*Sub(x(), LitDouble(1.0))));
+
+  // Unary nodes compare their parameters and operand.
+  auto sub = [](int start, int col) {
+    return std::make_unique<Substring>(Col(col, Type::Char(8)), start, 2);
+  };
+  EXPECT_TRUE(sub(0, 3)->Equals(*sub(0, 3)));
+  EXPECT_FALSE(sub(0, 3)->Equals(*sub(1, 3)));
+  EXPECT_FALSE(sub(0, 3)->Equals(*sub(0, 4)));
+  auto year = [](int col) {
+    return std::make_unique<ExtractYear>(Col(col, Type::Date()));
+  };
+  EXPECT_TRUE(year(2)->Equals(*year(2)));
+  EXPECT_FALSE(year(2)->Equals(*year(5)));
+
+  // A CASE has no structural equality: it equals only itself.
+  auto pivot = [] {
+    return std::make_unique<CaseWhen>(
+        Cmp(CompareOp::kLt, Col(0, Type::Int32()), LitInt32(5)),
+        LitDouble(1.0), LitDouble(0.0));
+  };
+  const auto c = pivot();
+  EXPECT_TRUE(c->Equals(*c));
+  EXPECT_FALSE(c->Equals(*pivot()));
+}
+
+TEST_P(ExprTest, DoubleProgramSharesNodesAndMatchesEvalAsDouble) {
+  // Q1-shaped inputs over (id INT32, price DOUBLE): price, the discounted
+  // price and the charge share the price and discount nodes; a second copy
+  // of the discounted price is the same node.
+  auto price = [] { return Col(1, Type::Double()); };
+  auto disc_price = [&] {
+    return Mul(price(), Sub(LitDouble(1.0),
+                            Div(Col(0, Type::Int32()), LitDouble(100.0))));
+  };
+  std::vector<std::unique_ptr<Scalar>> exprs;
+  exprs.push_back(price());
+  exprs.push_back(disc_price());
+  exprs.push_back(Mul(disc_price(), Add(LitDouble(1.0), price())));
+  exprs.push_back(disc_price());
+  exprs.push_back(LitInt32(3));
+  DoubleProgram program;
+  std::vector<uint32_t> nodes;
+  for (const auto& e : exprs) nodes.push_back(program.Add(*e));
+  // price, id, id / 100, 1 - id / 100, disc_price, 1 + price, charge, 3.
+  EXPECT_EQ(program.size(), 8u);
+  EXPECT_EQ(nodes[3], nodes[1]);
+
+  const uint32_t n = static_cast<uint32_t>(block_.num_rows());
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < n; i += 2) rows.push_back(i);
+  const uint32_t m = static_cast<uint32_t>(rows.size());
+  std::vector<double> values(program.size() * m);
+  program.Eval(block_, rows.data(), m, values.data());
+  for (size_t e = 0; e < exprs.size(); ++e) {
+    std::vector<double> expected(m);
+    EvalAsDouble(*exprs[e], block_, rows.data(), m, expected.data());
+    EXPECT_EQ(std::memcmp(values.data() + nodes[e] * m, expected.data(),
+                          m * sizeof(double)),
+              0)
+        << exprs[e]->ToString();
+  }
+}
+
 TEST_P(ExprTest, ComparisonsMatchRowByRowReference) {
   // The branch-free (auto-vectorizable) compare kernel must keep exactly
   // the rows a plain row-by-row loop keeps, in the same order, for every

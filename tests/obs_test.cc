@@ -450,6 +450,27 @@ TEST(JsonWriterTest, BenchJsonEscapesStringsAndWritesNonFiniteAsNull) {
   EXPECT_EQ(root.NumberOr("ratio", -1), 0.5);
 }
 
+TEST(JsonWriterTest, SourceGitShaIsACommitWithADirtyMarkOrUnknown) {
+  // Forty hex digits, then "-dirty" if tracked files differ from HEAD;
+  // "unknown" outside a checkout.
+  const std::string sha = bench::SourceGitSha();
+  if (sha == "unknown") return;
+  const std::string suffix = "-dirty";
+  size_t hex = sha.size();
+  if (sha.size() > suffix.size() &&
+      sha.compare(sha.size() - suffix.size(), suffix.size(), suffix) == 0) {
+    hex -= suffix.size();
+  }
+  ASSERT_EQ(hex, 40u) << sha;
+  for (size_t i = 0; i < hex; ++i) {
+    EXPECT_TRUE((sha[i] >= '0' && sha[i] <= '9') ||
+                (sha[i] >= 'a' && sha[i] <= 'f'))
+        << sha;
+  }
+  EXPECT_NE(bench::BenchJson("sha_check").ToJson().find(sha),
+            std::string::npos);
+}
+
 /// End-to-end acceptance: a TPC-H query run with tracing enabled produces
 /// a valid Chrome/Perfetto trace that agrees with the execution stats.
 TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
